@@ -19,9 +19,8 @@ from . import ingest
 from .aggregate import AggregationStrategy, aggregate_sweeps, strategy_for_class
 from .config import PipelineConfig, default_taxonomy, load_config
 from .metrics import evaluate_detections, map2d
-from .pipeline import annotate_scene
+from .pipeline import annotate_scene, track_and_refine
 from .prior import load_expert_records
-from .refine import apply_velocities, assign_track_ids, associate, refine_scores
 from .score import tune_alpha as tune_alpha_op
 
 THREADS_ENV = "CUBOIDLIFT_THREADS"
@@ -42,15 +41,19 @@ def _load_config_arg(path) -> PipelineConfig:
 
 
 def _resolve_threads(flag, config: PipelineConfig) -> int:
-    if flag is not None:
-        return flag
     env = os.environ.get(THREADS_ENV)
-    if env is not None:
+    if flag is not None:
+        threads, source = flag, "--threads"
+    elif env is not None:
         try:
-            return int(env)
+            threads, source = int(env), THREADS_ENV
         except ValueError:
             _fail(f"bad {THREADS_ENV} value {env!r}")
-    return config.threads
+    else:
+        return config.threads
+    if threads < 0:
+        _fail(f"{source} must be >= 0, got {threads}")
+    return threads
 
 
 def _atomic_write(path, write_fn) -> None:
@@ -288,10 +291,7 @@ def track_only(pred_path, scene_path, config_path, out_path, seed, threads):
         timestamps = [ts_by_frame[f] for f in frame_order]
 
     frames = [[a for a in anns if a.frame_id == f] for f in frame_order]
-    tracks = associate(frames, config.taxonomy)
-    frames = refine_scores(tracks, frames)
-    frames = apply_velocities(tracks, frames, timestamps)
-    frames = assign_track_ids(tracks, frames)
+    frames, tracks = track_and_refine(frames, timestamps, config.taxonomy)
     flat = [a for frame in frames for a in frame]
     _atomic_write(out_path, lambda p: ingest.write_annotations(flat, p))
     click.echo(json.dumps({"annotations": len(flat), "tracks": len(tracks)}))

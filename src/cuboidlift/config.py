@@ -4,42 +4,41 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 
 from .ingest import ClassSpec, Taxonomy
 from .score import ScoringConfig
 from .search import SearchConfig
 
-# Per-class defaults: average dimensions (l, w, h) in meters, the sweep
-# aggregation window (past, future) that works best for the class, and the
-# BEV association radius for tracking.
+# Per-class defaults: average dimensions (l, w, h) in meters and the sweep
+# aggregation window (past, future) that works best for the class. Every
+# class keeps ClassSpec's default BEV association radius for tracking.
 DEFAULT_CLASSES = (
-    ("car", (4.6, 1.95, 1.7), (0, 0), 2.0),
-    ("truck", (6.9, 2.5, 2.8), (1, 1), 2.0),
-    ("trailer", (12.3, 2.9, 3.9), (2, 0), 2.0),
-    ("bus", (11.0, 2.9, 3.5), (0, 0), 2.0),
-    ("construction-vehicle", (6.4, 2.85, 3.2), (0, 0), 2.0),
-    ("bicycle", (1.7, 0.6, 1.3), (0, 2), 2.0),
-    ("motorcycle", (2.1, 0.77, 1.47), (1, 1), 2.0),
-    ("emergency-vehicle", (6.5, 2.4, 2.7), (6, 0), 2.0),
-    ("adult", (0.73, 0.67, 1.77), (1, 1), 2.0),
-    ("child", (0.52, 0.5, 1.38), (6, 0), 2.0),
-    ("police-officer", (0.73, 0.67, 1.77), (1, 1), 2.0),
-    ("construction-worker", (0.73, 0.67, 1.77), (0, 2), 2.0),
-    ("stroller", (0.8, 0.58, 1.03), (0, 10), 2.0),
-    ("personal-mobility", (0.7, 0.4, 1.4), (1, 1), 2.0),
-    ("pushable-pullable", (0.67, 0.6, 1.06), (0, 2), 2.0),
-    ("debris", (0.7, 0.7, 0.5), (0, 0), 2.0),
-    ("traffic-cone", (0.41, 0.41, 1.07), (0, 2), 2.0),
-    ("barrier", (2.5, 0.62, 0.98), (0, 0), 2.0),
+    ("car", (4.6, 1.95, 1.7), (0, 0)),
+    ("truck", (6.9, 2.5, 2.8), (1, 1)),
+    ("trailer", (12.3, 2.9, 3.9), (2, 0)),
+    ("bus", (11.0, 2.9, 3.5), (0, 0)),
+    ("construction-vehicle", (6.4, 2.85, 3.2), (0, 0)),
+    ("bicycle", (1.7, 0.6, 1.3), (0, 2)),
+    ("motorcycle", (2.1, 0.77, 1.47), (1, 1)),
+    ("emergency-vehicle", (6.5, 2.4, 2.7), (6, 0)),
+    ("adult", (0.73, 0.67, 1.77), (1, 1)),
+    ("child", (0.52, 0.5, 1.38), (6, 0)),
+    ("police-officer", (0.73, 0.67, 1.77), (1, 1)),
+    ("construction-worker", (0.73, 0.67, 1.77), (0, 2)),
+    ("stroller", (0.8, 0.58, 1.03), (0, 10)),
+    ("personal-mobility", (0.7, 0.4, 1.4), (1, 1)),
+    ("pushable-pullable", (0.67, 0.6, 1.06), (0, 2)),
+    ("debris", (0.7, 0.7, 0.5), (0, 0)),
+    ("traffic-cone", (0.41, 0.41, 1.07), (0, 2)),
+    ("barrier", (2.5, 0.62, 0.98), (0, 0)),
 )
 
 
 def default_taxonomy() -> Taxonomy:
     return Taxonomy(
         classes=tuple(
-            ClassSpec(name=n, avg_dims=d, aggregation=a, match_radius=r)
-            for n, d, a, r in DEFAULT_CLASSES
+            ClassSpec(name=n, avg_dims=d, aggregation=a) for n, d, a in DEFAULT_CLASSES
         )
     )
 
@@ -53,7 +52,6 @@ class PipelineConfig:
     sector_half_width: float = math.pi / 6.0
     sweep_stride: int = 5  # binary record stride, 4 or 5 floats
     threads: int = 0  # 0 = auto
-    seed: int = 0
 
     def __post_init__(self):
         if self.sweep_stride not in (4, 5):
@@ -67,6 +65,8 @@ class PipelineConfig:
 
 
 def _check_keys(obj: dict, allowed, where: str):
+    if not isinstance(obj, dict):
+        raise ValueError(f"config {where} must be an object, got {obj!r}")
     unknown = set(obj) - set(allowed)
     if unknown:
         raise ValueError(f"unknown config key(s) in {where}: {sorted(unknown)}")
@@ -76,63 +76,48 @@ def _taxonomy_from_json(obj: dict) -> Taxonomy:
     _check_keys(obj, {"classes"}, "taxonomy")
     classes = []
     for entry in obj["classes"]:
-        _check_keys(entry, {"name", "avg_dims", "aggregation", "match_radius"}, "taxonomy class")
-        agg = entry.get("aggregation", {"past": 0, "future": 0})
+        _check_keys(entry, {f.name for f in fields(ClassSpec)}, "taxonomy class")
+        agg = entry.get("aggregation", {})
         _check_keys(agg, {"past", "future"}, "aggregation")
         classes.append(
             ClassSpec(
                 name=str(entry["name"]),
                 avg_dims=tuple(float(v) for v in entry["avg_dims"]),
                 aggregation=(int(agg.get("past", 0)), int(agg.get("future", 0))),
-                match_radius=float(entry.get("match_radius", 2.0)),
+                match_radius=float(entry.get("match_radius", ClassSpec.match_radius)),
             )
         )
     return Taxonomy(classes=tuple(classes))
 
 
+def _dataclass_from_dict(cls, doc, where: str):
+    """Build `cls` from a JSON object, field by field, defaults for the rest.
+
+    Nested dataclass fields recurse, the taxonomy has its own layout, and
+    every other value is cast to the type of the field's default. Unknown
+    keys and values that do not cast are errors.
+    """
+    _check_keys(doc, {f.name for f in fields(cls)}, where)
+    defaults = cls()
+    kwargs = {}
+    for key, value in doc.items():
+        default = getattr(defaults, key)
+        if isinstance(default, Taxonomy):
+            kwargs[key] = _taxonomy_from_json(value)
+        elif is_dataclass(default):
+            kwargs[key] = _dataclass_from_dict(type(default), value, key)
+        else:
+            try:
+                kwargs[key] = type(default)(value)
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"config {where}.{key}: expected {type(default).__name__}, got {value!r}"
+                ) from None
+    return cls(**kwargs)
+
+
 def config_from_dict(doc: dict) -> PipelineConfig:
-    _check_keys(
-        doc,
-        {
-            "taxonomy",
-            "search",
-            "scoring",
-            "routing_threshold",
-            "sector_half_width",
-            "sweep_stride",
-            "threads",
-            "seed",
-        },
-        "config",
-    )
-    taxonomy = _taxonomy_from_json(doc["taxonomy"]) if "taxonomy" in doc else default_taxonomy()
-
-    search_doc = doc.get("search", {})
-    _check_keys(search_doc, {"trans_step", "rot_step", "xy_range", "z_range"}, "search")
-    search = SearchConfig(
-        trans_step=float(search_doc.get("trans_step", 0.5)),
-        rot_step=float(search_doc.get("rot_step", math.pi / 10.0)),
-        xy_range=float(search_doc.get("xy_range", 2.0)),
-        z_range=float(search_doc.get("z_range", 1.0)),
-    )
-
-    scoring_doc = doc.get("scoring", {})
-    _check_keys(scoring_doc, {"grid_k", "alpha"}, "scoring")
-    scoring = ScoringConfig(
-        grid_k=int(scoring_doc.get("grid_k", 7)),
-        alpha=float(scoring_doc.get("alpha", 0.5)),
-    )
-
-    return PipelineConfig(
-        taxonomy=taxonomy,
-        search=search,
-        scoring=scoring,
-        routing_threshold=float(doc.get("routing_threshold", 0.3)),
-        sector_half_width=float(doc.get("sector_half_width", math.pi / 6.0)),
-        sweep_stride=int(doc.get("sweep_stride", 5)),
-        threads=int(doc.get("threads", 0)),
-        seed=int(doc.get("seed", 0)),
-    )
+    return _dataclass_from_dict(PipelineConfig, doc, "config")
 
 
 def load_config(path) -> PipelineConfig:

@@ -7,7 +7,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geom import RigidTransform
+from .geom import RigidTransform, project_points, round_half_away
 from .ingest import Detection2D, SensorRig
 
 
@@ -20,7 +20,6 @@ class FrustumPoints:
     not re-project.
     """
 
-    detection_ref: int
     points: np.ndarray  # (M, 3) lidar frame
     foreground_flags: np.ndarray  # (M,) bool
     pixels: np.ndarray  # (M, 2)
@@ -40,9 +39,7 @@ def camera_from_lidar(rig: SensorRig, camera_id: str) -> RigidTransform:
     return cam.extrinsics.inverse() @ rig.lidar_extrinsics
 
 
-def extract_frustum(
-    points: np.ndarray, det: Detection2D, rig: SensorRig, detection_ref: int = 0
-) -> FrustumPoints:
+def extract_frustum(points: np.ndarray, det: Detection2D, rig: SensorRig) -> FrustumPoints:
     """Select the points whose projection lands inside det.box with depth > 0.
 
     `points` is the (N, >=3) aggregated set in the current lidar frame.
@@ -50,14 +47,8 @@ def extract_frustum(
     all selected points start flagged foreground.
     """
     cam = rig.camera(det.camera_id)
-    t = camera_from_lidar(rig, det.camera_id)
     xyz = np.asarray(points, dtype=float)[:, :3]
-    pc = xyz @ t.rotation.T + t.translation
-    z = pc[:, 2]
-    front = z > 0.0
-    zsafe = np.where(front, z, 1.0)
-    u = cam.intrinsics.fx * pc[:, 0] / zsafe + cam.intrinsics.cx
-    v = cam.intrinsics.fy * pc[:, 1] / zsafe + cam.intrinsics.cy
+    u, v, front = project_points(camera_from_lidar(rig, det.camera_id).apply(xyz), cam.intrinsics)
     inside = (
         front
         & (u >= det.box.x1)
@@ -67,16 +58,10 @@ def extract_frustum(
     )
     idx = np.nonzero(inside)[0]
     return FrustumPoints(
-        detection_ref=detection_ref,
         points=np.ascontiguousarray(xyz[idx]),
         foreground_flags=np.ones(len(idx), dtype=bool),
-        pixels=np.stack([u[idx], v[idx]], axis=1) if len(idx) else np.zeros((0, 2)),
+        pixels=np.stack([u[idx], v[idx]], axis=1),
     )
-
-
-def _round_half_away(x: np.ndarray) -> np.ndarray:
-    # symmetric nearest-integer rounding; ties go away from zero
-    return np.where(x >= 0, np.floor(x + 0.5), np.ceil(x - 0.5))
 
 
 def filter_foreground(fp: FrustumPoints, mask: Optional[np.ndarray]) -> FrustumPoints:
@@ -91,14 +76,9 @@ def filter_foreground(fp: FrustumPoints, mask: Optional[np.ndarray]) -> FrustumP
     h, w = mask.shape
     if len(fp.points) == 0:
         return fp
-    cols = _round_half_away(fp.pixels[:, 0]).astype(int)
-    rows = _round_half_away(fp.pixels[:, 1]).astype(int)
+    cols = round_half_away(fp.pixels[:, 0]).astype(int)
+    rows = round_half_away(fp.pixels[:, 1]).astype(int)
     cols = np.clip(cols, 0, w - 1)
     rows = np.clip(rows, 0, h - 1)
     flags = fp.foreground_flags & np.asarray(mask, dtype=bool)[rows, cols]
-    return FrustumPoints(
-        detection_ref=fp.detection_ref,
-        points=fp.points,
-        foreground_flags=flags,
-        pixels=fp.pixels,
-    )
+    return FrustumPoints(points=fp.points, foreground_flags=flags, pixels=fp.pixels)

@@ -235,30 +235,36 @@ class Box2D:
 
 def project_point(p, intr: CameraIntrinsics):
     """Pinhole projection of a camera-frame point; None when z <= 0."""
-    x, y, z = (float(v) for v in p)
-    if z <= 0.0:
-        return None
-    return np.array([intr.fx * x / z + intr.cx, intr.fy * y / z + intr.cy])
+    u, v, valid = project_points(p, intr)
+    return np.array([u[0], v[0]]) if valid[0] else None
 
 
 def project_points(points: np.ndarray, intr: CameraIntrinsics):
     """Vectorized projection of (N, 3) camera-frame points.
 
-    Returns (uv (N, 2), valid (N,)); uv rows with z <= 0 are garbage and
-    masked out by `valid`.
+    Returns (u (N,), v (N,), valid (N,)); entries with z <= 0 are garbage
+    and masked out by `valid`.
     """
     p = np.asarray(points, dtype=float).reshape(-1, 3)
     valid = p[:, 2] > 0.0
     z = np.where(valid, p[:, 2], 1.0)
-    uv = np.stack([intr.fx * p[:, 0] / z + intr.cx, intr.fy * p[:, 1] / z + intr.cy], axis=1)
-    return uv, valid
+    return intr.fx * p[:, 0] / z + intr.cx, intr.fy * p[:, 1] / z + intr.cy, valid
+
+
+def round_half_away(x: np.ndarray) -> np.ndarray:
+    """Symmetric nearest-integer rounding of pixel coordinates; ties go away from zero."""
+    return np.where(x >= 0, np.floor(x + 0.5), np.ceil(x - 0.5))
+
+
+def corner_offsets(dims, yaw: float) -> np.ndarray:
+    """The 8 corners (see module docstring for ordering) relative to the center, (8, 3)."""
+    half = np.asarray(dims) / 2.0
+    return (_CORNER_SIGNS * half) @ rot_z(yaw).T
 
 
 def cuboid_corners(c: Cuboid3D) -> np.ndarray:
     """The 8 corners (see module docstring for ordering) as an (8, 3) array."""
-    half = np.asarray(c.dims) / 2.0
-    local = _CORNER_SIGNS * half
-    return local @ rot_z(c.yaw).T + c.center
+    return corner_offsets(c.dims, c.yaw) + c.center
 
 
 def bev_rect(c: Cuboid3D) -> np.ndarray:
@@ -266,19 +272,31 @@ def bev_rect(c: Cuboid3D) -> np.ndarray:
     return cuboid_corners(c)[:4, :2]
 
 
+def bev_distance(a: Cuboid3D, b: Cuboid3D) -> float:
+    """Ground-plane distance between two cuboid centers."""
+    d = a.center[:2] - b.center[:2]
+    return math.hypot(d[0], d[1])
+
+
+def cuboid_local(points: np.ndarray, c: Cuboid3D) -> np.ndarray:
+    """(N, 3) points expressed in the cuboid's yaw-aligned local frame."""
+    p = np.asarray(points, dtype=float).reshape(-1, 3)
+    return (p - c.center) @ rot_z(-c.yaw).T
+
+
+def inside_local(local: np.ndarray, dims) -> np.ndarray:
+    """Boundary-inclusive containment of local-frame points in a centered box of `dims`."""
+    return np.all(np.abs(local) <= np.asarray(dims) / 2.0, axis=1)
+
+
 def point_in_cuboid(p, c: Cuboid3D) -> bool:
     """Boundary-inclusive containment of a single point."""
-    local = rot_z(-c.yaw) @ (np.asarray(p, dtype=float) - c.center)
-    half = np.asarray(c.dims) / 2.0
-    return bool(np.all(np.abs(local) <= half))
+    return bool(points_in_cuboid(p, c)[0])
 
 
 def points_in_cuboid(points: np.ndarray, c: Cuboid3D) -> np.ndarray:
     """Vectorized boundary-inclusive containment for (N, 3) points."""
-    p = np.asarray(points, dtype=float).reshape(-1, 3)
-    local = (p - c.center) @ rot_z(-c.yaw).T
-    half = np.asarray(c.dims) / 2.0
-    return np.all(np.abs(local) <= half, axis=1)
+    return inside_local(cuboid_local(points, c), c.dims)
 
 
 def project_cuboid_to_box(c: Cuboid3D, extr: RigidTransform, intr: CameraIntrinsics):
@@ -289,14 +307,14 @@ def project_cuboid_to_box(c: Cuboid3D, extr: RigidTransform, intr: CameraIntrins
     front corners.
     """
     cam = extr.apply(cuboid_corners(c))
-    uv, valid = project_points(cam, intr)
+    u, v, valid = project_points(cam, intr)
     if not valid.any():
         return None
-    uv = uv[valid]
-    x1 = min(max(float(uv[:, 0].min()), 0.0), float(intr.width))
-    x2 = min(max(float(uv[:, 0].max()), 0.0), float(intr.width))
-    y1 = min(max(float(uv[:, 1].min()), 0.0), float(intr.height))
-    y2 = min(max(float(uv[:, 1].max()), 0.0), float(intr.height))
+    u, v = u[valid], v[valid]
+    x1 = min(max(float(u.min()), 0.0), float(intr.width))
+    x2 = min(max(float(u.max()), 0.0), float(intr.width))
+    y1 = min(max(float(v.min()), 0.0), float(intr.height))
+    y2 = min(max(float(v.max()), 0.0), float(intr.height))
     return Box2D(x1, y1, x2, y2)
 
 

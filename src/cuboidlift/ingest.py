@@ -237,6 +237,8 @@ def load_scene(manifest_path, stride: int = 5) -> Scene:
 
     cameras = {}
     for cam in doc["cameras"]:
+        if cam["id"] in cameras:
+            raise FormatError(f"{manifest_path}: duplicate camera id {cam['id']!r}")
         intr = cam["intrinsics"]
         cameras[cam["id"]] = CameraCalib(
             camera_id=cam["id"],
@@ -253,8 +255,13 @@ def load_scene(manifest_path, stride: int = 5) -> Scene:
     rig = SensorRig(cameras=cameras, lidar_extrinsics=_pose_from_json(doc["lidar"]))
 
     sweeps = []
+    frame_ids = set()
     last_ts = None
     for entry in doc["sweeps"]:
+        frame_id = str(entry["frame_id"])
+        if frame_id in frame_ids:
+            raise FormatError(f"{manifest_path}: duplicate sweep frame_id {frame_id!r}")
+        frame_ids.add(frame_id)
         ts = int(entry["timestamp"])
         if last_ts is not None and ts <= last_ts:
             raise FormatError(f"{manifest_path}: sweep timestamps not strictly increasing")
@@ -262,7 +269,7 @@ def load_scene(manifest_path, stride: int = 5) -> Scene:
         pts = load_sweep_points(os.path.join(base, entry["file"]), stride=stride)
         sweeps.append(
             SweepFrame(
-                frame_id=str(entry["frame_id"]),
+                frame_id=frame_id,
                 timestamp=ts,
                 points=pts,
                 ego_pose=_pose_from_json(entry["ego_pose"]),

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geom import iou_2d, yaw_diff
+from .geom import bev_distance, iou_2d, yaw_diff
 
 DIST_THRESHOLDS = (0.5, 1.0, 2.0, 4.0)
 TP_ERROR_THRESHOLD = 2.0
@@ -33,11 +33,6 @@ class MatchResult:
 
     rows: tuple  # (score, is_tp, pred_index, gt_index or None)
     gt_count: int
-
-
-def _bev_dist(a, b) -> float:
-    d = a.cuboid.center[:2] - b.cuboid.center[:2]
-    return float(math.hypot(d[0], d[1]))
 
 
 def match_predictions(preds: list, gts: list, class_label: str, threshold_m: float) -> MatchResult:
@@ -65,7 +60,7 @@ def match_predictions(preds: list, gts: list, class_label: str, threshold_m: flo
         for j in gts_by_frame.get(p.frame_id, ()):
             if j in taken:
                 continue
-            d = _bev_dist(p, gts[j])
+            d = bev_distance(p.cuboid, gts[j].cuboid)
             if d <= threshold_m and d < best_d:
                 best_d = d
                 best_j = j
@@ -121,7 +116,7 @@ def tp_errors(match: MatchResult, preds: list, gts: list) -> dict:
     trans, scale, orient, vel = [], [], [], []
     for pi, gi in pairs:
         p, g = preds[pi], gts[gi]
-        trans.append(_bev_dist(p, g))
+        trans.append(bev_distance(p.cuboid, g.cuboid))
         scale.append(1.0 - _aligned_scale_iou(p.cuboid.dims, g.cuboid.dims))
         orient.append(yaw_diff(p.cuboid.yaw, g.cuboid.yaw))
         if p.velocity is not None and g.velocity is not None:

@@ -20,40 +20,24 @@ import numpy as np
 from .aggregate import AggregationStrategy, aggregate_sweeps, strategy_for_class
 from .config import PipelineConfig
 from .frustum import extract_frustum, filter_foreground
-from .geom import transform_cuboid, wrap_angle
-from .ingest import Detection2D, Scene, ScoredAnnotation
+from .geom import transform_cuboid
+from .ingest import Detection2D, Scene, ScoredAnnotation, Taxonomy
 from .prior import SemanticPrior, expert_key, route
 from .refine import apply_velocities, assign_track_ids, associate, refine_scores
 from .score import fuse_score, occupancy_rate
 from .search import EmptyFrustumError, enumerate_hypotheses, init_hypothesis, select_best
 
 
-def oracle_prior_provider(synth_scene, config: PipelineConfig) -> Callable:
-    """Per-instance priors from synthetic ground truth (true dims + yaw).
+def track_and_refine(frames: list, timestamps: list, taxonomy: Taxonomy):
+    """Associate time-ordered per-frame annotations into tracks and refine them.
 
-    The returned provider keys detections by identity within the synthetic
-    scene's detection list; orientations are converted into the lidar frame
-    of the detection's sweep.
+    Members of a track share their mean score, gain a finite-difference
+    velocity and carry the track id. Returns (refined frames, tracks).
     """
-    det_to_obj = {id(d): oi for d, oi in zip(synth_scene.detections, synth_scene.det_object_ids)}
-    frame_index = {sw.frame_id: i for i, sw in enumerate(synth_scene.scene.sweeps)}
-    t0 = synth_scene.scene.sweeps[0].timestamp
-
-    def provider(det: Detection2D) -> SemanticPrior:
-        oi = det_to_obj[id(det)]
-        si = frame_index[det.frame_id]
-        sweep = synth_scene.scene.sweeps[si]
-        obj = synth_scene.spec.objects[oi]
-        cub = obj.cuboid_at((sweep.timestamp - t0) / 1e6)
-        heading = sweep.lidar_to_world().heading()
-        return SemanticPrior(
-            dims=cub.dims,
-            orientation=wrap_angle(cub.yaw - heading),
-            sector_half_width=config.sector_half_width,
-            source="per_instance",
-        )
-
-    return provider
+    tracks = associate(frames, taxonomy)
+    frames = refine_scores(tracks, frames)
+    frames = apply_velocities(tracks, frames, timestamps)
+    return assign_track_ids(tracks, frames), tracks
 
 
 @dataclass
@@ -179,11 +163,9 @@ def annotate_scene(
         elif outcome.annotation is not None:
             frames[si].append(outcome.annotation)
 
-    tracks = associate(frames, config.taxonomy)
-    frames = refine_scores(tracks, frames)
-    timestamps = [sw.timestamp for sw in scene.sweeps]
-    frames = apply_velocities(tracks, frames, timestamps)
-    frames = assign_track_ids(tracks, frames)
+    frames, tracks = track_and_refine(
+        frames, [sw.timestamp for sw in scene.sweeps], config.taxonomy
+    )
 
     summary = {
         "frames": len(scene.sweeps),

@@ -20,8 +20,6 @@ import numpy as np
 from .geom import RigidTransform, wrap_angle
 from .ingest import Detection2D, FormatError, SensorRig, Taxonomy
 
-DEFAULT_ROUTE_THRESHOLD = 0.3
-DEFAULT_SECTOR_HALF_WIDTH = math.pi / 6.0
 FULL_SECTOR = math.pi
 
 # canonical face order also breaks circular-mean ties at exact opposition
@@ -104,7 +102,10 @@ def load_expert_records(path) -> dict:
                 )
             except (KeyError, TypeError, ValueError) as e:
                 raise FormatError(f"{path}:{lineno}: {e}") from None
-            index[_detection_key(record.frame_id, record.camera_id, record.box)] = record
+            key = _detection_key(record.frame_id, record.camera_id, record.box)
+            if key in index:
+                raise FormatError(f"{path}:{lineno}: duplicate record for key {key}")
+            index[key] = record
     return index
 
 
@@ -160,8 +161,8 @@ def route(
     expert: Optional[ExpertRecord],
     tax: Taxonomy,
     rig: SensorRig,
-    threshold: float = DEFAULT_ROUTE_THRESHOLD,
-    sector_half_width: float = DEFAULT_SECTOR_HALF_WIDTH,
+    threshold: float,
+    sector_half_width: float,
 ) -> SemanticPrior:
     """Pick the per-instance prior when confident and covered, else fall back.
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .geom import bev_distance
 from .ingest import Taxonomy
 
 
@@ -21,11 +22,6 @@ class Track:
     track_id: int
     class_label: str
     members: list  # [(frame_idx, ann_idx)] ordered by frame
-
-
-def _bev_distance(a, b) -> float:
-    d = a.cuboid.center[:2] - b.cuboid.center[:2]
-    return float(np.hypot(d[0], d[1]))
 
 
 def associate(frames: list, tax: Taxonomy) -> list:
@@ -54,7 +50,7 @@ def associate(frames: list, tax: Taxonomy) -> list:
             for ci, ca in enumerate(anns):
                 if ca.class_label != pa.class_label:
                     continue
-                d = _bev_distance(pa, ca)
+                d = bev_distance(pa.cuboid, ca.cuboid)
                 if d <= radius:
                     pairs.append((d, pi, ci))
         pairs.sort()

@@ -13,16 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import Cuboid3D, rot_z
-
-DEFAULT_GRID_K = 7
-DEFAULT_ALPHA = 0.5
+from .geom import Cuboid3D, cuboid_local, inside_local
 
 
 @dataclass(frozen=True)
 class ScoringConfig:
-    grid_k: int = DEFAULT_GRID_K
-    alpha: float = DEFAULT_ALPHA
+    grid_k: int = 7
+    alpha: float = 0.5
 
     def __post_init__(self):
         if self.grid_k < 1:
@@ -31,7 +28,7 @@ class ScoringConfig:
             raise ValueError("alpha must be in [0, 1]")
 
 
-def occupancy_rate(c: Cuboid3D, points: np.ndarray, k: int = DEFAULT_GRID_K) -> float:
+def occupancy_rate(c: Cuboid3D, points: np.ndarray, k: int) -> float:
     """Fraction of occupied footprint cells, in [0, 1].
 
     Only points inside the cuboid in 3D count; they are binned by their
@@ -42,12 +39,11 @@ def occupancy_rate(c: Cuboid3D, points: np.ndarray, k: int = DEFAULT_GRID_K) -> 
     p = np.asarray(points, dtype=float).reshape(-1, 3)
     if len(p) == 0:
         return 0.0
-    local = (p - c.center) @ rot_z(-c.yaw).T
-    l, w, h = c.dims
-    half = np.array([l, w, h]) / 2.0
-    inside = np.all(np.abs(local) <= half, axis=1)
+    local = cuboid_local(p, c)
+    inside = inside_local(local, c.dims)
     if not inside.any():
         return 0.0
+    l, w, _ = c.dims
     ix = np.floor((local[inside, 0] + l / 2.0) / l * k).astype(int)
     iy = np.floor((local[inside, 1] + w / 2.0) / w * k).astype(int)
     ix = np.minimum(ix, k - 1)
@@ -56,7 +52,7 @@ def occupancy_rate(c: Cuboid3D, points: np.ndarray, k: int = DEFAULT_GRID_K) -> 
     return n / float(k * k)
 
 
-def fuse_score(s2d: float, s3d: float, alpha: float = DEFAULT_ALPHA) -> float:
+def fuse_score(s2d: float, s3d: float, alpha: float) -> float:
     """Affine combination alpha * s2d + (1 - alpha) * s3d."""
     for name, v in (("s2d", s2d), ("s3d", s3d), ("alpha", alpha)):
         if not (0.0 <= v <= 1.0):

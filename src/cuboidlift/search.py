@@ -16,7 +16,15 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .geom import Cuboid3D, rot_z, wrap_angle
+from .geom import (
+    Cuboid3D,
+    corner_offsets,
+    cuboid_local,
+    points_in_cuboid,
+    project_points,
+    rot_z,
+    wrap_angle,
+)
 from .ingest import Detection2D, SensorRig
 from .frustum import FrustumPoints, camera_from_lidar
 from .prior import SemanticPrior
@@ -78,10 +86,7 @@ def coverage_ratio(points: np.ndarray, c: Cuboid3D) -> float:
     p = np.asarray(points, dtype=float).reshape(-1, 3)
     if len(p) == 0:
         return 0.0
-    local = (p - c.center) @ rot_z(-c.yaw).T
-    half = np.asarray(c.dims) / 2.0
-    inside = np.all(np.abs(local) <= half, axis=1)
-    return float(inside.sum()) / float(len(p))
+    return float(points_in_cuboid(p, c).sum()) / float(len(p))
 
 
 def init_hypothesis(fp: FrustumPoints, prior: SemanticPrior) -> Cuboid3D:
@@ -149,17 +154,12 @@ def _project_boxes(corners: np.ndarray, rig: SensorRig, camera_id: str):
     Returns (boxes, has_box); rows without any corner in front of the
     camera have no box.
     """
-    cam = rig.camera(camera_id)
-    intr = cam.intrinsics
-    t = camera_from_lidar(rig, camera_id)
-    pc = corners @ t.rotation.T + t.translation
-    z = pc[..., 2]
-    front = z > 0.0
-    zsafe = np.where(front, z, 1.0)
-    u = intr.fx * pc[..., 0] / zsafe + intr.cx
-    v = intr.fy * pc[..., 1] / zsafe + intr.cy
-    u = np.where(front, u, np.nan)
-    v = np.where(front, v, np.nan)
+    intr = rig.camera(camera_id).intrinsics
+    pc = camera_from_lidar(rig, camera_id).apply(corners.reshape(-1, 3))
+    u, v, front = project_points(pc, intr)
+    front = front.reshape(corners.shape[:2])
+    u = np.where(front, u.reshape(front.shape), np.nan)
+    v = np.where(front, v.reshape(front.shape), np.nan)
     has_box = front.any(axis=1)
     with np.errstate(invalid="ignore"):
         x1 = np.clip(np.nanmin(u, axis=1), 0.0, intr.width)
@@ -180,22 +180,6 @@ def _iou_with_box(boxes: np.ndarray, has_box: np.ndarray, det_box) -> np.ndarray
     union = area + det_box.area - inter
     iou = np.where(union > 0.0, inter / np.where(union > 0.0, union, 1.0), 0.0)
     return np.where(has_box, iou, 0.0)
-
-
-# corner sign template matching geom.cuboid_corners ordering
-_SIGNS = np.array(
-    [
-        [1, 1, -1],
-        [-1, 1, -1],
-        [-1, -1, -1],
-        [1, -1, -1],
-        [1, 1, 1],
-        [-1, 1, 1],
-        [-1, -1, 1],
-        [1, -1, 1],
-    ],
-    dtype=float,
-)
 
 
 def evaluate_hypotheses(
@@ -235,7 +219,7 @@ def evaluate_hypotheses(
     corners = np.empty((h, 8, 3))
     for yaw in unique_yaws:
         sel = grid.yaws == yaw
-        template = (_SIGNS * half) @ rot_z(float(yaw)).T
+        template = corner_offsets(grid.dims, float(yaw))
         corners[sel] = grid.centers[sel][:, None, :] + template[None, :, :]
     boxes, has_box = _project_boxes(corners, rig, det.camera_id)
     iou = _iou_with_box(boxes, has_box, det.box)
@@ -280,10 +264,8 @@ def select_best(
 # Codecs for the (external) learned dimension refiner
 
 
-def canonicalize_points(points: np.ndarray, c: Cuboid3D) -> np.ndarray:
-    """Express points in the cuboid's yaw-aligned local frame."""
-    p = np.asarray(points, dtype=float).reshape(-1, 3)
-    return (p - c.center) @ rot_z(-c.yaw).T
+# Express points in the cuboid's yaw-aligned local frame.
+canonicalize_points = cuboid_local
 
 
 def encode_point_features(

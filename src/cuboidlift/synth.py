@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
@@ -24,9 +24,11 @@ from .geom import (
     CameraIntrinsics,
     Cuboid3D,
     RigidTransform,
-    cuboid_corners,
+    bev_rect,
     project_cuboid_to_box,
+    project_points,
     rot_z,
+    round_half_away,
     wrap_angle,
 )
 from .ingest import (
@@ -38,7 +40,10 @@ from .ingest import (
     SweepFrame,
     Taxonomy,
 )
-from .prior import ExpertRecord
+from .prior import ExpertRecord, SemanticPrior
+
+if TYPE_CHECKING:
+    from .config import PipelineConfig
 
 MASK_DILATION_PX = 2
 
@@ -96,17 +101,13 @@ class SceneSpec:
     def _check_bev_overlap(self):
         for ti, ts in enumerate(self.timestamps):
             dt = (ts - self.timestamps[0]) / 1e6
-            rects = [bev_corners(o.cuboid_at(dt)) for o in self.objects]
+            rects = [bev_rect(o.cuboid_at(dt)) for o in self.objects]
             for i in range(len(rects)):
                 for j in range(i + 1, len(rects)):
                     if rects_overlap(rects[i], rects[j]):
                         raise ValueError(
                             f"objects {i} and {j} overlap in BEV at sweep {ti}"
                         )
-
-
-def bev_corners(c: Cuboid3D) -> np.ndarray:
-    return cuboid_corners(c)[:4, :2]
 
 
 def rects_overlap(a: np.ndarray, b: np.ndarray) -> bool:
@@ -197,16 +198,12 @@ class SyntheticScene:
         return [a for frame in self.gt_frames for a in frame]
 
 
-def _round_half_away(x: np.ndarray) -> np.ndarray:
-    return np.where(x >= 0, np.floor(x + 0.5), np.ceil(x - 0.5))
-
-
-def _rasterize_mask(uv: np.ndarray, intr: CameraIntrinsics, radius: int) -> np.ndarray:
+def _rasterize_mask(u: np.ndarray, v: np.ndarray, intr: CameraIntrinsics, radius: int) -> np.ndarray:
     mask = np.zeros((intr.height, intr.width), dtype=bool)
-    if len(uv) == 0:
+    if len(u) == 0:
         return mask
-    cols = _round_half_away(uv[:, 0]).astype(int)
-    rows = _round_half_away(uv[:, 1]).astype(int)
+    cols = round_half_away(u).astype(int)
+    rows = round_half_away(v).astype(int)
     keep = (cols >= -radius) & (cols < intr.width + radius) & (rows >= -radius) & (rows < intr.height + radius)
     cols, rows = cols[keep], rows[keep]
     for dr in range(-radius, radius + 1):
@@ -311,17 +308,10 @@ def generate_scene(spec: SceneSpec) -> SyntheticScene:
                 box = project_cuboid_to_box(cub, cam_from_world, cam.intrinsics)
                 if box is None or box.area <= 0.0:
                     continue
-                obj_pts = per_object_world[oi]
-                pc = obj_pts @ cam_from_world.rotation.T + cam_from_world.translation
-                front = pc[:, 2] > 0
-                uv = np.stack(
-                    [
-                        cam.intrinsics.fx * pc[front, 0] / pc[front, 2] + cam.intrinsics.cx,
-                        cam.intrinsics.fy * pc[front, 1] / pc[front, 2] + cam.intrinsics.cy,
-                    ],
-                    axis=1,
+                u, v, front = project_points(
+                    cam_from_world.apply(per_object_world[oi]), cam.intrinsics
                 )
-                mask = _rasterize_mask(uv, cam.intrinsics, MASK_DILATION_PX)
+                mask = _rasterize_mask(u[front], v[front], cam.intrinsics, MASK_DILATION_PX)
                 det = Detection2D(
                     frame_id=frame_id,
                     camera_id=cam.camera_id,
@@ -485,7 +475,7 @@ def random_scene_spec(
         candidate_intervals = []
         ok = True
         for frac, sensor_xy in zip(check_fracs, sensors_xy):
-            rect = bev_corners(obj.cuboid_at(duration * frac))
+            rect = bev_rect(obj.cuboid_at(duration * frac))
             grown = _grow_rect(rect, 0.5)
             for other in rects:
                 if rects_overlap(grown, other):
@@ -563,6 +553,34 @@ class RecoveryReport:
         return max((o.yaw_error for o in self.objects), default=0.0)
 
 
+def oracle_prior_provider(synth_scene: SyntheticScene, config: PipelineConfig) -> Callable:
+    """Per-instance priors from synthetic ground truth (true dims + yaw).
+
+    The returned provider keys detections by identity within the synthetic
+    scene's detection list; orientations are converted into the lidar frame
+    of the detection's sweep.
+    """
+    det_to_obj = {id(d): oi for d, oi in zip(synth_scene.detections, synth_scene.det_object_ids)}
+    frame_index = {sw.frame_id: i for i, sw in enumerate(synth_scene.scene.sweeps)}
+    t0 = synth_scene.scene.sweeps[0].timestamp
+
+    def provider(det: Detection2D) -> SemanticPrior:
+        oi = det_to_obj[id(det)]
+        si = frame_index[det.frame_id]
+        sweep = synth_scene.scene.sweeps[si]
+        obj = synth_scene.spec.objects[oi]
+        cub = obj.cuboid_at((sweep.timestamp - t0) / 1e6)
+        heading = sweep.lidar_to_world().heading()
+        return SemanticPrior(
+            dims=cub.dims,
+            orientation=wrap_angle(cub.yaw - heading),
+            sector_half_width=config.sector_half_width,
+            source="per_instance",
+        )
+
+    return provider
+
+
 def verify_roundtrip(spec: SceneSpec, config, priors: str = "oracle") -> RecoveryReport:
     """Generate the scene, run the pipeline on it, and score the recovery.
 
@@ -572,7 +590,7 @@ def verify_roundtrip(spec: SceneSpec, config, priors: str = "oracle") -> Recover
     """
     from .geom import yaw_diff
     from .metrics import DIST_THRESHOLDS, match_predictions
-    from .pipeline import annotate_scene, oracle_prior_provider
+    from .pipeline import annotate_scene
 
     synth = generate_scene(spec)
     provider = None

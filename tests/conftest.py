@@ -107,19 +107,19 @@ def naive_occupancy(c: Cuboid3D, points, k: int) -> float:
 
 
 def naive_frustum_mask(points, det, rig) -> np.ndarray:
-    """Per-point projection through geom primitives, plain loop."""
+    """Per-point scalar pinhole projection, plain loop."""
     from cuboidlift.frustum import camera_from_lidar
-    from cuboidlift.geom import project_point
 
-    cam = rig.camera(det.camera_id)
+    intr = rig.camera(det.camera_id).intrinsics
     t = camera_from_lidar(rig, det.camera_id)
     out = []
     for p in np.asarray(points, dtype=float)[:, :3]:
-        uv = project_point(t.apply(p), cam.intrinsics)
-        if uv is None:
+        x, y, z = (float(v) for v in t.apply(p))
+        if z <= 0.0:
             out.append(False)
             continue
-        u, v = uv
+        u = intr.fx * x / z + intr.cx
+        v = intr.fy * y / z + intr.cy
         out.append(det.box.x1 <= u <= det.box.x2 and det.box.y1 <= v <= det.box.y2)
     return np.array(out, dtype=bool)
 

@@ -19,7 +19,7 @@ from cuboidlift.frustum import extract_frustum
 from cuboidlift.geom import Box2D, Cuboid3D, wrap_angle, yaw_diff
 from cuboidlift.ingest import Detection2D, ScoredAnnotation
 from cuboidlift.metrics import match_predictions, nds, adapted_nds
-from cuboidlift.pipeline import annotate_scene, oracle_prior_provider
+from cuboidlift.pipeline import annotate_scene
 from cuboidlift.prior import SemanticPrior
 from cuboidlift.score import occupancy_rate
 from cuboidlift.search import (
@@ -39,6 +39,7 @@ from cuboidlift.synth import (
     Wall,
     default_cameras,
     generate_scene,
+    oracle_prior_provider,
     random_scene_spec,
     sample_visible_surface,
     straight_ego_trajectory,
@@ -265,7 +266,7 @@ class TestCriterion5NestedGridMonotonicity:
                 sector_half_width=math.pi / 6,
                 source="per_instance",
             )
-            fp = FrustumPoints(0, pts, np.ones(len(pts), bool), np.zeros((len(pts), 2)))
+            fp = FrustumPoints(pts, np.ones(len(pts), bool), np.zeros((len(pts), 2)))
             init = init_hypothesis(fp, prior)
             a = select_best(enumerate_hypotheses(init, prior, coarse), fp, det, rig)
             b = select_best(enumerate_hypotheses(init, prior, fine), fp, det, rig)
@@ -299,7 +300,7 @@ class TestCriterion6SectorConstraint:
             prior = SemanticPrior(
                 dims=dims, orientation=anchor, sector_half_width=sector, source="per_instance"
             )
-            fp = FrustumPoints(0, pts, np.ones(len(pts), bool), np.zeros((len(pts), 2)))
+            fp = FrustumPoints(pts, np.ones(len(pts), bool), np.zeros((len(pts), 2)))
             best = select_best(enumerate_hypotheses(init_hypothesis(fp, prior), prior, cfg), fp, det, rig)
             if yaw_diff(best.cuboid.yaw, anchor) > sector + 1e-9:
                 outside += 1

@@ -7,7 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from cuboidlift.cli import main
-from cuboidlift.config import config_from_dict, load_config
+from cuboidlift.config import PipelineConfig, config_from_dict, load_config
 
 
 @pytest.fixture(scope="module")
@@ -267,6 +267,7 @@ class TestTrackOnlyVerb:
 class TestConfig:
     def test_defaults(self):
         cfg = config_from_dict({})
+        assert cfg == PipelineConfig()
         assert cfg.search.trans_step == 0.5
         assert math.isclose(cfg.search.rot_step, math.pi / 10)
         assert cfg.scoring.grid_k == 7
@@ -284,6 +285,20 @@ class TestConfig:
             config_from_dict({"search": {"trans_stepp": 0.5}})
         with pytest.raises(ValueError):
             config_from_dict({"taxonomy": {"classes": [{"name": "x", "avg_dims": [1, 1, 1], "wat": 1}]}})
+
+    def test_seed_key_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            config_from_dict({"seed": 0})
+
+    def test_nested_value_of_wrong_type(self):
+        for doc in (
+            {"search": {"trans_step": "fast"}},
+            {"scoring": {"grid_k": [7]}},
+            {"scoring": 7},
+            {"taxonomy": {"classes": [1]}},
+        ):
+            with pytest.raises(ValueError):
+                config_from_dict(doc)
 
     def test_file_roundtrip(self, tmp_path):
         doc = {
@@ -337,3 +352,22 @@ class TestConfig:
         assert res.exit_code == 1  # bad env value without a flag is an error
         res = run_annotate(runner, scene_dir, out, threads=1)
         assert res.exit_code == 0  # the flag bypasses the env entirely
+
+    def test_negative_threads_rejected(self, runner, scene_dir, tmp_path, monkeypatch):
+        out = tmp_path / "pred.ndjson"
+        res = run_annotate(runner, scene_dir, out, threads=-1)
+        assert res.exit_code == 1
+        assert json.loads(res.output.strip().splitlines()[-1])["error"]["kind"] == "input_error"
+        monkeypatch.setenv("CUBOIDLIFT_THREADS", "-2")
+        res = runner.invoke(
+            main,
+            [
+                "annotate",
+                "--scene", str(scene_dir / "scene.json"),
+                "--detections", str(scene_dir / "detections.ndjson"),
+                "--out", str(out),
+            ],
+        )
+        assert res.exit_code == 1
+        assert json.loads(res.output.strip().splitlines()[-1])["error"]["kind"] == "input_error"
+        assert not out.exists()

@@ -110,7 +110,6 @@ class TestFilterForeground:
     def test_rounding_half_away_from_zero(self):
         # pixels at exact .5 boundaries round away from zero, then clip
         fp = FrustumPoints(
-            detection_ref=0,
             points=np.zeros((3, 3)),
             foreground_flags=np.ones(3, dtype=bool),
             pixels=np.array([[9.5, 0.0], [10.5, 0.0], [-0.4, 0.0]]),
@@ -126,4 +125,4 @@ class TestFilterForeground:
 class TestFrustumPointsType:
     def test_flag_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            FrustumPoints(0, np.zeros((2, 3)), np.ones(3, dtype=bool), np.zeros((2, 2)))
+            FrustumPoints(np.zeros((2, 3)), np.ones(3, dtype=bool), np.zeros((2, 2)))

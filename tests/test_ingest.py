@@ -280,6 +280,42 @@ class TestSceneIO:
             ingest.load_scene(manifest)
 
 
+    def _manifest(self, tmp_path):
+        from cuboidlift.synth import default_cameras, DEFAULT_LIDAR_EXTRINSICS
+        from cuboidlift.ingest import Scene, SensorRig, SweepFrame
+
+        rig = SensorRig(
+            cameras={c.camera_id: c for c in default_cameras(n_cameras=2)},
+            lidar_extrinsics=DEFAULT_LIDAR_EXTRINSICS,
+        )
+        sweeps = [
+            SweepFrame(
+                frame_id=f"{i:06d}", timestamp=100 * (i + 1), points=np.zeros((0, 4), np.float32),
+                ego_pose=RigidTransform.identity(), sensor_pose=rig.lidar_extrinsics,
+            )
+            for i in range(2)
+        ]
+        manifest = ingest.write_scene(Scene(rig=rig, sweeps=sweeps), tmp_path)
+        with open(manifest) as f:
+            return manifest, json.load(f)
+
+    def test_duplicate_frame_id_rejected(self, tmp_path):
+        manifest, doc = self._manifest(tmp_path)
+        doc["sweeps"][1]["frame_id"] = doc["sweeps"][0]["frame_id"]
+        with open(manifest, "w") as f:
+            json.dump(doc, f)
+        with pytest.raises(FormatError, match="000000"):
+            ingest.load_scene(manifest)
+
+    def test_duplicate_camera_id_rejected(self, tmp_path):
+        manifest, doc = self._manifest(tmp_path)
+        doc["cameras"][1]["id"] = doc["cameras"][0]["id"]
+        with open(manifest, "w") as f:
+            json.dump(doc, f)
+        with pytest.raises(FormatError, match="cam_0"):
+            ingest.load_scene(manifest)
+
+
 class TestTaxonomy:
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError):

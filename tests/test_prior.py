@@ -6,8 +6,8 @@ import pytest
 
 from cuboidlift.geom import Box2D, RigidTransform, rot_z, wrap_angle, yaw_diff
 from cuboidlift.ingest import Detection2D, SensorRig
+from cuboidlift.config import PipelineConfig
 from cuboidlift.prior import (
-    DEFAULT_SECTOR_HALF_WIDTH,
     ExpertRecord,
     SemanticPrior,
     derive_orientation,
@@ -91,32 +91,37 @@ def detection(score, camera_id="cam_0"):
     return Detection2D("f0", camera_id, "car", Box2D(10, 10, 60, 40), score)
 
 
+def route_with_defaults(det, rec, taxonomy, rig):
+    cfg = PipelineConfig()
+    return route(det, rec, taxonomy, rig, cfg.routing_threshold, cfg.sector_half_width)
+
+
 class TestRoute:
     def test_confident_with_record(self, taxonomy, rig):
         rec = ExpertRecord("f0", "cam_0", (10, 10, 60, 40), (4.2, 1.8, 1.5), ("back",))
-        prior = route(detection(0.9), rec, taxonomy, rig)
+        prior = route_with_defaults(detection(0.9), rec, taxonomy, rig)
         assert prior.source == "per_instance"
         assert prior.dims == (4.2, 1.8, 1.5)
         assert prior.orientation is not None
-        assert prior.sector_half_width == DEFAULT_SECTOR_HALF_WIDTH
+        assert prior.sector_half_width == PipelineConfig().sector_half_width
 
     def test_low_confidence_falls_back(self, taxonomy, rig):
         rec = ExpertRecord("f0", "cam_0", (10, 10, 60, 40), (4.2, 1.8, 1.5), ("back",))
-        prior = route(detection(0.2), rec, taxonomy, rig)
+        prior = route_with_defaults(detection(0.2), rec, taxonomy, rig)
         assert prior.source == "class_average"
         assert prior.dims == taxonomy.get("car").avg_dims
         assert prior.orientation is None
         assert prior.sector_half_width == math.pi
 
     def test_missing_record_falls_back(self, taxonomy, rig):
-        prior = route(detection(0.9), None, taxonomy, rig)
+        prior = route_with_defaults(detection(0.9), None, taxonomy, rig)
         assert prior.source == "class_average"
         assert prior.sector_half_width == math.pi
 
     def test_threshold_is_inclusive(self, taxonomy, rig):
         rec = ExpertRecord("f0", "cam_0", (10, 10, 60, 40), (4.2, 1.8, 1.5), ("back",))
-        assert route(detection(0.3), rec, taxonomy, rig).source == "per_instance"
-        assert route(detection(0.2999), rec, taxonomy, rig).source == "class_average"
+        assert route_with_defaults(detection(0.3), rec, taxonomy, rig).source == "per_instance"
+        assert route_with_defaults(detection(0.2999), rec, taxonomy, rig).source == "class_average"
 
     def test_positive_dims_always(self, taxonomy, rig):
         rng = np.random.default_rng(7)
@@ -127,17 +132,17 @@ class TestRoute:
                 rec = ExpertRecord(
                     "f0", "cam_0", (10, 10, 60, 40), tuple(rng.uniform(0.1, 8, 3)), ("left",)
                 )
-            prior = route(detection(score), rec, taxonomy, rig)
+            prior = route_with_defaults(detection(score), rec, taxonomy, rig)
             assert all(d > 0 for d in prior.dims)
 
     def test_unknown_class(self, taxonomy, rig):
         det = Detection2D("f0", "cam_0", "car", Box2D(0, 0, 1, 1), 0.5)
         bad = Detection2D("f0", "cam_0", "adult", Box2D(0, 0, 1, 1), 0.5)
-        route(det, None, taxonomy, rig)
+        route_with_defaults(det, None, taxonomy, rig)
         from dataclasses import replace
 
         with pytest.raises(KeyError):
-            route(replace(bad, class_label="hovercraft"), None, taxonomy, rig)
+            route_with_defaults(replace(bad, class_label="hovercraft"), None, taxonomy, rig)
 
 
 class TestExpertRecordsIO:
@@ -164,6 +169,21 @@ class TestExpertRecordsIO:
         with pytest.raises(FormatError) as err:
             load_expert_records(p)
         assert ":1:" in str(err.value)
+
+    def test_duplicate_key_cites_lineno(self, tmp_path):
+        # line 3 differs from line 1 only below the key's rounding precision
+        recs = [
+            ExpertRecord("f0", "cam_0", (10.0, 20.0, 110.0, 90.0), (4.0, 1.9, 1.6), ("back",)),
+            ExpertRecord("f1", "cam_0", (10.0, 20.0, 110.0, 90.0), (4.0, 1.9, 1.6), ("back",)),
+            ExpertRecord("f0", "cam_0", (10.02, 20.0, 110.0, 90.0), (4.4, 1.9, 1.6), ("front",)),
+        ]
+        p = tmp_path / "expert.ndjson"
+        write_expert_records(recs, p)
+        from cuboidlift.ingest import FormatError
+
+        with pytest.raises(FormatError) as err:
+            load_expert_records(p)
+        assert f"{p}:3:" in str(err.value)
 
 
 class TestSemanticPriorType:

@@ -35,7 +35,7 @@ def fp_from(points, flags=None):
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     if flags is None:
         flags = np.ones(len(pts), dtype=bool)
-    return FrustumPoints(0, pts, np.asarray(flags, bool), np.zeros((len(pts), 2)))
+    return FrustumPoints(pts, np.asarray(flags, bool), np.zeros((len(pts), 2)))
 
 
 def prior(dims=(4.0, 2.0, 1.6), orientation=0.0, sector=math.pi / 6):
