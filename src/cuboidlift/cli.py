@@ -256,7 +256,7 @@ def aggregate_only(scene_path, frame_id, class_label, past, future, config_path,
 
 @main.command("track-only")
 @click.option("--pred", "pred_path", required=True, type=click.Path())
-@click.option("--scene", "scene_path", type=click.Path(), default=None)
+@click.option("--scene", "scene_path", required=True, type=click.Path())
 @click.option("--config", "config_path", type=click.Path(), default=None)
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--seed", type=int, default=None, hidden=True)
@@ -264,31 +264,25 @@ def aggregate_only(scene_path, frame_id, class_label, past, future, config_path,
 def track_only(pred_path, scene_path, config_path, out_path, seed, threads):
     """Track annotations across frames and refine their scores.
 
-    Frames are ordered by first appearance in the file unless --scene
-    supplies timestamps.
+    The scene's sweep timestamps order the frames and time the velocities.
     """
     config = _load_config_arg(config_path)
     try:
         anns = ingest.load_annotations(pred_path)
     except (OSError, ingest.FormatError) as e:
         _fail(str(e))
+    try:
+        scene = ingest.load_scene(scene_path, stride=config.sweep_stride)
+    except (OSError, ingest.FormatError, json.JSONDecodeError, ValueError, KeyError) as e:
+        _fail(str(e))
 
-    frame_order = []
-    for a in anns:
-        if a.frame_id not in frame_order:
-            frame_order.append(a.frame_id)
-    timestamps = list(range(0, len(frame_order) * 1_000_000, 1_000_000))
-    if scene_path:
-        try:
-            scene = ingest.load_scene(scene_path, stride=config.sweep_stride)
-        except (OSError, ingest.FormatError, json.JSONDecodeError, ValueError, KeyError) as e:
-            _fail(str(e))
-        ts_by_frame = {sw.frame_id: sw.timestamp for sw in scene.sweeps}
-        missing = [f for f in frame_order if f not in ts_by_frame]
-        if missing:
-            _fail(f"annotations reference frames missing from the scene: {missing}")
-        frame_order.sort(key=lambda f: ts_by_frame[f])
-        timestamps = [ts_by_frame[f] for f in frame_order]
+    ts_by_frame = {sw.frame_id: sw.timestamp for sw in scene.sweeps}
+    frame_order = list(dict.fromkeys(a.frame_id for a in anns))
+    missing = [f for f in frame_order if f not in ts_by_frame]
+    if missing:
+        _fail(f"annotations reference frames missing from the scene: {missing}")
+    frame_order.sort(key=lambda f: ts_by_frame[f])
+    timestamps = [ts_by_frame[f] for f in frame_order]
 
     frames = [[a for a in anns if a.frame_id == f] for f in frame_order]
     frames, tracks = track_and_refine(frames, timestamps, config.taxonomy)

@@ -82,15 +82,17 @@ def associate(frames: list, tax: Taxonomy) -> list:
 def refine_scores(tracks: list, frames: list) -> list:
     """Replace each member's score with its track's mean original score.
 
-    Returns new per-frame lists; non-score fields are untouched and
-    single-member tracks come back unchanged.
+    Returns new per-frame lists; non-score fields are untouched and a
+    track whose members already share one score (a single-member track,
+    or one refined before) comes back unchanged: the float mean of equal
+    values is not always that value, so re-averaging would drift.
     """
     out = [list(anns) for anns in frames]
     for t in tracks:
         scores = [frames[fi][ai].score for fi, ai in t.members]
-        mean = sum(scores) / len(scores)
-        if len(scores) == 1:
+        if len(set(scores)) == 1:
             continue
+        mean = sum(scores) / len(scores)
         for fi, ai in t.members:
             out[fi][ai] = replace(out[fi][ai], score=mean)
     return out

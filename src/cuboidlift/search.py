@@ -4,6 +4,8 @@ For one detection the search enumerates cuboid poses on a Cartesian grid
 around an initial guess (dimensions stay fixed at the prior's), scores
 every pose by point coverage plus projected-box IoU against the 2D
 detection, and returns the argmax under a total, deterministic tie-break.
+Coverage is counted per yaw for all translations at once, as one matmul
+of an xy and a z containment factor (see `evaluate_hypotheses`).
 
 Grid enumeration order is x (outer), y, z, yaw (inner); offsets are exact
 integer multiples of the step so the initial pose is always on the grid
@@ -29,9 +31,10 @@ from .ingest import Detection2D, SensorRig
 from .frustum import FrustumPoints, camera_from_lidar
 from .prior import SemanticPrior
 
-# cap on elements per temporary when broadcasting points against hypotheses
-# (8M float64 = 64 MB per intermediate)
-_CHUNK_ELEMS = 8_000_000
+# cap on the elements of one (xy node x point) containment block; the
+# points axis is chunked so a block's float64 temporaries (512 KB each)
+# stay cache-sized however many points a frustum holds
+_CHUNK_ELEMS = 65_536
 
 
 class EmptyFrustumError(ValueError):
@@ -187,9 +190,28 @@ def evaluate_hypotheses(
 ):
     """Coverage and projected IoU for every grid entry, vectorized.
 
-    Hypotheses sharing a yaw are evaluated together: points and centers are
-    rotated once per yaw, then containment is a broadcast compare, chunked
-    to bound temporary memory.
+    Coverage is factorised. Yaw rotates about +z, so in a box frame the z
+    test of a point does not depend on the box's xy position and the xy
+    test does not depend on its z. The grid's distinct xy nodes and
+    distinct z levels are found once; then, per yaw, the points and the
+    xy nodes are rotated into the box frame and
+
+        counts = inside_xy (xy nodes x points) @ inside_z (points x z levels)
+
+    counts the points inside every (xy node, z level) box at once. Each
+    hypothesis reads its count from its own node and level.
+
+    This is exact, not an approximation: both factors use the same
+    `abs(p - c) <= half` comparisons on the same rotated values as a
+    per-hypothesis test (rot_z's zero entries make a rotated xy
+    independent of z and a rotated z equal to the input z, bit for bit),
+    and a float64 matmul sums 0/1 values without rounding. The points
+    axis is chunked so no containment block exceeds _CHUNK_ELEMS; the
+    partial matmuls are summed, which is exact for the same reason.
+
+    The cost per yaw is (xy nodes x points) comparisons plus a matmul into
+    an (xy nodes x z levels) count table; on a Cartesian grid that table
+    has one cell per hypothesis of the yaw.
     """
     h = len(grid)
     coverage = np.zeros(h)
@@ -198,22 +220,27 @@ def evaluate_hypotheses(
     half = np.asarray(grid.dims) / 2.0
     unique_yaws = np.unique(grid.yaws)
 
-    if m > 0:
+    if m > 0 and h > 0:
+        _, first_xy, ixy = np.unique(
+            grid.centers[:, :2], axis=0, return_index=True, return_inverse=True
+        )
+        ixy = ixy.reshape(-1)  # numpy 2.0.0 returns it with shape (H, 1)
+        uz, iz = np.unique(grid.centers[:, 2], return_inverse=True)
+        nodes_xy = grid.centers[first_xy]  # any z: it never reaches the rotated xy
+        chunk = max(1, _CHUNK_ELEMS // len(nodes_xy))
         for yaw in unique_yaws:
             sel = np.nonzero(grid.yaws == yaw)[0]
             rinv = rot_z(-float(yaw))
             prot = fg @ rinv.T
-            crot = grid.centers[sel] @ rinv.T
-            chunk = max(1, _CHUNK_ELEMS // max(1, m))
-            counts = np.empty(len(sel))
-            for s in range(0, len(sel), chunk):
-                block = crot[s : s + chunk]
-                # axis-at-a-time containment keeps temporaries 2-D
-                inside = np.abs(prot[None, :, 0] - block[:, 0:1]) <= half[0]
-                inside &= np.abs(prot[None, :, 1] - block[:, 1:2]) <= half[1]
-                inside &= np.abs(prot[None, :, 2] - block[:, 2:3]) <= half[2]
-                counts[s : s + chunk] = inside.sum(axis=1)
-            coverage[sel] = counts / float(m)
+            crot = nodes_xy @ rinv.T
+            counts = np.zeros((len(nodes_xy), len(uz)))
+            for s in range(0, m, chunk):
+                p = prot[s : s + chunk]
+                inside_xy = np.abs(p[None, :, 0] - crot[:, 0:1]) <= half[0]
+                inside_xy &= np.abs(p[None, :, 1] - crot[:, 1:2]) <= half[1]
+                inside_z = np.abs(p[:, 2:3] - uz[None, :]) <= half[2]
+                counts += inside_xy.astype(np.float64) @ inside_z.astype(np.float64)
+            coverage[sel] = counts[ixy[sel], iz[sel]] / float(m)
 
     # projected-box IoU against the detection
     corners = np.empty((h, 8, 3))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from cuboidlift.config import PipelineConfig, default_taxonomy
-from cuboidlift.geom import Box2D, Cuboid3D, cuboid_corners
+from cuboidlift.geom import Box2D, Cuboid3D, cuboid_corners, rot_z
 from cuboidlift.search import SearchConfig
 from cuboidlift.synth import random_scene_spec
 
@@ -122,6 +122,28 @@ def naive_frustum_mask(points, det, rig) -> np.ndarray:
         v = intr.fy * y / z + intr.cy
         out.append(det.box.x1 <= u <= det.box.x2 and det.box.y1 <= v <= det.box.y2)
     return np.array(out, dtype=bool)
+
+
+def naive_evaluate_coverage(grid, fg) -> np.ndarray:
+    """Coverage of every grid entry by the unfactorised containment test.
+
+    Per yaw, the points and that yaw's hypothesis centers are rotated into
+    the box frame and every (hypothesis, point) pair is compared on all
+    three axes in one broadcast, with no chunking and no deduplication.
+    """
+    fg = np.asarray(fg, dtype=float).reshape(-1, 3)
+    coverage = np.zeros(len(grid))
+    if len(fg) == 0:
+        return coverage
+    half = np.asarray(grid.dims) / 2.0
+    for yaw in np.unique(grid.yaws):
+        sel = np.nonzero(grid.yaws == yaw)[0]
+        rinv = rot_z(-float(yaw))
+        prot = fg @ rinv.T
+        crot = grid.centers[sel] @ rinv.T
+        inside = np.all(np.abs(prot[None, :, :] - crot[:, None, :]) <= half, axis=2)
+        coverage[sel] = inside.sum(axis=1) / float(len(fg))
+    return coverage
 
 
 def naive_match(preds, gts, class_label, threshold):

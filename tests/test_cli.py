@@ -15,13 +15,11 @@ def runner():
     return CliRunner()
 
 
-@pytest.fixture(scope="module")
-def scene_dir(tmp_path_factory, runner):
-    out = tmp_path_factory.mktemp("scene")
+def synth_scene(runner, out, n_sweeps):
     spec = {
         "seed": 11,
         "n_objects": 6,
-        "n_sweeps": 3,
+        "n_sweeps": n_sweeps,
         "classes": ["car", "adult", "traffic-cone"],
         "noise_sigma": 0.02,
         "points_per_object": [150, 250],
@@ -32,6 +30,11 @@ def scene_dir(tmp_path_factory, runner):
     res = runner.invoke(main, ["synth", "--spec", str(spec_path), "--out", str(out)])
     assert res.exit_code == 0, res.output
     return out
+
+
+@pytest.fixture(scope="module")
+def scene_dir(tmp_path_factory, runner):
+    return synth_scene(runner, tmp_path_factory.mktemp("scene"), n_sweeps=3)
 
 
 def run_annotate(runner, scene_dir, out_path, threads=1, extra=()):
@@ -262,6 +265,26 @@ class TestTrackOnlyVerb:
         assert res.exit_code == 0, res.output
         info = json.loads(res.output.strip().splitlines()[-1])
         assert info["annotations"] > 0 and info["tracks"] > 0
+
+    def test_reproduces_annotate_output(self, runner, tmp_path):
+        # annotate already tracked and refined, so doing it again changes no
+        # byte; seven sweeps make tracks long enough that re-averaging
+        # scores a track already shares would move their last bits
+        scene = synth_scene(runner, tmp_path, n_sweeps=7)
+        pred = tmp_path / "pred.ndjson"
+        assert run_annotate(runner, scene, pred).exit_code == 0
+        out = tmp_path / "tracked.ndjson"
+        args = ["track-only", "--pred", str(pred), "--scene", str(scene / "scene.json")]
+        res = runner.invoke(main, args + ["--out", str(out)])
+        assert res.exit_code == 0, res.output
+        assert out.read_bytes() == pred.read_bytes()
+
+    def test_scene_required(self, runner, scene_dir, tmp_path):
+        pred = tmp_path / "pred.ndjson"
+        run_annotate(runner, scene_dir, pred)
+        res = runner.invoke(main, ["track-only", "--pred", str(pred), "--out", str(tmp_path / "t.ndjson")])
+        assert res.exit_code != 0
+        assert "--scene" in res.output
 
 
 class TestConfig:

@@ -118,6 +118,14 @@ class TestRefineScores:
         out = refine_scores(tracks, frames)
         assert out[0][0].score == 0.9
 
+    def test_equal_scores_unchanged(self, taxonomy):
+        # ten equal scores: sum/len gives 0.09999999999999999, not 0.1
+        frames = [[ann(str(f), 0, 0, score=0.1)] for f in range(10)]
+        tracks = associate(frames, taxonomy)
+        assert len(tracks) == 1
+        out = refine_scores(tracks, frames)
+        assert [a.score for frame in out for a in frame] == [0.1] * 10
+
     def test_per_track_sum_and_count_preserved(self, taxonomy):
         rng = np.random.default_rng(11)
         frames = []

@@ -6,12 +6,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cuboidlift.frustum import FrustumPoints
-from cuboidlift.geom import Cuboid3D, rot_z, wrap_angle, yaw_diff
+from cuboidlift.geom import Box2D, Cuboid3D, rot_z, wrap_angle, yaw_diff
 from cuboidlift.ingest import Detection2D, SensorRig
 from cuboidlift.prior import SemanticPrior
+from cuboidlift import search
 from cuboidlift.search import (
     EmptyFrustumError,
     Hypothesis,
+    HypothesisGrid,
     SearchConfig,
     canonicalize_points,
     coverage_ratio,
@@ -28,7 +30,7 @@ from cuboidlift.synth import (
     default_cameras,
     sample_visible_surface,
 )
-from conftest import naive_coverage, random_cuboid
+from conftest import naive_coverage, naive_evaluate_coverage, random_cuboid
 
 
 def fp_from(points, flags=None):
@@ -199,6 +201,95 @@ def synthetic_detection(rig, seed=3, dims=(4.0, 2.0, 1.6), dist=12.0, n=400):
     box = project_cuboid_to_box(cub, camera_from_lidar(rig, "cam_0"), rig.camera("cam_0").intrinsics)
     det = Detection2D("f", "cam_0", "car", box, 0.9)
     return cub, pts, det
+
+
+KERNEL_CONFIGS = {
+    "default": SearchConfig(),
+    # xy_range 1 keeps the unchunked oracle's full-circle broadcast small
+    "fine_step": SearchConfig(trans_step=0.25, xy_range=1.0),
+    "xy_range_0": SearchConfig(xy_range=0.0),
+    "z_range_0": SearchConfig(z_range=0.0),
+}
+
+
+def random_kernel_case(rng, cfg, full_circle):
+    """A grid (shuffled half the time) and a masked frustum around it.
+
+    The init sits on a dyadic lattice with dyadic dims and, for sector
+    priors, yaw 0 half the time, so points built as node +- dims/2 along
+    one axis lie exactly on a face of that node's box.
+    """
+    dims = (4.0, 2.0, 1.5) if rng.random() < 0.5 else tuple(rng.uniform(0.3, 5.0, size=3))
+    yaw0 = 0.0 if rng.random() < 0.5 else float(rng.uniform(-math.pi, math.pi))
+    if full_circle:
+        p = prior(dims=dims, orientation=None, sector=math.pi)
+    else:
+        p = prior(dims=dims, orientation=yaw0)
+    anchor = rng.uniform((8.0, -5.0, -1.5), (30.0, 5.0, 0.5))  # in front of cam_0
+    init = Cuboid3D(np.round(anchor * 4.0) / 4.0, dims, 0.0 if full_circle else yaw0)
+    grid = enumerate_hypotheses(init, p, cfg)
+    if rng.random() < 0.5:
+        perm = rng.permutation(len(grid))
+        grid = HypothesisGrid(centers=grid.centers[perm], yaws=grid.yaws[perm], dims=grid.dims, init=grid.init)
+    spread = rng.uniform(-4.0, 4.0, size=(int(rng.integers(1, 100)), 3))
+    k = int(rng.integers(1, 30))
+    nodes = rng.integers(0, len(grid), size=k)
+    axes = rng.integers(0, 3, size=k)
+    faces = grid.centers[nodes].copy()
+    faces[np.arange(k), axes] += rng.choice([-1.0, 1.0], size=k) * np.asarray(dims)[axes] / 2.0
+    pts = np.concatenate([init.center + spread, faces])[rng.permutation(len(spread) + k)]
+    return grid, fp_from(pts, rng.random(len(pts)) < 0.8)
+
+
+KERNEL_DET = Detection2D("f", "cam_0", "car", Box2D(200.0, 150.0, 900.0, 600.0), 0.9)
+
+
+class TestCoverageKernel:
+    """Factorised coverage must equal the naive broadcast bit for bit."""
+
+    @pytest.mark.parametrize("full_circle", [False, True], ids=["sector", "full_circle"])
+    @pytest.mark.parametrize("name", sorted(KERNEL_CONFIGS))
+    def test_matches_naive_oracle(self, rig, name, full_circle):
+        rng = np.random.default_rng([7, len(name), int(full_circle)])
+        for _ in range(12):
+            grid, fp = random_kernel_case(rng, KERNEL_CONFIGS[name], full_circle)
+            cov, _ = evaluate_hypotheses(grid, fp, KERNEL_DET, rig)
+            want = naive_evaluate_coverage(grid, fp.foreground)
+            assert cov.dtype == np.float64
+            assert np.array_equal(cov, want)
+
+    def test_point_on_face_counts(self, rig):
+        cfg = SearchConfig(xy_range=0.5, z_range=0.5)
+        init = Cuboid3D((10.0, 2.0, -0.5), (4.0, 2.0, 1.5), 0.0)
+        grid = enumerate_hypotheses(init, prior(dims=init.dims, orientation=0.0), cfg)
+        pts = init.center + np.array([[2.0, 0, 0], [0, -1.0, 0], [0, 0, 0.75]])
+        cov, _ = evaluate_hypotheses(grid, fp_from(pts), KERNEL_DET, rig)
+        at_init = (grid.centers == init.center).all(axis=1) & (grid.yaws == 0.0)
+        assert cov[at_init].tolist() == [1.0]
+        assert np.array_equal(cov, naive_evaluate_coverage(grid, pts))
+
+    def test_empty_foreground_is_zero(self, rig):
+        grid, fp = random_kernel_case(np.random.default_rng(3), SearchConfig(), True)
+        empty = fp_from(fp.points, np.zeros(len(fp.points), dtype=bool))
+        cov, _ = evaluate_hypotheses(grid, empty, KERNEL_DET, rig)
+        assert cov.dtype == np.float64
+        assert np.array_equal(cov, np.zeros(len(grid)))
+
+    def test_empty_grid(self, rig):
+        _, fp = random_kernel_case(np.random.default_rng(4), SearchConfig(), False)
+        init = Cuboid3D((10.0, 0.0, 0.0), (4.0, 2.0, 1.5), 0.0)
+        grid = HypothesisGrid(centers=np.zeros((0, 3)), yaws=np.zeros(0), dims=init.dims, init=init)
+        cov, iou = evaluate_hypotheses(grid, fp, KERNEL_DET, rig)
+        assert cov.shape == iou.shape == (0,)
+
+    @pytest.mark.parametrize("elems", [1, 7, 500])
+    def test_chunked_points_match_oracle(self, rig, monkeypatch, elems):
+        monkeypatch.setattr(search, "_CHUNK_ELEMS", elems)
+        rng = np.random.default_rng(elems)
+        for cfg, full_circle in ((SearchConfig(), False), (KERNEL_CONFIGS["fine_step"], True)):
+            grid, fp = random_kernel_case(rng, cfg, full_circle)
+            cov, _ = evaluate_hypotheses(grid, fp, KERNEL_DET, rig)
+            assert np.array_equal(cov, naive_evaluate_coverage(grid, fp.foreground))
 
 
 class TestSelectBest:
