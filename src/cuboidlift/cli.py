@@ -40,6 +40,14 @@ def _load_config_arg(path) -> PipelineConfig:
         _fail(f"config: {e}")
 
 
+def _load(loader, *args, **kwargs):
+    """Call an ingest loader; an unreadable or malformed file is an input_error."""
+    try:
+        return loader(*args, **kwargs)
+    except (OSError, ingest.FormatError) as e:
+        _fail(str(e))
+
+
 def _resolve_threads(flag, config: PipelineConfig) -> int:
     env = os.environ.get(THREADS_ENV)
     if flag is not None:
@@ -83,12 +91,9 @@ def main():
 def annotate(scene_path, det_path, expert_path, config_path, out_path, threads, seed):
     """Generate scored 3D cuboid annotations for a scene."""
     config = _load_config_arg(config_path)
-    try:
-        scene = ingest.load_scene(scene_path, stride=config.sweep_stride)
-        detections = ingest.load_detections(det_path, config.taxonomy)
-        expert_index = load_expert_records(expert_path) if expert_path else None
-    except (OSError, ingest.FormatError, ValueError, KeyError, json.JSONDecodeError) as e:
-        _fail(str(e))
+    scene = _load(ingest.load_scene, scene_path, stride=config.sweep_stride)
+    detections = _load(ingest.load_detections, det_path, config.taxonomy)
+    expert_index = _load(load_expert_records, expert_path) if expert_path else None
 
     n_threads = _resolve_threads(threads, config)
     try:
@@ -112,23 +117,15 @@ def annotate(scene_path, det_path, expert_path, config_path, out_path, threads, 
 @click.option("--stratify", is_flag=True, default=False)
 @click.option("--pred-2d", "pred2d_path", type=click.Path(), default=None)
 @click.option("--gt-2d", "gt2d_path", type=click.Path(), default=None)
-@click.option("--seed", type=int, default=None, hidden=True)  # accepted for interface parity
-@click.option("--threads", type=int, default=None, hidden=True)
-def eval_cmd(pred_path, gt_path, config_path, stratify, pred2d_path, gt2d_path, seed, threads):
+def eval_cmd(pred_path, gt_path, config_path, stratify, pred2d_path, gt2d_path):
     """nuScenes-style metrics over two annotation files."""
     config = _load_config_arg(config_path)
-    try:
-        preds = ingest.load_annotations(pred_path)
-        gts = ingest.load_annotations(gt_path)
-    except (OSError, ingest.FormatError) as e:
-        _fail(str(e))
+    preds = _load(ingest.load_annotations, pred_path)
+    gts = _load(ingest.load_annotations, gt_path)
     report = evaluate_detections(preds, gts, stratify=stratify)
     if pred2d_path and gt2d_path:
-        try:
-            pred2d = ingest.load_detections(pred2d_path, config.taxonomy)
-            gt2d = ingest.load_detections(gt2d_path, config.taxonomy)
-        except (OSError, ingest.FormatError) as e:
-            _fail(str(e))
+        pred2d = _load(ingest.load_detections, pred2d_path, config.taxonomy)
+        gt2d = _load(ingest.load_detections, gt2d_path, config.taxonomy)
         report.map2d = map2d(pred2d, gt2d)
     click.echo(json.dumps(report.to_json()))
     click.echo(report.format_table(), err=True)
@@ -138,8 +135,7 @@ def eval_cmd(pred_path, gt_path, config_path, stratify, pred2d_path, gt2d_path, 
 @click.option("--spec", "spec_path", required=True, type=click.Path())
 @click.option("--out", "out_dir", required=True, type=click.Path())
 @click.option("--seed", type=int, default=None, help="overrides the spec seed")
-@click.option("--threads", type=int, default=None, hidden=True)
-def synth(spec_path, out_dir, seed, threads):
+def synth(spec_path, out_dir, seed):
     """Generate a synthetic scene in the pipeline's own file formats."""
     from .prior import write_expert_records
     from .synth import generate_scene, random_scene_spec
@@ -147,8 +143,10 @@ def synth(spec_path, out_dir, seed, threads):
     try:
         with open(spec_path) as f:
             doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:
         _fail(f"spec: {e}")
+    if not isinstance(doc, dict):
+        _fail("spec: expected a JSON object")
     allowed = {
         "seed",
         "n_objects",
@@ -176,7 +174,7 @@ def synth(spec_path, out_dir, seed, threads):
             ego_speed=float(doc.get("ego_speed", 0.0)),
         )
         built = generate_scene(spec)
-    except ValueError as e:
+    except (TypeError, ValueError) as e:
         _fail(str(e), kind="spec_error")
 
     os.makedirs(out_dir, exist_ok=True)
@@ -199,20 +197,16 @@ def synth(spec_path, out_dir, seed, threads):
 @main.command("tune-alpha")
 @click.option("--pred", "pred_path", required=True, type=click.Path())
 @click.option("--gt", "gt_path", required=True, type=click.Path())
-@click.option("--config", "config_path", type=click.Path(), default=None)
-@click.option("--seed", type=int, default=None, hidden=True)
-@click.option("--threads", type=int, default=None, hidden=True)
-def tune_alpha(pred_path, gt_path, config_path, seed, threads):
+def tune_alpha(pred_path, gt_path):
     """Pick the score-fusion weight maximizing validation mAP3D.
 
     Predictions must carry the s2d/s3d fields written by annotate.
     """
-    _load_config_arg(config_path)
+    preds = _load(ingest.load_annotations, pred_path)
+    gts = _load(ingest.load_annotations, gt_path)
     try:
-        preds = ingest.load_annotations(pred_path)
-        gts = ingest.load_annotations(gt_path)
         alpha = tune_alpha_op(preds, gts)
-    except (OSError, ingest.FormatError, ValueError) as e:
+    except ValueError as e:
         _fail(str(e))
     click.echo(json.dumps({"alpha": alpha}))
 
@@ -225,15 +219,10 @@ def tune_alpha(pred_path, gt_path, config_path, seed, threads):
 @click.option("--future", type=int, default=None)
 @click.option("--config", "config_path", type=click.Path(), default=None)
 @click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--seed", type=int, default=None, hidden=True)
-@click.option("--threads", type=int, default=None, hidden=True)
-def aggregate_only(scene_path, frame_id, class_label, past, future, config_path, out_path, seed, threads):
+def aggregate_only(scene_path, frame_id, class_label, past, future, config_path, out_path):
     """Write the ego-motion-compensated window around one frame."""
     config = _load_config_arg(config_path)
-    try:
-        scene = ingest.load_scene(scene_path, stride=config.sweep_stride)
-    except (OSError, ingest.FormatError, json.JSONDecodeError, ValueError, KeyError) as e:
-        _fail(str(e))
+    scene = _load(ingest.load_scene, scene_path, stride=config.sweep_stride)
     index = {sw.frame_id: i for i, sw in enumerate(scene.sweeps)}
     if frame_id not in index:
         _fail(f"unknown frame {frame_id!r}")
@@ -259,22 +248,14 @@ def aggregate_only(scene_path, frame_id, class_label, past, future, config_path,
 @click.option("--scene", "scene_path", required=True, type=click.Path())
 @click.option("--config", "config_path", type=click.Path(), default=None)
 @click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--seed", type=int, default=None, hidden=True)
-@click.option("--threads", type=int, default=None, hidden=True)
-def track_only(pred_path, scene_path, config_path, out_path, seed, threads):
+def track_only(pred_path, scene_path, config_path, out_path):
     """Track annotations across frames and refine their scores.
 
     The scene's sweep timestamps order the frames and time the velocities.
     """
     config = _load_config_arg(config_path)
-    try:
-        anns = ingest.load_annotations(pred_path)
-    except (OSError, ingest.FormatError) as e:
-        _fail(str(e))
-    try:
-        scene = ingest.load_scene(scene_path, stride=config.sweep_stride)
-    except (OSError, ingest.FormatError, json.JSONDecodeError, ValueError, KeyError) as e:
-        _fail(str(e))
+    anns = _load(ingest.load_annotations, pred_path)
+    scene = _load(ingest.load_scene, scene_path, stride=config.sweep_stride)
 
     ts_by_frame = {sw.frame_id: sw.timestamp for sw in scene.sweeps}
     frame_order = list(dict.fromkeys(a.frame_id for a in anns))

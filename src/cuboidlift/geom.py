@@ -299,23 +299,31 @@ def points_in_cuboid(points: np.ndarray, c: Cuboid3D) -> np.ndarray:
     return inside_local(cuboid_local(points, c), c.dims)
 
 
-def project_cuboid_to_box(c: Cuboid3D, extr: RigidTransform, intr: CameraIntrinsics):
-    """AABB of the projected corners, clipped to the image; None if fully behind.
+def project_boxes(corners: np.ndarray, extr: RigidTransform, intr: CameraIntrinsics):
+    """Clipped image AABBs of projected corner sets, (H, 8, 3) -> (H, 4).
 
-    `extr` maps the cuboid's frame into the camera frame. Corners with
+    `extr` maps the corners' frame into the camera frame. Corners with
     z <= 0 are dropped; partially behind-camera cuboids keep only their
-    front corners.
+    front corners. Returns (boxes, has_box); rows without any corner in
+    front of the camera have no box and zeros in `boxes`.
     """
-    cam = extr.apply(cuboid_corners(c))
-    u, v, valid = project_points(cam, intr)
-    if not valid.any():
-        return None
-    u, v = u[valid], v[valid]
-    x1 = min(max(float(u.min()), 0.0), float(intr.width))
-    x2 = min(max(float(u.max()), 0.0), float(intr.width))
-    y1 = min(max(float(v.min()), 0.0), float(intr.height))
-    y2 = min(max(float(v.max()), 0.0), float(intr.height))
-    return Box2D(x1, y1, x2, y2)
+    u, v, front = project_points(extr.apply(corners.reshape(-1, 3)), intr)
+    front = front.reshape(corners.shape[:2])
+    # the fmin/fmax reductions skip the NaN-masked corners, and unlike
+    # np.nanmin they do not warn about rows that are all NaN
+    u = np.where(front, u.reshape(front.shape), np.nan)
+    v = np.where(front, v.reshape(front.shape), np.nan)
+    boxes = np.stack([np.fmin.reduce(u, 1), np.fmin.reduce(v, 1), np.fmax.reduce(u, 1), np.fmax.reduce(v, 1)], 1)
+    has_box = front.any(axis=1)
+    boxes[~has_box] = 0.0
+    np.clip(boxes, 0.0, [intr.width, intr.height] * 2, out=boxes)
+    return boxes, has_box
+
+
+def project_cuboid_to_box(c: Cuboid3D, extr: RigidTransform, intr: CameraIntrinsics):
+    """`project_boxes` for one cuboid: a Box2D, or None if fully behind the camera."""
+    boxes, has_box = project_boxes(cuboid_corners(c)[None], extr, intr)
+    return Box2D(*(float(x) for x in boxes[0])) if has_box[0] else None
 
 
 def iou_2d(a: Box2D, b: Box2D) -> float:

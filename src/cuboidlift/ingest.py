@@ -146,6 +146,49 @@ class Scene:
 
 
 # ---------------------------------------------------------------------------
+# NDJSON
+
+
+def _format_error(where: str, e: Exception) -> FormatError:
+    if isinstance(e, KeyError):
+        return FormatError(f"{where}: missing field {e}")
+    return FormatError(f"{where}: {e}")
+
+
+def read_ndjson(path, parse):
+    """Yield (lineno, parse(record)) for each non-blank line of an NDJSON file.
+
+    Line numbers are 1-based. Non-UTF-8 bytes, malformed JSON, a record
+    that is not an object, and a KeyError, TypeError, ValueError or
+    OverflowError from `parse` become a FormatError citing path:lineno.
+    """
+    with open(path, "rb") as f:
+        for lineno, raw in enumerate(f, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
+                rec = json.loads(line)
+                if not isinstance(rec, dict):
+                    raise ValueError("expected a JSON object")
+                value = parse(rec)
+            except UnicodeDecodeError as e:
+                raise FormatError(f"{path}:{lineno}: not UTF-8 ({e.reason})") from None
+            except json.JSONDecodeError as e:
+                raise FormatError(f"{path}:{lineno}: malformed JSON ({e.msg})") from None
+            except (KeyError, TypeError, ValueError, OverflowError) as e:
+                raise _format_error(f"{path}:{lineno}", e) from None
+            yield lineno, value
+
+
+def write_ndjson(records, path) -> None:
+    """One `json.dumps` line per record."""
+    with open(path, "w", encoding="utf-8") as f:
+        for rec in records:
+            f.write(json.dumps(rec) + "\n")
+
+
+# ---------------------------------------------------------------------------
 # Run-length masks
 
 
@@ -230,15 +273,28 @@ def _pose_to_json(t: RigidTransform) -> dict:
 
 
 def load_scene(manifest_path, stride: int = 5) -> Scene:
-    """Parse a scene manifest and every sweep file it references."""
-    with open(manifest_path) as f:
-        doc = json.load(f)
-    base = os.path.dirname(os.path.abspath(manifest_path))
+    """Parse a scene manifest and every sweep file it references.
 
+    Raises OSError, or FormatError naming the manifest (or the sweep file
+    at fault).
+    """
+    try:
+        with open(manifest_path, encoding="utf-8") as f:
+            doc = json.load(f)
+        if not isinstance(doc, dict):
+            raise ValueError("expected a JSON object")
+        return _scene_from_json(doc, os.path.dirname(os.path.abspath(manifest_path)), stride)
+    except FormatError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
+        raise _format_error(str(manifest_path), e) from None
+
+
+def _scene_from_json(doc: dict, base: str, stride: int) -> Scene:
     cameras = {}
     for cam in doc["cameras"]:
         if cam["id"] in cameras:
-            raise FormatError(f"{manifest_path}: duplicate camera id {cam['id']!r}")
+            raise ValueError(f"duplicate camera id {cam['id']!r}")
         intr = cam["intrinsics"]
         cameras[cam["id"]] = CameraCalib(
             camera_id=cam["id"],
@@ -260,11 +316,11 @@ def load_scene(manifest_path, stride: int = 5) -> Scene:
     for entry in doc["sweeps"]:
         frame_id = str(entry["frame_id"])
         if frame_id in frame_ids:
-            raise FormatError(f"{manifest_path}: duplicate sweep frame_id {frame_id!r}")
+            raise ValueError(f"duplicate sweep frame_id {frame_id!r}")
         frame_ids.add(frame_id)
         ts = int(entry["timestamp"])
         if last_ts is not None and ts <= last_ts:
-            raise FormatError(f"{manifest_path}: sweep timestamps not strictly increasing")
+            raise ValueError("sweep timestamps not strictly increasing")
         last_ts = ts
         pts = load_sweep_points(os.path.join(base, entry["file"]), stride=stride)
         sweeps.append(
@@ -326,24 +382,7 @@ def write_scene(scene: Scene, out_dir, stride: int = 5, manifest_name="scene.jso
 
 def load_detections(path, taxonomy: Taxonomy) -> list:
     """Parse NDJSON detections; errors cite the 1-based line number."""
-    out = []
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise FormatError(f"{path}:{lineno}: malformed JSON ({e.msg})") from None
-            try:
-                det = _detection_from_json(rec, taxonomy)
-            except (KeyError, TypeError) as e:
-                raise FormatError(f"{path}:{lineno}: missing or bad field ({e})") from None
-            except ValueError as e:
-                raise FormatError(f"{path}:{lineno}: {e}") from None
-            out.append(det)
-    return out
+    return [det for _, det in read_ndjson(path, lambda rec: _detection_from_json(rec, taxonomy))]
 
 
 def _detection_from_json(rec: dict, taxonomy: Taxonomy) -> Detection2D:
@@ -367,19 +406,21 @@ def _detection_from_json(rec: dict, taxonomy: Taxonomy) -> Detection2D:
     )
 
 
+def _detection_to_json(d: Detection2D) -> dict:
+    rec = {
+        "frame_id": d.frame_id,
+        "camera_id": d.camera_id,
+        "class": d.class_label,
+        "box": [d.box.x1, d.box.y1, d.box.x2, d.box.y2],
+        "score": d.score,
+    }
+    if d.mask is not None:
+        rec["mask_rle"] = mask_to_rle(d.mask)
+    return rec
+
+
 def write_detections(dets: list, path) -> None:
-    with open(path, "w") as f:
-        for d in dets:
-            rec = {
-                "frame_id": d.frame_id,
-                "camera_id": d.camera_id,
-                "class": d.class_label,
-                "box": [d.box.x1, d.box.y1, d.box.x2, d.box.y2],
-                "score": d.score,
-            }
-            if d.mask is not None:
-                rec["mask_rle"] = mask_to_rle(d.mask)
-            f.write(json.dumps(rec) + "\n")
+    write_ndjson(map(_detection_to_json, dets), path)
 
 
 # ---------------------------------------------------------------------------
@@ -424,24 +465,9 @@ def annotation_from_json(rec: dict) -> ScoredAnnotation:
 
 
 def write_annotations(items: list, path) -> None:
-    with open(path, "w") as f:
-        for a in items:
-            f.write(json.dumps(annotation_to_json(a)) + "\n")
+    write_ndjson(map(annotation_to_json, items), path)
 
 
 def load_annotations(path) -> list:
-    out = []
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise FormatError(f"{path}:{lineno}: malformed JSON ({e.msg})") from None
-            try:
-                out.append(annotation_from_json(rec))
-            except (KeyError, TypeError, ValueError) as e:
-                raise FormatError(f"{path}:{lineno}: {e}") from None
-    return out
+    """Parse NDJSON annotations; errors cite the 1-based line number."""
+    return [a for _, a in read_ndjson(path, annotation_from_json)]

@@ -248,10 +248,12 @@ def evaluate_detections(
     class_ap = {}
     class_err = {}
     for cls in classes:
-        class_ap[cls] = {
-            t: average_precision(match_predictions(preds, gts, cls, t)) for t in thresholds
+        # tp_threshold is usually one of the AP thresholds: match it once
+        matches = {
+            t: match_predictions(preds, gts, cls, t) for t in dict.fromkeys((*thresholds, tp_threshold))
         }
-        class_err[cls] = tp_errors(match_predictions(preds, gts, cls, tp_threshold), preds, gts)
+        class_ap[cls] = {t: average_precision(matches[t]) for t in thresholds}
+        class_err[cls] = tp_errors(matches[tp_threshold], preds, gts)
 
     if classes:
         mean_ap = float(np.mean([class_ap[c][t] for c in classes for t in thresholds]))

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -40,12 +39,6 @@ def track_and_refine(frames: list, timestamps: list, taxonomy: Taxonomy):
     return assign_track_ids(tracks, frames), tracks
 
 
-@dataclass
-class DetectionOutcome:
-    annotation: Optional[ScoredAnnotation]
-    skipped: bool
-
-
 def _process_detection(
     det: Detection2D,
     sweep_idx: int,
@@ -53,28 +46,26 @@ def _process_detection(
     scene: Scene,
     config: PipelineConfig,
     prior: SemanticPrior,
-) -> DetectionOutcome:
+) -> Optional[ScoredAnnotation]:
+    """Lift one detection; None when no foreground point anchors the search."""
     fp = extract_frustum(agg_points, det, scene.rig)
     fp = filter_foreground(fp, det.mask)
     try:
         init = init_hypothesis(fp, prior)
     except EmptyFrustumError:
-        return DetectionOutcome(annotation=None, skipped=True)
+        return None
     grid = enumerate_hypotheses(init, prior, config.search)
     best = select_best(grid, fp, det, scene.rig)
     s3d = occupancy_rate(best.cuboid, fp.foreground, config.scoring.grid_k)
     fused = fuse_score(det.score, s3d, config.scoring.alpha)
     world = transform_cuboid(scene.sweeps[sweep_idx].lidar_to_world(), best.cuboid)
-    return DetectionOutcome(
-        annotation=ScoredAnnotation(
-            frame_id=det.frame_id,
-            cuboid=world,
-            class_label=det.class_label,
-            score=fused,
-            s2d=det.score,
-            s3d=s3d,
-        ),
-        skipped=False,
+    return ScoredAnnotation(
+        frame_id=det.frame_id,
+        cuboid=world,
+        class_label=det.class_label,
+        score=fused,
+        s2d=det.score,
+        s3d=s3d,
     )
 
 
@@ -140,11 +131,11 @@ def annotate_scene(
         aggregated(si, strat)  # fill the cache sequentially
         jobs.append((det, si, strat))
 
-    outcomes = [None] * len(jobs)
+    annotations = [None] * len(jobs)
 
     def run(i: int) -> None:
         det, si, strat = jobs[i]
-        outcomes[i] = _process_detection(
+        annotations[i] = _process_detection(
             det, si, agg_cache[(si, strat.past, strat.future)], scene, config, prior_for(det)
         )
 
@@ -157,11 +148,11 @@ def annotate_scene(
 
     frames = [[] for _ in scene.sweeps]
     skipped = 0
-    for (det, si, _), outcome in zip(jobs, outcomes):
-        if outcome.skipped:
+    for (_, si, _), annotation in zip(jobs, annotations):
+        if annotation is None:
             skipped += 1
-        elif outcome.annotation is not None:
-            frames[si].append(outcome.annotation)
+        else:
+            frames[si].append(annotation)
 
     frames, tracks = track_and_refine(
         frames, [sw.timestamp for sw in scene.sweeps], config.taxonomy

@@ -10,7 +10,6 @@ uncovered detections fall back to class-average dimensions with a full
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -18,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .geom import RigidTransform, wrap_angle
-from .ingest import Detection2D, FormatError, SensorRig, Taxonomy
+from .ingest import Detection2D, FormatError, SensorRig, Taxonomy, read_ndjson, write_ndjson
 
 FULL_SECTOR = math.pi
 
@@ -79,52 +78,41 @@ def expert_key(det: Detection2D) -> tuple:
     return _detection_key(det.frame_id, det.camera_id, (det.box.x1, det.box.y1, det.box.x2, det.box.y2))
 
 
+def _record_from_json(rec: dict) -> ExpertRecord:
+    return ExpertRecord(
+        frame_id=str(rec["frame_id"]),
+        camera_id=str(rec["camera_id"]),
+        box=tuple(float(v) for v in rec["box"]),
+        dims=tuple(float(v) for v in rec["dims"]),
+        visible_faces=tuple(rec["visible_faces"]),
+        image_region=rec.get("image_region", "center"),
+    )
+
+
+def _record_to_json(r: ExpertRecord) -> dict:
+    return {
+        "frame_id": r.frame_id,
+        "camera_id": r.camera_id,
+        "box": [float(v) for v in r.box],
+        "dims": [float(v) for v in r.dims],
+        "visible_faces": list(r.visible_faces),
+        "image_region": r.image_region,
+    }
+
+
 def load_expert_records(path) -> dict:
     """Parse the NDJSON sidecar into a lookup keyed by (frame, camera, box)."""
     index = {}
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise FormatError(f"{path}:{lineno}: malformed JSON ({e.msg})") from None
-            try:
-                record = ExpertRecord(
-                    frame_id=str(rec["frame_id"]),
-                    camera_id=str(rec["camera_id"]),
-                    box=tuple(float(v) for v in rec["box"]),
-                    dims=tuple(float(v) for v in rec["dims"]),
-                    visible_faces=tuple(rec["visible_faces"]),
-                    image_region=rec.get("image_region", "center"),
-                )
-            except (KeyError, TypeError, ValueError) as e:
-                raise FormatError(f"{path}:{lineno}: {e}") from None
-            key = _detection_key(record.frame_id, record.camera_id, record.box)
-            if key in index:
-                raise FormatError(f"{path}:{lineno}: duplicate record for key {key}")
-            index[key] = record
+    for lineno, record in read_ndjson(path, _record_from_json):
+        key = _detection_key(record.frame_id, record.camera_id, record.box)
+        if key in index:
+            raise FormatError(f"{path}:{lineno}: duplicate record for key {key}")
+        index[key] = record
     return index
 
 
 def write_expert_records(records: list, path) -> None:
-    with open(path, "w") as f:
-        for r in records:
-            f.write(
-                json.dumps(
-                    {
-                        "frame_id": r.frame_id,
-                        "camera_id": r.camera_id,
-                        "box": [float(v) for v in r.box],
-                        "dims": [float(v) for v in r.dims],
-                        "visible_faces": list(r.visible_faces),
-                        "image_region": r.image_region,
-                    }
-                )
-                + "\n"
-            )
+    write_ndjson(map(_record_to_json, records), path)
 
 
 def camera_axis_azimuth(camera_extr: RigidTransform, lidar_extr: RigidTransform) -> float:

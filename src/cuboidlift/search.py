@@ -23,7 +23,7 @@ from .geom import (
     corner_offsets,
     cuboid_local,
     points_in_cuboid,
-    project_points,
+    project_boxes,
     rot_z,
     wrap_angle,
 )
@@ -151,29 +151,6 @@ def enumerate_hypotheses(
     return HypothesisGrid(centers=centers, yaws=np.atleast_1d(yaws), dims=init.dims, init=init)
 
 
-def _project_boxes(corners: np.ndarray, rig: SensorRig, camera_id: str):
-    """Clipped AABBs of projected corner sets, (H, 8, 3) lidar frame -> (H, 4).
-
-    Returns (boxes, has_box); rows without any corner in front of the
-    camera have no box.
-    """
-    intr = rig.camera(camera_id).intrinsics
-    pc = camera_from_lidar(rig, camera_id).apply(corners.reshape(-1, 3))
-    u, v, front = project_points(pc, intr)
-    front = front.reshape(corners.shape[:2])
-    u = np.where(front, u.reshape(front.shape), np.nan)
-    v = np.where(front, v.reshape(front.shape), np.nan)
-    has_box = front.any(axis=1)
-    with np.errstate(invalid="ignore"):
-        x1 = np.clip(np.nanmin(u, axis=1), 0.0, intr.width)
-        x2 = np.clip(np.nanmax(u, axis=1), 0.0, intr.width)
-        y1 = np.clip(np.nanmin(v, axis=1), 0.0, intr.height)
-        y2 = np.clip(np.nanmax(v, axis=1), 0.0, intr.height)
-    boxes = np.stack([x1, y1, x2, y2], axis=1)
-    boxes[~has_box] = 0.0
-    return boxes, has_box
-
-
 def _iou_with_box(boxes: np.ndarray, has_box: np.ndarray, det_box) -> np.ndarray:
     bx1, by1, bx2, by2 = det_box.x1, det_box.y1, det_box.x2, det_box.y2
     ix = np.maximum(0.0, np.minimum(boxes[:, 2], bx2) - np.maximum(boxes[:, 0], bx1))
@@ -248,7 +225,9 @@ def evaluate_hypotheses(
         sel = grid.yaws == yaw
         template = corner_offsets(grid.dims, float(yaw))
         corners[sel] = grid.centers[sel][:, None, :] + template[None, :, :]
-    boxes, has_box = _project_boxes(corners, rig, det.camera_id)
+    boxes, has_box = project_boxes(
+        corners, camera_from_lidar(rig, det.camera_id), rig.camera(det.camera_id).intrinsics
+    )
     iou = _iou_with_box(boxes, has_box, det.box)
     return coverage, iou
 

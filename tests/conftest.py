@@ -186,3 +186,27 @@ def random_box(rng, span=100.0) -> Box2D:
     x1, x2 = sorted(rng.uniform(0, span, size=2))
     y1, y2 = sorted(rng.uniform(0, span, size=2))
     return Box2D(x1, y1, x2, y2)
+
+
+def _set(path, value):
+    """Manifest breaker: set the value at a key path of the parsed manifest."""
+
+    def apply(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        return doc
+
+    return apply
+
+
+# scene manifests broken in ways a loader must report as a FormatError
+# naming the manifest, each applied to a parsed valid manifest
+BROKEN_MANIFESTS = {
+    "root_is_list": lambda doc: [doc],
+    "null_intrinsic": _set(("cameras", 0, "intrinsics", "fx"), None),
+    "numeric_sweep_file": _set(("sweeps", 0, "file"), 7),
+    "three_value_rotation": _set(("lidar", "rotation"), [1.0, 0.0, 0.0]),
+    "missing_cameras": lambda doc: {k: v for k, v in doc.items() if k != "cameras"},
+}

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from click.testing import CliRunner
 
 from cuboidlift.cli import main
 from cuboidlift.config import PipelineConfig, config_from_dict, load_config
+from conftest import BROKEN_MANIFESTS
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +51,11 @@ def run_annotate(runner, scene_dir, out_path, threads=1, extra=()):
     return runner.invoke(main, args)
 
 
+def last_error(res) -> dict:
+    assert res.exit_code == 1, res.output
+    return json.loads(res.output.strip().splitlines()[-1])["error"]
+
+
 class TestSynthVerb:
     def test_outputs_exist(self, scene_dir):
         for name in ("scene.json", "detections.ndjson", "expert.ndjson", "gt.ndjson"):
@@ -60,6 +67,17 @@ class TestSynthVerb:
         res = runner.invoke(main, ["synth", "--spec", str(p), "--out", str(tmp_path / "o")])
         assert res.exit_code == 1
         assert "error" in json.loads(res.output.strip().splitlines()[-1])
+
+    @pytest.mark.parametrize(
+        "spec, kind",
+        [(b"[{}]", "input_error"), (b'{"seed": "\xff"}', "input_error"), (b'{"n_objects": null}', "spec_error")],
+        ids=["list", "non_utf8", "null_count"],
+    )
+    def test_malformed_spec_structured_error(self, runner, tmp_path, spec, kind):
+        p = tmp_path / "spec.json"
+        p.write_bytes(spec)
+        res = runner.invoke(main, ["synth", "--spec", str(p), "--out", str(tmp_path / "o")])
+        assert last_error(res)["kind"] == kind
 
 
 class TestAnnotateVerb:
@@ -285,6 +303,45 @@ class TestTrackOnlyVerb:
         res = runner.invoke(main, ["track-only", "--pred", str(pred), "--out", str(tmp_path / "t.ndjson")])
         assert res.exit_code != 0
         assert "--scene" in res.output
+
+
+class TestLoadErrors:
+    @pytest.mark.parametrize("verb", ["annotate", "track-only"])
+    @pytest.mark.parametrize("breakage", sorted(BROKEN_MANIFESTS))
+    def test_broken_manifest_is_input_error(self, runner, scene_dir, tmp_path, verb, breakage):
+        shutil.copytree(scene_dir / "sweeps", tmp_path / "sweeps")
+        manifest = tmp_path / "scene.json"
+        doc = json.loads((scene_dir / "scene.json").read_text())
+        manifest.write_text(json.dumps(BROKEN_MANIFESTS[breakage](doc)))
+        out = tmp_path / "out.ndjson"
+        if verb == "annotate":
+            args = ["annotate", "--detections", scene_dir / "detections.ndjson"]
+        else:
+            args = ["track-only", "--pred", scene_dir / "gt.ndjson"]
+        res = runner.invoke(main, [str(a) for a in args + ["--scene", manifest, "--out", out]])
+        err = last_error(res)
+        assert err["kind"] == "input_error"
+        assert str(manifest) in err["message"]
+        assert not out.exists()
+
+    def test_binary_pred_is_input_error(self, runner, scene_dir, tmp_path):
+        pred = tmp_path / "pred.ndjson"
+        pred.write_bytes(b"\x89PNG\r\n\x1a\n\x00\xff\n")
+        res = runner.invoke(main, ["eval", "--pred", str(pred), "--gt", str(scene_dir / "gt.ndjson")])
+        err = last_error(res)
+        assert err["kind"] == "input_error"
+        assert f"{pred}:1:" in err["message"]
+
+
+@pytest.mark.parametrize(
+    "verb, flag",
+    [(v, f) for v in ("eval", "tune-alpha", "aggregate-only", "track-only") for f in ("--seed", "--threads")]
+    + [("tune-alpha", "--config"), ("synth", "--threads")],
+)
+def test_removed_flag_is_usage_error(runner, verb, flag):
+    res = runner.invoke(main, [verb, flag, "1"])
+    assert res.exit_code == 2
+    assert "No such option" in res.output and flag in res.output
 
 
 class TestConfig:

@@ -15,6 +15,7 @@ from cuboidlift.geom import (
     cuboid_from_corners,
     iou_2d,
     point_in_cuboid,
+    project_boxes,
     project_cuboid_to_box,
     project_point,
     rot_z,
@@ -150,6 +151,17 @@ class TestProjectCuboid:
             assert math.isclose(box.x2, clip(max(us), intr.width), abs_tol=1e-9)
             assert math.isclose(box.y1, clip(min(vs), intr.height), abs_tol=1e-9)
             assert math.isclose(box.y2, clip(max(vs), intr.height), abs_tol=1e-9)
+
+    def test_batch_rows_without_front_corner_have_no_box(self, recwarn):
+        intr = make_intr()
+        cubs = [Cuboid3D((0, 0, 10), (1, 1, 1), 0.2), Cuboid3D((0, 0, -10), (1, 1, 1), 0.0)]
+        corners = np.stack([cuboid_corners(c) for c in cubs])
+        boxes, has_box = project_boxes(corners, RigidTransform.identity(), intr)
+        assert has_box.tolist() == [True, False]
+        front = project_cuboid_to_box(cubs[0], RigidTransform.identity(), intr)
+        assert boxes[0].tolist() == [front.x1, front.y1, front.x2, front.y2]
+        assert boxes[1].tolist() == [0.0, 0.0, 0.0, 0.0]
+        assert len(recwarn) == 0
 
     def test_area_shrinks_with_distance(self):
         intr = make_intr()

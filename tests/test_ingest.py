@@ -21,6 +21,8 @@ from cuboidlift.ingest import (
     write_detections,
     write_sweep_points,
 )
+from cuboidlift.prior import load_expert_records
+from conftest import BROKEN_MANIFESTS
 
 
 @pytest.fixture
@@ -314,6 +316,72 @@ class TestSceneIO:
             json.dump(doc, f)
         with pytest.raises(FormatError, match="cam_0"):
             ingest.load_scene(manifest)
+
+
+    @pytest.mark.parametrize("breakage", sorted(BROKEN_MANIFESTS))
+    def test_malformed_manifest_names_file(self, tmp_path, breakage):
+        manifest, doc = self._manifest(tmp_path)
+        with open(manifest, "w") as f:
+            json.dump(BROKEN_MANIFESTS[breakage](doc), f)
+        with pytest.raises(FormatError) as err:
+            ingest.load_scene(manifest)
+        assert str(manifest) in str(err.value)
+
+    def test_non_utf8_manifest_names_file(self, tmp_path):
+        manifest, _ = self._manifest(tmp_path)
+        with open(manifest, "wb") as f:
+            f.write(b'{"cameras": "\xff"}')
+        with pytest.raises(FormatError, match="scene.json"):
+            ingest.load_scene(manifest)
+
+
+class TestNdjson:
+    def test_write_then_read_skips_blank_lines(self, tmp_path):
+        p = tmp_path / "x.ndjson"
+        ingest.write_ndjson([{"a": 1}, {"a": 2.5}], p)
+        assert p.read_bytes() == b'{"a": 1}\n{"a": 2.5}\n'
+        p.write_text('{"a": 1}\n\n  \n{"a": 2.5}\n')
+        assert list(ingest.read_ndjson(p, lambda rec: rec["a"])) == [(1, 1), (4, 2.5)]
+
+    @pytest.mark.parametrize(
+        "line, fragment",
+        [
+            (b'{"a": 1', b"malformed JSON"),
+            (b"[1, 2]", b"expected a JSON object"),
+            (b'{"b": 1}', b"missing field 'a'"),
+            (b'{"a": null}', b"float()"),
+            (b'{"a": "x"}', b"could not convert"),
+            (b'{"a": 1' + b"0" * 400 + b"}", b"too large"),
+            (b'{"a": "\xff"}', b"not UTF-8"),
+        ],
+        ids=["malformed_json", "not_object", "missing_key", "type_error", "value_error", "oversized_int", "non_utf8"],
+    )
+    def test_failure_cites_line(self, tmp_path, line, fragment):
+        p = tmp_path / "x.ndjson"
+        p.write_bytes(b'{"a": 1}\n' + line + b"\n")
+        with pytest.raises(FormatError) as err:
+            list(ingest.read_ndjson(p, lambda rec: float(rec["a"])))
+        assert f"{p}:2:" in str(err.value)
+        assert fragment.decode() in str(err.value)
+
+    @pytest.mark.parametrize("loader", ["detections", "annotations", "expert"])
+    def test_loaders_reject_non_utf8(self, tmp_path, tiny_taxonomy, loader):
+        load = {
+            "detections": lambda p: load_detections(p, tiny_taxonomy),
+            "annotations": load_annotations,
+            "expert": load_expert_records,
+        }[loader]
+        p = tmp_path / "x.ndjson"
+        p.write_bytes(b"\x89PNG\r\n\x1a\n\x00\xff\n")
+        with pytest.raises(FormatError, match=f"{p}:1: not UTF-8"):
+            load(p)
+
+    def test_oversized_integer_cites_line(self, tmp_path, tiny_taxonomy):
+        rec = '{"frame_id": "f", "camera_id": "c", "class": "car", "box": [0, 0, 1, %s], "score": 0.5}'
+        p = tmp_path / "dets.ndjson"
+        p.write_text(rec % "1" + "\n" + rec % ("1" + "0" * 400) + "\n")
+        with pytest.raises(FormatError, match=f"{p}:2:"):
+            load_detections(p, tiny_taxonomy)
 
 
 class TestTaxonomy:

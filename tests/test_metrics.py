@@ -306,6 +306,24 @@ class TestEvaluateDetections:
         assert set(doc["stratified"]) == {"0-10", "10-20", "20-30", "0-50"}
         assert isinstance(report.format_table(), str)
 
+    def test_each_threshold_matched_once_per_class(self, monkeypatch):
+        from cuboidlift import metrics
+
+        calls = []
+
+        def counting_match(preds, gts, cls, t):
+            calls.append((cls, t))
+            return match_predictions(preds, gts, cls, t)
+
+        monkeypatch.setattr(metrics, "match_predictions", counting_match)
+        gts = [ann("f", 0, 0, cls="car"), ann("f", 9, 0, cls="adult")]
+        preds = [ann("f", 0.3, 0, cls="car", score=0.9), ann("f", 9, 1.5, cls="adult", score=0.8)]
+        report = evaluate_detections(preds, gts)
+        assert sorted(calls) == sorted((c, t) for c in ("adult", "car") for t in DIST_THRESHOLDS)
+        # the 2 m TP errors reuse the 2 m match
+        assert report.class_tp_errors["adult"]["tp_count"] == 1
+        assert report.class_ap["adult"][1.0] == 0.0
+
     def test_map3d_excludes_zero_gt_classes(self):
         gts = [ann("f", 0, 0, cls="car")]
         preds = [

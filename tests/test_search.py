@@ -292,6 +292,24 @@ class TestCoverageKernel:
             assert np.array_equal(cov, naive_evaluate_coverage(grid, fp.foreground))
 
 
+class TestProjectedIou:
+    def test_hypotheses_behind_camera_warn_nothing(self, rig):
+        # a full-circle grid around the lidar origin puts some hypotheses
+        # wholly behind cam_0; they score IoU 0 without numpy warnings
+        import warnings
+
+        grid = enumerate_hypotheses(
+            Cuboid3D(np.zeros(3), (1.0, 1.0, 1.0), 0.0),
+            SemanticPrior(dims=(1.0, 1.0, 1.0), orientation=None, sector_half_width=math.pi, source="class_average"),
+            SearchConfig(),
+        )
+        det = Detection2D("f", "cam_0", "car", Box2D(100, 100, 300, 300), 0.9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, iou = evaluate_hypotheses(grid, fp_from([[0.1, 0.0, 0.0], [5.0, 0.0, 0.0]]), det, rig)
+        assert (iou == 0.0).any() and (iou > 0.0).any()
+
+
 class TestSelectBest:
     def test_single_hypothesis(self, rig):
         cub, pts, det = synthetic_detection(rig)
