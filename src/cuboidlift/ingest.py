@@ -213,6 +213,9 @@ def mask_to_rle(mask: np.ndarray) -> dict:
 def rle_to_mask(rle: dict) -> np.ndarray:
     h, w = (int(v) for v in rle["size"])
     counts = rle["counts"]
+    for c in counts:
+        if isinstance(c, bool) or not isinstance(c, (int, np.integer)) or c < 0:
+            raise FormatError(f"RLE count {c!r} is not a non-negative integer")
     total = sum(counts)
     if total != h * w:
         raise FormatError(f"RLE counts sum to {total}, expected {h * w}")
@@ -293,11 +296,12 @@ def load_scene(manifest_path, stride: int = 5) -> Scene:
 def _scene_from_json(doc: dict, base: str, stride: int) -> Scene:
     cameras = {}
     for cam in doc["cameras"]:
-        if cam["id"] in cameras:
-            raise ValueError(f"duplicate camera id {cam['id']!r}")
+        camera_id = str(cam["id"])  # as load_detections reads them
+        if camera_id in cameras:
+            raise ValueError(f"duplicate camera id {camera_id!r}")
         intr = cam["intrinsics"]
-        cameras[cam["id"]] = CameraCalib(
-            camera_id=cam["id"],
+        cameras[camera_id] = CameraCalib(
+            camera_id=camera_id,
             intrinsics=CameraIntrinsics(
                 fx=float(intr["fx"]),
                 fy=float(intr["fy"]),

@@ -3,7 +3,9 @@
 Per frame and detection the pipeline aggregates sweeps with the class's
 window, selects frustum points, routes to a prior, runs the hypothesis
 search, scores the winner and finally refines scores over tracks built
-across the whole sequence. Detections are processed independently, so
+across the whole sequence. Each aggregated window is projected once per
+camera and freed before the next is built; a detection's frustum is a box
+cut of its camera's view. Detections are processed independently, so
 detection-level threading cannot change the output: results land in a
 slot per detection index and every reduction is order-free.
 """
@@ -14,11 +16,9 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Optional
 
-import numpy as np
-
-from .aggregate import AggregationStrategy, aggregate_sweeps, strategy_for_class
+from .aggregate import aggregate_sweeps, strategy_for_class
 from .config import PipelineConfig
-from .frustum import extract_frustum, filter_foreground
+from .frustum import CameraView, extract_frustum, filter_foreground, project_view
 from .geom import transform_cuboid
 from .ingest import Detection2D, Scene, ScoredAnnotation, Taxonomy
 from .prior import SemanticPrior, expert_key, route
@@ -42,13 +42,13 @@ def track_and_refine(frames: list, timestamps: list, taxonomy: Taxonomy):
 def _process_detection(
     det: Detection2D,
     sweep_idx: int,
-    agg_points: np.ndarray,
+    view: CameraView,
     scene: Scene,
     config: PipelineConfig,
     prior: SemanticPrior,
 ) -> Optional[ScoredAnnotation]:
     """Lift one detection; None when no foreground point anchors the search."""
-    fp = extract_frustum(agg_points, det, scene.rig)
+    fp = extract_frustum(view, det)
     fp = filter_foreground(fp, det.mask)
     try:
         init = init_hypothesis(fp, prior)
@@ -115,29 +115,30 @@ def annotate_scene(
             sector_half_width=config.sector_half_width,
         )
 
-    # aggregation windows are shared across detections of the same frame/class
-    agg_cache = {}
-
-    def aggregated(sweep_idx: int, strat: AggregationStrategy) -> np.ndarray:
-        key = (sweep_idx, strat.past, strat.future)
-        if key not in agg_cache:
-            agg_cache[key] = aggregate_sweeps(scene.sweeps, sweep_idx, strat)
-        return agg_cache[key]
-
-    jobs = []
-    for det in detections:
+    jobs = []  # (detection, sweep index)
+    windows = {}  # (sweep index, strategy) -> camera id -> job indices, first-seen order
+    for i, det in enumerate(detections):
         si = frame_index[det.frame_id]
         strat = strategy_for_class(config.taxonomy, det.class_label)
-        aggregated(si, strat)  # fill the cache sequentially
-        jobs.append((det, si, strat))
+        jobs.append((det, si))
+        windows.setdefault((si, strat), {}).setdefault(det.camera_id, []).append(i)
+
+    # project each window once per camera, keeping only what some box of
+    # that camera can select, then drop the window: one is alive at a time
+    views = [None] * len(jobs)
+    for (si, strat), cameras in windows.items():
+        window = aggregate_sweeps(scene.sweeps, si, strat)
+        for camera_id, members in cameras.items():
+            view = project_view(window, scene.rig, camera_id, [jobs[i][0].box for i in members])
+            for i in members:
+                views[i] = view
+        del window
 
     annotations = [None] * len(jobs)
 
     def run(i: int) -> None:
-        det, si, strat = jobs[i]
-        annotations[i] = _process_detection(
-            det, si, agg_cache[(si, strat.past, strat.future)], scene, config, prior_for(det)
-        )
+        det, si = jobs[i]
+        annotations[i] = _process_detection(det, si, views[i], scene, config, prior_for(det))
 
     if n_threads > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
@@ -148,7 +149,7 @@ def annotate_scene(
 
     frames = [[] for _ in scene.sweeps]
     skipped = 0
-    for (_, si, _), annotation in zip(jobs, annotations):
+    for (_, si), annotation in zip(jobs, annotations):
         if annotation is None:
             skipped += 1
         else:

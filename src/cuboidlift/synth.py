@@ -473,30 +473,21 @@ def random_scene_spec(
 
         candidate_rects = []
         candidate_intervals = []
-        ok = True
         for frac, sensor_xy in zip(check_fracs, sensors_xy):
             rect = bev_rect(obj.cuboid_at(duration * frac))
             grown = _grow_rect(rect, 0.5)
-            for other in rects:
-                if rects_overlap(grown, other):
-                    ok = False
-                    break
-            if not ok:
-                break
+            # both tests must pass; the cheap angular one rejects most candidates
             interval = _angular_interval(grown, sensor_xy)
-            for other in intervals:
-                if _intervals_overlap(interval, other, angular_margin):
-                    ok = False
-                    break
-            if not ok:
+            if any(_intervals_overlap(interval, other, angular_margin) for other in intervals):
+                break
+            if any(rects_overlap(grown, other) for other in rects):
                 break
             candidate_rects.append(grown)
             candidate_intervals.append(interval)
-        if not ok:
-            continue
-        objects.append(obj)
-        rects.extend(candidate_rects)
-        intervals.extend(candidate_intervals)
+        else:
+            objects.append(obj)
+            rects.extend(candidate_rects)
+            intervals.extend(candidate_intervals)
     floor = n_objects if min_objects is None else min_objects
     if len(objects) < floor:
         raise ValueError("could not place requested number of objects")

@@ -15,7 +15,7 @@ import pytest
 from click.testing import CliRunner
 
 from cuboidlift.cli import main as cli_main
-from cuboidlift.frustum import extract_frustum
+from cuboidlift.frustum import extract_frustum, project_view
 from cuboidlift.geom import Box2D, Cuboid3D, wrap_angle, yaw_diff
 from cuboidlift.ingest import Detection2D, ScoredAnnotation
 from cuboidlift.metrics import match_predictions, nds, adapted_nds
@@ -142,7 +142,7 @@ class TestCriterion2BruteForceEquivalence:
             x1, x2 = sorted(rng.uniform(0, 800, 2))
             y1, y2 = sorted(rng.uniform(0, 450, 2))
             det = Detection2D("f", f"cam_{i % 6}", "car", Box2D(x1, y1, x2, y2), 0.5)
-            fp = extract_frustum(pts, det, rig)
+            fp = extract_frustum(project_view(pts, rig, det.camera_id, [det.box]), det)
             want = naive_frustum_mask(pts, det, rig)
             assert np.array_equal(fp.points, pts[want])
         ok("criterion 2: frustum membership == per-point reference on 1000 instances")

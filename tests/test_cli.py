@@ -112,6 +112,27 @@ class TestAnnotateVerb:
             outs.append(p.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_numeric_camera_ids(self, runner, scene_dir, tmp_path):
+        # integer ids in every input file lift exactly like their string form
+        numeric = tmp_path / "numeric"
+        shutil.copytree(scene_dir, numeric)
+        doc = json.loads((numeric / "scene.json").read_text())
+        for cam in doc["cameras"]:
+            cam["id"] = int(cam["id"].removeprefix("cam_"))
+        (numeric / "scene.json").write_text(json.dumps(doc))
+        for name in ("detections.ndjson", "expert.ndjson"):
+            recs = [json.loads(line) for line in (numeric / name).read_text().splitlines()]
+            for rec in recs:
+                rec["camera_id"] = int(rec["camera_id"].removeprefix("cam_"))
+            (numeric / name).write_text("".join(json.dumps(r) + "\n" for r in recs))
+        outs = []
+        for d in (scene_dir, numeric):
+            out = tmp_path / f"{d.name}.ndjson"
+            res = run_annotate(runner, d, out)
+            assert res.exit_code == 0, res.output
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
     def test_missing_input_structured_error(self, runner, scene_dir, tmp_path):
         out = tmp_path / "pred.ndjson"
         res = runner.invoke(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cuboidlift.frustum import FrustumPoints, extract_frustum, filter_foreground
+from cuboidlift.frustum import FrustumPoints, extract_frustum, filter_foreground, project_view
 from cuboidlift.geom import Box2D
 from cuboidlift.ingest import Detection2D, SensorRig
 from cuboidlift.synth import DEFAULT_LIDAR_EXTRINSICS, default_cameras
@@ -18,10 +18,15 @@ def det(box, camera_id="cam_0", mask=None):
     return Detection2D("000000", camera_id, "car", box, 0.9, mask=mask)
 
 
+def frustum(pts, d, rig):
+    """One detection's frustum from a view of its own box."""
+    return extract_frustum(project_view(pts, rig, d.camera_id, [d.box]), d)
+
+
 class TestExtractFrustum:
     def test_no_points_in_box(self, rig):
         pts = np.array([[-20.0, 0.0, 0.0]])  # behind cam_0
-        fp = extract_frustum(pts, det(Box2D(0, 0, 800, 450)), rig)
+        fp = frustum(pts, det(Box2D(0, 0, 800, 450)), rig)
         assert len(fp.points) == 0
 
     def test_single_point_at_box_center(self, rig):
@@ -29,7 +34,7 @@ class TestExtractFrustum:
         # on the camera's optical axis: camera rides at ego z=1.6, lidar at 1.8
         pts = np.array([[10.0, 0.0, -0.2]])
         box = Box2D(cam.intrinsics.cx - 5, cam.intrinsics.cy - 5, cam.intrinsics.cx + 5, cam.intrinsics.cy + 5)
-        fp = extract_frustum(pts, det(box), rig)
+        fp = frustum(pts, det(box), rig)
         assert len(fp.points) == 1
         assert np.allclose(fp.points[0], pts[0])
         assert fp.foreground_flags.all()
@@ -39,15 +44,15 @@ class TestExtractFrustum:
         pts = rng.uniform(-30, 30, size=(1500, 3))
         for cam_id in ("cam_0", "cam_2"):
             d = det(Box2D(100, 80, 600, 400), camera_id=cam_id)
-            fp = extract_frustum(pts, d, rig)
+            fp = frustum(pts, d, rig)
             want = naive_frustum_mask(pts, d, rig)
             assert np.array_equal(fp.points, pts[want])
 
     def test_monotone_in_box(self, rig):
         rng = np.random.default_rng(7)
         pts = rng.uniform(-30, 30, size=(800, 3))
-        small = extract_frustum(pts, det(Box2D(200, 150, 500, 350)), rig)
-        large = extract_frustum(pts, det(Box2D(150, 100, 600, 420)), rig)
+        small = frustum(pts, det(Box2D(200, 150, 500, 350)), rig)
+        large = frustum(pts, det(Box2D(150, 100, 600, 420)), rig)
         small_set = {tuple(p) for p in small.points}
         large_set = {tuple(p) for p in large.points}
         assert small_set <= large_set
@@ -55,14 +60,67 @@ class TestExtractFrustum:
     def test_preserves_input_order(self, rig):
         rng = np.random.default_rng(9)
         pts = rng.uniform(5, 25, size=(400, 3)) * np.array([1, 0.2, 0.1])
-        fp = extract_frustum(pts, det(Box2D(0, 0, 800, 450)), rig)
+        fp = frustum(pts, det(Box2D(0, 0, 800, 450)), rig)
         # selected points appear in the same relative order as the input
         idx = [int(np.nonzero((pts == p).all(axis=1))[0][0]) for p in fp.points]
         assert idx == sorted(idx)
 
     def test_unknown_camera(self, rig):
         with pytest.raises(KeyError):
-            extract_frustum(np.zeros((1, 3)), det(Box2D(0, 0, 10, 10), camera_id="cam_zz"), rig)
+            frustum(np.zeros((1, 3)), det(Box2D(0, 0, 10, 10), camera_id="cam_zz"), rig)
+
+
+class TestCameraView:
+    @pytest.mark.parametrize("cam_id", ["cam_0", "cam_2"])
+    def test_shared_view_matches_per_box_oracle(self, rig, cam_id):
+        rng = np.random.default_rng(17)
+        pts = rng.uniform(-30, 30, size=(3000, 3))
+        boxes = [
+            Box2D(100, 80, 600, 400),
+            Box2D(250, 200, 300, 260),
+            Box2D(-200, -100, 150, 120),  # partly outside the image
+            Box2D(650, 300, 1000, 700),
+            Box2D(400, 0, 400, 450),  # zero width
+            Box2D(0, 225, 800, 225),  # zero height
+            Box2D(500, 100, 500, 100),  # zero area
+        ]
+        view = project_view(pts, rig, cam_id, boxes)
+        assert 0 < len(view) < len(pts)
+        for box in boxes:
+            d = det(box, camera_id=cam_id)
+            fp = extract_frustum(view, d)
+            assert np.array_equal(fp.points, pts[naive_frustum_mask(pts, d, rig)])
+
+    @pytest.mark.parametrize("cam_id", ["cam_0", "cam_2"])
+    def test_boundary_ties_match_single_box_view(self, rig, cam_id):
+        # zero-area boxes sitting exactly on projected points: membership is
+        # boundary-inclusive on the same cached u/v as a view of the box alone
+        rng = np.random.default_rng(19)
+        pts = rng.uniform(-30, 30, size=(2000, 3))
+        whole = project_view(pts, rig, cam_id, [Box2D(0, 0, 800, 450)])
+        dets = [det(Box2D(u, v, u, v), camera_id=cam_id) for u, v in zip(whole.u[::25], whole.v[::25])]
+        view = project_view(pts, rig, cam_id, [d.box for d in dets] + [Box2D(300, 200, 420, 260)])
+        for d in dets:
+            fp = extract_frustum(view, d)
+            alone = frustum(pts, d, rig)
+            assert len(fp.points) >= 1
+            assert np.array_equal(fp.points, alone.points)
+            assert np.array_equal(fp.pixels, alone.pixels)
+
+    def test_view_copies_the_window(self, rig):
+        pts = np.random.default_rng(23).uniform(-30, 30, size=(500, 3))
+        view = project_view(pts, rig, "cam_0", [Box2D(0, 0, 800, 450)])
+        for arr in (view.points, view.u, view.v):
+            assert not np.shares_memory(arr, pts)
+
+    def test_box_outside_view_rejected(self, rig):
+        view = project_view(np.zeros((1, 3)), rig, "cam_0", [Box2D(100, 100, 200, 200)])
+        with pytest.raises(ValueError, match="bounds"):
+            extract_frustum(view, det(Box2D(90, 100, 200, 200)))
+        with pytest.raises(ValueError, match="camera"):
+            extract_frustum(view, det(Box2D(100, 100, 200, 200), camera_id="cam_1"))
+        with pytest.raises(ValueError):
+            project_view(np.zeros((1, 3)), rig, "cam_0", [])
 
 
 class TestFilterForeground:
@@ -71,7 +129,7 @@ class TestFilterForeground:
         pts = np.column_stack(
             [rng.uniform(5, 30, n), rng.uniform(-8, 8, n), rng.uniform(-1.5, 1.5, n)]
         )
-        return extract_frustum(pts, det(Box2D(0, 0, 800, 450)), rig)
+        return frustum(pts, det(Box2D(0, 0, 800, 450)), rig)
 
     def test_all_ones_mask(self, rig):
         fp = self._fp(rig)
@@ -126,3 +184,8 @@ class TestFrustumPointsType:
     def test_flag_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             FrustumPoints(np.zeros((2, 3)), np.ones(3, dtype=bool), np.zeros((2, 2)))
+
+    def test_foreground_built_once(self):
+        fp = FrustumPoints(np.arange(9.0).reshape(3, 3), np.array([True, False, True]), np.zeros((3, 2)))
+        assert fp.foreground is fp.foreground
+        assert np.array_equal(fp.foreground, fp.points[[0, 2]])

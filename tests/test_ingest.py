@@ -104,6 +104,12 @@ class TestRle:
         with pytest.raises(FormatError):
             rle_to_mask({"size": [2, 2], "counts": [3]})
 
+    @pytest.mark.parametrize("counts", [[-1, 5], [2, -1, 3], [1.5, 2.5], [True, 3]])
+    def test_bad_count_rejected(self, counts):
+        # [-1, 5] sums to 4 and used to decode silently
+        with pytest.raises(FormatError, match="RLE count"):
+            rle_to_mask({"size": [2, 2], "counts": counts})
+
 
 class TestDetectionsIO:
     def test_empty_file(self, tmp_path, tiny_taxonomy):
@@ -162,6 +168,14 @@ class TestDetectionsIO:
         with pytest.raises(FormatError) as err:
             load_detections(p, tiny_taxonomy)
         assert "finite" in str(err.value) or "NaN" in str(err.value) or "nan" in str(err.value)
+
+    def test_negative_rle_count_cites_line(self, tmp_path, tiny_taxonomy):
+        rec = {"frame_id": "f", "camera_id": "c", "class": "car", "box": [0, 0, 1, 1], "score": 0.5}
+        bad = dict(rec, mask_rle={"size": [2, 2], "counts": [-1, 5]})
+        p = tmp_path / "dets.ndjson"
+        p.write_text("\n".join(json.dumps(r) for r in (rec, bad)) + "\n")
+        with pytest.raises(FormatError, match=r"dets\.ndjson:2: RLE count -1"):
+            load_detections(p, tiny_taxonomy)
 
     def test_mask_roundtrip(self, tmp_path, tiny_taxonomy):
         rng = np.random.default_rng(9)
@@ -317,6 +331,25 @@ class TestSceneIO:
         with pytest.raises(FormatError, match="cam_0"):
             ingest.load_scene(manifest)
 
+
+    def test_numeric_camera_ids_become_strings(self, tmp_path):
+        manifest, doc = self._manifest(tmp_path)
+        for i, cam in enumerate(doc["cameras"]):
+            cam["id"] = i
+        with open(manifest, "w") as f:
+            json.dump(doc, f)
+        rig = ingest.load_scene(manifest).rig
+        assert sorted(rig.cameras) == ["0", "1"]
+        assert rig.camera("1").camera_id == "1"
+
+    def test_numeric_and_string_camera_ids_collide(self, tmp_path):
+        manifest, doc = self._manifest(tmp_path)
+        doc["cameras"][0]["id"] = 0
+        doc["cameras"][1]["id"] = "0"
+        with open(manifest, "w") as f:
+            json.dump(doc, f)
+        with pytest.raises(FormatError, match="duplicate camera id '0'"):
+            ingest.load_scene(manifest)
 
     @pytest.mark.parametrize("breakage", sorted(BROKEN_MANIFESTS))
     def test_malformed_manifest_names_file(self, tmp_path, breakage):

@@ -1,0 +1,89 @@
+import importlib.util
+import sys
+import weakref
+from pathlib import Path
+
+import pytest
+
+from cuboidlift import frustum, ingest, pipeline, prior
+from cuboidlift.config import PipelineConfig
+from cuboidlift.synth import generate_scene, random_scene_spec
+
+SPANS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory, taxonomy):
+    """A three-sweep scene whose classes use three different windows."""
+    out = tmp_path_factory.mktemp("scene")
+    spec = random_scene_spec(
+        seed=11, taxonomy=taxonomy, n_objects=6, n_sweeps=3,
+        classes=["car", "adult", "traffic-cone"], noise_sigma=0.02, ego_speed=2.0,
+    )
+    built = generate_scene(spec)
+    ingest.write_scene(built.scene, out)
+    ingest.write_detections(built.detections, out / "detections.ndjson")
+    prior.write_expert_records(built.expert_records, out / "expert.ndjson")
+    return out
+
+
+def annotate(inputs, out_path) -> dict:
+    """What the annotate verb does, through the module-level names."""
+    config = PipelineConfig()
+    scene = ingest.load_scene(inputs / "scene.json", stride=config.sweep_stride)
+    detections = ingest.load_detections(inputs / "detections.ndjson", config.taxonomy)
+    expert_index = prior.load_expert_records(inputs / "expert.ndjson")
+    frames, summary = pipeline.annotate_scene(
+        scene, detections, config, expert_index=expert_index, threads=1
+    )
+    ingest.write_annotations([a for frame in frames for a in frame], out_path)
+    summary.pop("wall_time_s")
+    return summary
+
+
+def test_one_window_alive_at_a_time(inputs, tmp_path, monkeypatch):
+    windows = []
+    peak = 0
+    original = pipeline.aggregate_sweeps
+
+    def counting(*args, **kwargs):
+        nonlocal peak
+        window = original(*args, **kwargs)
+        windows.append(weakref.ref(window))
+        peak = max(peak, sum(ref() is not None for ref in windows))
+        return window
+
+    monkeypatch.setattr(pipeline, "aggregate_sweeps", counting)
+    annotate(inputs, tmp_path / "pred.ndjson")
+    assert len(windows) > 3
+    assert peak == 1
+    assert all(ref() is None for ref in windows)
+
+
+def test_benchmark_tracer_contract(inputs, tmp_path, monkeypatch):
+    module_spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PY)
+    spans = importlib.util.module_from_spec(module_spec)
+    monkeypatch.setitem(sys.modules, module_spec.name, spans)
+    module_spec.loader.exec_module(spans)
+
+    plain = annotate(inputs, tmp_path / "plain.ndjson")
+    tracer = spans.Tracer()
+    spans.install(tracer)  # looks up every name it wraps
+    try:
+        traced = annotate(inputs, tmp_path / "traced.ndjson")
+    finally:
+        tracer.restore()
+    assert pipeline.extract_frustum is frustum.extract_frustum
+
+    names = [s.name for s in tracer.spans]
+    for stage in (
+        "ingest.load", "ingest.write", "pipeline.annotate", "aggregate", "frustum.extract",
+        "frustum.mask", "prior.route", "search.init", "search.enumerate", "search.select",
+        "search.evaluate", "score.occupancy", "refine",
+    ):
+        assert stage in names, stage
+    assert traced == plain
+    assert plain["skipped_detections"] < plain["detections"]
+    assert names.count("frustum.extract") == plain["detections"]
+    assert names.count("search.evaluate") == plain["detections"] - plain["skipped_detections"]
+    assert (tmp_path / "traced.ndjson").read_bytes() == (tmp_path / "plain.ndjson").read_bytes()

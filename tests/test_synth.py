@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -227,3 +228,59 @@ class TestRandomSceneSpec:
 
             rel = yaw_diff(o.cuboid.yaw, bearing)
             assert 0.25 <= min(rel, math.pi - rel) <= math.pi / 2
+
+
+def placement_digest(spec) -> str:
+    """sha256 over every object's class, center, dims, yaw and velocity."""
+    h = hashlib.sha256()
+    for o in spec.objects:
+        h.update(o.class_label.encode() + b"\0")
+        h.update(np.asarray(o.cuboid.center, dtype=float).tobytes())
+        h.update(np.asarray(o.cuboid.dims, dtype=float).tobytes())
+        h.update(np.float64(o.cuboid.yaw).tobytes())
+        h.update(np.asarray(o.velocity if o.velocity is not None else (), dtype=float).tobytes())
+    return h.hexdigest()
+
+
+class TestPlacementsPinned:
+    """The acceptance suite and the benchmark generate their scenes with
+    random_scene_spec: a faster rejection loop must place the same objects."""
+
+    CRITERION = {
+        0: "8a0b06f474c7d52da3cd2ee9a38a2085f691abfa6d29d0362829553d31e27bc9",
+        1: "138e0a7f6245055ad9f692d4b7efe6afbbfeb9bce313b50bc83c279f5821acad",
+        2: "713c3bd0871f3ed3042633e59ac51ca341517525ee18b8013c35de0ca46e100a",
+        7: "408b567dd986a8cfcdb6c9bda4b182dfe4a8214cb1f6a35b52e9e02af0ebaf25",
+    }
+    # the spec of perfbench's dense_expert workload
+    DENSE_EXPERT = {
+        1: "511d5ad66279bda15a100a2bbb83811d28a166bffd9040defbf46ce806571180",
+        5: "99b284ce4e54948731d0d0785dc7915f2640e19e7c75b80567099925a6d722be",
+    }
+    # moving objects on a moving ego, checked at three times per candidate
+    SEQUENCE = {
+        11: "637583d0f4ee359b2fda39b07395fadb5aea53b76a321034b890e13da1fdf6d0",
+        12: "83b3453781159dca7c4401920e4bdc11f4f0740e52e226b4a0b0f21cacbf52cd",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(CRITERION))
+    def test_criterion_specs(self, taxonomy, seed):
+        spec = criterion_scene_spec(seed, taxonomy, sigma=0.0, points=(500, 700), inset=1e-2)
+        assert placement_digest(spec) == self.CRITERION[seed]
+
+    @pytest.mark.parametrize("seed", sorted(DENSE_EXPERT))
+    def test_dense_expert_specs(self, taxonomy, seed):
+        spec = random_scene_spec(
+            seed=seed, taxonomy=taxonomy, n_objects=20, classes=["car"], n_sweeps=1,
+            noise_sigma=0.0, points_per_object=(4800, 5200), surface_inset=1e-2,
+            range_m=(14.0, 48.0), angular_margin=0.015,
+        )
+        assert placement_digest(spec) == self.DENSE_EXPERT[seed]
+
+    @pytest.mark.parametrize("seed", sorted(SEQUENCE))
+    def test_multi_sweep_specs(self, taxonomy, seed):
+        spec = random_scene_spec(
+            seed=seed, taxonomy=taxonomy, n_objects=8, n_sweeps=5,
+            classes=["car", "adult", "traffic-cone"], moving_fraction=0.5, ego_speed=2.0,
+        )
+        assert placement_digest(spec) == self.SEQUENCE[seed]
