@@ -1,7 +1,7 @@
 """Command-line entry point: one binary, verb-style subcommands.
 
 Machine-readable payloads (summaries, reports, errors) go to stdout as
-JSON; progress and human-readable tables go to stderr. Exit code 0 means
+JSON; human-readable tables go to stderr. Exit code 0 means
 every input was processed. Output files are written through a temp path
 and renamed, so failed runs leave no partial outputs.
 """
@@ -110,19 +110,34 @@ def annotate(scene_path, det_path, expert_path, config_path, out_path, threads, 
     click.echo(json.dumps(summary))
 
 
+def _require_frames(anns: list, frame_ids) -> None:
+    missing = list(dict.fromkeys(a.frame_id for a in anns if a.frame_id not in frame_ids))
+    if missing:
+        _fail(f"annotations reference frames missing from the scene: {missing}")
+
+
 @main.command("eval")
 @click.option("--pred", "pred_path", required=True, type=click.Path())
 @click.option("--gt", "gt_path", required=True, type=click.Path())
 @click.option("--config", "config_path", type=click.Path(), default=None)
 @click.option("--stratify", is_flag=True, default=False)
+@click.option("--scene", "scene_path", type=click.Path(), default=None,
+              help="measure --stratify bands from each frame's lidar position")
 @click.option("--pred-2d", "pred2d_path", type=click.Path(), default=None)
 @click.option("--gt-2d", "gt2d_path", type=click.Path(), default=None)
-def eval_cmd(pred_path, gt_path, config_path, stratify, pred2d_path, gt2d_path):
+def eval_cmd(pred_path, gt_path, config_path, stratify, scene_path, pred2d_path, gt2d_path):
     """nuScenes-style metrics over two annotation files."""
     config = _load_config_arg(config_path)
     preds = _load(ingest.load_annotations, pred_path)
     gts = _load(ingest.load_annotations, gt_path)
-    report = evaluate_detections(preds, gts, stratify=stratify)
+    if scene_path is not None and not stratify:
+        raise click.UsageError("--scene only applies with --stratify")
+    origins = None
+    if scene_path is not None:
+        scene = _load(ingest.load_scene, scene_path, stride=config.sweep_stride)
+        origins = {sw.frame_id: sw.lidar_to_world().translation[:2] for sw in scene.sweeps}
+        _require_frames(preds + gts, origins)
+    report = evaluate_detections(preds, gts, stratify=stratify, origins=origins)
     if pred2d_path and gt2d_path:
         pred2d = _load(ingest.load_detections, pred2d_path, config.taxonomy)
         gt2d = _load(ingest.load_detections, gt2d_path, config.taxonomy)
@@ -258,11 +273,8 @@ def track_only(pred_path, scene_path, config_path, out_path):
     scene = _load(ingest.load_scene, scene_path, stride=config.sweep_stride)
 
     ts_by_frame = {sw.frame_id: sw.timestamp for sw in scene.sweeps}
-    frame_order = list(dict.fromkeys(a.frame_id for a in anns))
-    missing = [f for f in frame_order if f not in ts_by_frame]
-    if missing:
-        _fail(f"annotations reference frames missing from the scene: {missing}")
-    frame_order.sort(key=lambda f: ts_by_frame[f])
+    _require_frames(anns, ts_by_frame)
+    frame_order = sorted(dict.fromkeys(a.frame_id for a in anns), key=lambda f: ts_by_frame[f])
     timestamps = [ts_by_frame[f] for f in frame_order]
 
     frames = [[a for a in anns if a.frame_id == f] for f in frame_order]

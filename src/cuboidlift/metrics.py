@@ -242,8 +242,14 @@ def evaluate_detections(
     thresholds=DIST_THRESHOLDS,
     tp_threshold: float = TP_ERROR_THRESHOLD,
     stratify: bool = False,
+    origins: Optional[dict] = None,
 ) -> MetricsReport:
-    """Full nuScenes-style report over annotation lists."""
+    """Full nuScenes-style report over annotation lists.
+
+    `stratify` adds mAP3D per distance band. Bands are measured in the
+    ground plane from `origins[frame_id]`, the (x, y) world position of
+    each frame's lidar, or from the world origin when `origins` is None.
+    """
     classes = _gt_classes(gts)
     class_ap = {}
     class_err = {}
@@ -278,8 +284,8 @@ def evaluate_detections(
     if stratify:
         stratified = {}
         for lo, hi in DISTANCE_BANDS:
-            sub_gts = [g for g in gts if lo <= _origin_dist(g) < hi]
-            sub_preds = [p for p in preds if lo <= _origin_dist(p) < hi]
+            sub_gts = [g for g in gts if lo <= _band_dist(g, origins) < hi]
+            sub_preds = [p for p in preds if lo <= _band_dist(p, origins) < hi]
             stratified[f"{lo:g}-{hi:g}"] = map3d(sub_preds, sub_gts, thresholds)
 
     return MetricsReport(
@@ -297,10 +303,12 @@ def evaluate_detections(
     )
 
 
-def _origin_dist(a) -> float:
-    # stratification bands are measured from the world origin; synthetic
-    # scenes keep the ego near the origin so this approximates ego distance
-    return float(np.hypot(a.cuboid.center[0], a.cuboid.center[1]))
+def _band_dist(a, origins: Optional[dict]) -> float:
+    x, y = a.cuboid.center[0], a.cuboid.center[1]
+    if origins is not None:
+        ox, oy = origins[a.frame_id]
+        x, y = x - ox, y - oy
+    return float(np.hypot(x, y))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ around an initial guess (dimensions stay fixed at the prior's), scores
 every pose by point coverage plus projected-box IoU against the 2D
 detection, and returns the argmax under a total, deterministic tie-break.
 Coverage is counted per yaw for all translations at once, as one matmul
-of an xy and a z containment factor (see `evaluate_hypotheses`).
+of an xy and a z containment factor (see `_coverage`); projected IoU is
+computed only for the hypotheses that can still win (see
+`evaluate_hypotheses`).
 
 Grid enumeration order is x (outer), y, z, yaw (inner); offsets are exact
 integer multiples of the step so the initial pose is always on the grid
@@ -21,7 +23,6 @@ import numpy as np
 from .geom import (
     Cuboid3D,
     corner_offsets,
-    cuboid_local,
     points_in_cuboid,
     project_boxes,
     rot_z,
@@ -35,6 +36,11 @@ from .prior import SemanticPrior
 # points axis is chunked so a block's float64 temporaries (512 KB each)
 # stay cache-sized however many points a frustum holds
 _CHUNK_ELEMS = 65_536
+
+# hypotheses whose projected IoU seeds the pruning bound of
+# `evaluate_hypotheses`; any count is exact, and a few of the
+# highest-coverage ones usually bound near the best objective
+_BOUND_SEEDS = 8
 
 
 class EmptyFrustumError(ValueError):
@@ -162,16 +168,39 @@ def _iou_with_box(boxes: np.ndarray, has_box: np.ndarray, det_box) -> np.ndarray
     return np.where(has_box, iou, 0.0)
 
 
-def evaluate_hypotheses(
-    grid: HypothesisGrid, fp: FrustumPoints, det: Detection2D, rig: SensorRig
-):
-    """Coverage and projected IoU for every grid entry, vectorized.
+def _iou_at(grid: HypothesisGrid, idx: np.ndarray, det_box, extr, intr) -> np.ndarray:
+    corners = np.empty((len(idx), 8, 3))
+    yaws = grid.yaws[idx]
+    for yaw in np.unique(yaws):
+        sel = yaws == yaw
+        template = corner_offsets(grid.dims, float(yaw))
+        corners[sel] = grid.centers[idx[sel]][:, None, :] + template[None, :, :]
+    boxes, has_box = project_boxes(corners, extr, intr)
+    return _iou_with_box(boxes, has_box, det_box)
 
-    Coverage is factorised. Yaw rotates about +z, so in a box frame the z
-    test of a point does not depend on the box's xy position and the xy
-    test does not depend on its z. The grid's distinct xy nodes and
-    distinct z levels are found once; then, per yaw, the points and the
-    xy nodes are rotated into the box frame and
+
+def projected_iou(
+    grid: HypothesisGrid, idx: np.ndarray, det: Detection2D, rig: SensorRig
+) -> np.ndarray:
+    """IoU of the projected boxes of hypotheses `idx` with the detection box.
+
+    Every value depends on its own hypothesis only, so a subset's IoU
+    equals the same rows of the whole grid's IoU bit for bit. Hypotheses
+    wholly behind the camera score 0.
+    """
+    idx = np.asarray(idx, dtype=np.intp)
+    cam = rig.camera(det.camera_id)
+    return _iou_at(grid, idx, det.box, camera_from_lidar(rig, det.camera_id), cam.intrinsics)
+
+
+def _coverage(grid: HypothesisGrid, fg: np.ndarray) -> np.ndarray:
+    """Fraction of `fg` inside every grid entry: the factorised kernel.
+
+    Yaw rotates about +z, so in a box frame the z test of a point does not
+    depend on the box's xy position and the xy test does not depend on its
+    z. The grid's distinct xy nodes and distinct z levels are found once;
+    then, per yaw, the points and the xy nodes are rotated into the box
+    frame and
 
         counts = inside_xy (xy nodes x points) @ inside_z (points x z levels)
 
@@ -190,46 +219,63 @@ def evaluate_hypotheses(
     an (xy nodes x z levels) count table; on a Cartesian grid that table
     has one cell per hypothesis of the yaw.
     """
-    h = len(grid)
-    coverage = np.zeros(h)
-    fg = fp.foreground
+    coverage = np.zeros(len(grid))
     m = len(fg)
+    if m == 0 or len(grid) == 0:
+        return coverage
     half = np.asarray(grid.dims) / 2.0
-    unique_yaws = np.unique(grid.yaws)
-
-    if m > 0 and h > 0:
-        _, first_xy, ixy = np.unique(
-            grid.centers[:, :2], axis=0, return_index=True, return_inverse=True
-        )
-        ixy = ixy.reshape(-1)  # numpy 2.0.0 returns it with shape (H, 1)
-        uz, iz = np.unique(grid.centers[:, 2], return_inverse=True)
-        nodes_xy = grid.centers[first_xy]  # any z: it never reaches the rotated xy
-        chunk = max(1, _CHUNK_ELEMS // len(nodes_xy))
-        for yaw in unique_yaws:
-            sel = np.nonzero(grid.yaws == yaw)[0]
-            rinv = rot_z(-float(yaw))
-            prot = fg @ rinv.T
-            crot = nodes_xy @ rinv.T
-            counts = np.zeros((len(nodes_xy), len(uz)))
-            for s in range(0, m, chunk):
-                p = prot[s : s + chunk]
-                inside_xy = np.abs(p[None, :, 0] - crot[:, 0:1]) <= half[0]
-                inside_xy &= np.abs(p[None, :, 1] - crot[:, 1:2]) <= half[1]
-                inside_z = np.abs(p[:, 2:3] - uz[None, :]) <= half[2]
-                counts += inside_xy.astype(np.float64) @ inside_z.astype(np.float64)
-            coverage[sel] = counts[ixy[sel], iz[sel]] / float(m)
-
-    # projected-box IoU against the detection
-    corners = np.empty((h, 8, 3))
-    for yaw in unique_yaws:
-        sel = grid.yaws == yaw
-        template = corner_offsets(grid.dims, float(yaw))
-        corners[sel] = grid.centers[sel][:, None, :] + template[None, :, :]
-    boxes, has_box = project_boxes(
-        corners, camera_from_lidar(rig, det.camera_id), rig.camera(det.camera_id).intrinsics
+    _, first_xy, ixy = np.unique(
+        grid.centers[:, :2], axis=0, return_index=True, return_inverse=True
     )
-    iou = _iou_with_box(boxes, has_box, det.box)
-    return coverage, iou
+    ixy = ixy.reshape(-1)  # numpy 2.0.0 returns it with shape (H, 1)
+    uz, iz = np.unique(grid.centers[:, 2], return_inverse=True)
+    nodes_xy = grid.centers[first_xy]  # any z: it never reaches the rotated xy
+    chunk = max(1, _CHUNK_ELEMS // len(nodes_xy))
+    for yaw in np.unique(grid.yaws):
+        sel = np.nonzero(grid.yaws == yaw)[0]
+        rinv = rot_z(-float(yaw))
+        prot = fg @ rinv.T
+        crot = nodes_xy @ rinv.T
+        counts = np.zeros((len(nodes_xy), len(uz)))
+        for s in range(0, m, chunk):
+            p = prot[s : s + chunk]
+            inside_xy = np.abs(p[None, :, 0] - crot[:, 0:1]) <= half[0]
+            inside_xy &= np.abs(p[None, :, 1] - crot[:, 1:2]) <= half[1]
+            inside_z = np.abs(p[:, 2:3] - uz[None, :]) <= half[2]
+            counts += inside_xy.astype(np.float64) @ inside_z.astype(np.float64)
+        coverage[sel] = counts[ixy[sel], iz[sel]] / float(m)
+    return coverage
+
+
+def evaluate_hypotheses(
+    grid: HypothesisGrid, fp: FrustumPoints, det: Detection2D, rig: SensorRig
+):
+    """Coverage of every grid entry, and projected IoU where it can still win.
+
+    Returns (coverage (H,), candidates (K,), iou (K,)): `candidates` holds
+    the ascending indices of the hypotheses that can still win or tie the
+    argmax of coverage + IoU, and `iou` their projected IoU.
+
+    The pruning is exact. IoU is at most 1 (the intersection never
+    exceeds the union, and division rounds correctly), and float addition
+    is monotone, so fl(cov + iou) <= fl(cov + 1). The IoU of the
+    _BOUND_SEEDS highest-coverage hypotheses gives an objective L that
+    some hypothesis reaches; one with fl(cov + 1) < L is strictly below
+    it and can neither win nor tie. Which hypotheses seed L changes only
+    how many survive, never the winner. With no foreground point every
+    coverage is 0 and every hypothesis survives.
+    """
+    coverage = _coverage(grid, fp.foreground)
+    extr = camera_from_lidar(rig, det.camera_id)
+    intr = rig.camera(det.camera_id).intrinsics
+    if len(grid) > _BOUND_SEEDS:
+        seeds = np.argpartition(-coverage, _BOUND_SEEDS)[:_BOUND_SEEDS]
+    else:
+        seeds = np.arange(len(grid))
+    seed_objective = coverage[seeds] + _iou_at(grid, seeds, det.box, extr, intr)
+    bound = seed_objective.max(initial=-np.inf)
+    candidates = np.nonzero(coverage + 1.0 >= bound)[0]
+    return coverage, candidates, _iou_at(grid, candidates, det.box, extr, intr)
 
 
 def select_best(
@@ -239,82 +285,25 @@ def select_best(
 
     Ties fall back to higher coverage, then smaller yaw distance to the
     init, then lexicographic (x, y, z), then signed yaw; the chain is total
-    so the result is independent of evaluation order.
+    so the result is independent of evaluation order. Only the candidates
+    `evaluate_hypotheses` keeps are ranked; every hypothesis it prunes
+    scores strictly below one of them.
     """
     if len(grid) == 0:
         raise ValueError("empty hypothesis grid")
-    coverage, iou = evaluate_hypotheses(grid, fp, det, rig)
+    coverage, candidates, iou = evaluate_hypotheses(grid, fp, det, rig)
+    coverage = coverage[candidates]
     objective = coverage + iou
-    yaw_dist = np.abs(wrap_angle(grid.yaws - grid.init.yaw))
+    yaws = grid.yaws[candidates]
+    centers = grid.centers[candidates]
+    yaw_dist = np.abs(wrap_angle(yaws - grid.init.yaw))
     order = np.lexsort(
-        (
-            grid.yaws,
-            grid.centers[:, 2],
-            grid.centers[:, 1],
-            grid.centers[:, 0],
-            yaw_dist,
-            -coverage,
-            -objective,
-        )
+        (yaws, centers[:, 2], centers[:, 1], centers[:, 0], yaw_dist, -coverage, -objective)
     )
-    best = int(order[0])
+    k = int(order[0])
     return Hypothesis(
-        cuboid=grid.cuboid(best),
-        coverage=float(coverage[best]),
-        proj_iou=float(iou[best]),
-        objective=float(coverage[best]) + float(iou[best]),
+        cuboid=grid.cuboid(int(candidates[k])),
+        coverage=float(coverage[k]),
+        proj_iou=float(iou[k]),
+        objective=float(coverage[k]) + float(iou[k]),
     )
-
-
-# ---------------------------------------------------------------------------
-# Codecs for the (external) learned dimension refiner
-
-
-# Express points in the cuboid's yaw-aligned local frame.
-canonicalize_points = cuboid_local
-
-
-def encode_point_features(
-    local_points: np.ndarray, dims, n_points: int = 512, seed: int = 0
-) -> np.ndarray:
-    """Per-point 9-dim features resampled to a fixed count.
-
-    Each row is [p, d - p, d + p] with d the cuboid dimensions. Short sets
-    are padded by random oversampling with replacement, long ones reduced
-    by uniform random downsampling; both draw from the caller's seed.
-    """
-    p = np.asarray(local_points, dtype=float).reshape(-1, 3)
-    m = len(p)
-    if m == 0:
-        raise ValueError("empty point set")
-    rng = np.random.default_rng(seed)
-    if m < n_points:
-        extra = rng.integers(0, m, size=n_points - m)
-        idx = np.concatenate([np.arange(m), extra])
-    elif m > n_points:
-        idx = np.sort(rng.choice(m, size=n_points, replace=False))
-    else:
-        idx = np.arange(m)
-    p = p[idx]
-    d = np.asarray(dims, dtype=float)
-    return np.concatenate([p, d - p, d + p], axis=1)
-
-
-def encode_dim_offsets(gt_dims, init_dims) -> tuple:
-    """Log-scale dimension offsets between a target and an initial cuboid."""
-    out = []
-    for g, i in zip(gt_dims, init_dims):
-        if g <= 0 or i <= 0:
-            raise ValueError("dims must be positive")
-        out.append(math.log(g / i))
-    return tuple(out)
-
-
-def decode_dim_offsets(init_dims, offsets) -> tuple:
-    """Exact inverse of encode_dim_offsets."""
-    out = []
-    for i, o in zip(init_dims, offsets):
-        if i <= 0:
-            raise ValueError("dims must be positive")
-        out.append(i * math.exp(o))
-    return tuple(out)

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from cuboidlift.config import PipelineConfig, default_taxonomy
-from cuboidlift.geom import Box2D, Cuboid3D, cuboid_corners, rot_z
-from cuboidlift.search import SearchConfig
+from cuboidlift.geom import Box2D, Cuboid3D, cuboid_corners, rot_z, wrap_angle
+from cuboidlift.search import Hypothesis, SearchConfig, evaluate_hypotheses, projected_iou
 from cuboidlift.synth import random_scene_spec
 
 CRITERION_CLASSES = [
@@ -144,6 +144,32 @@ def naive_evaluate_coverage(grid, fg) -> np.ndarray:
         inside = np.all(np.abs(prot[None, :, :] - crot[:, None, :]) <= half, axis=2)
         coverage[sel] = inside.sum(axis=1) / float(len(fg))
     return coverage
+
+
+def naive_select_best(grid, fp, det, rig):
+    """Evaluate-all-then-lexsort argmax: full projected IoU, no pruning."""
+    coverage = evaluate_hypotheses(grid, fp, det, rig)[0]
+    iou = projected_iou(grid, np.arange(len(grid)), det, rig)
+    objective = coverage + iou
+    yaw_dist = np.abs(wrap_angle(grid.yaws - grid.init.yaw))
+    order = np.lexsort(
+        (
+            grid.yaws,
+            grid.centers[:, 2],
+            grid.centers[:, 1],
+            grid.centers[:, 0],
+            yaw_dist,
+            -coverage,
+            -objective,
+        )
+    )
+    best = int(order[0])
+    return Hypothesis(
+        cuboid=grid.cuboid(best),
+        coverage=float(coverage[best]),
+        proj_iou=float(iou[best]),
+        objective=float(coverage[best]) + float(iou[best]),
+    )
 
 
 def naive_match(preds, gts, class_label, threshold):

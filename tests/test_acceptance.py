@@ -15,6 +15,7 @@ import pytest
 from click.testing import CliRunner
 
 from cuboidlift.cli import main as cli_main
+from cuboidlift.codecs import decode_dim_offsets, encode_dim_offsets, encode_point_features
 from cuboidlift.frustum import extract_frustum, project_view
 from cuboidlift.geom import Box2D, Cuboid3D, wrap_angle, yaw_diff
 from cuboidlift.ingest import Detection2D, ScoredAnnotation
@@ -25,9 +26,6 @@ from cuboidlift.score import occupancy_rate
 from cuboidlift.search import (
     SearchConfig,
     coverage_ratio,
-    decode_dim_offsets,
-    encode_dim_offsets,
-    encode_point_features,
     enumerate_hypotheses,
     init_hypothesis,
     select_best,

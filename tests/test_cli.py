@@ -2,6 +2,7 @@ import json
 import math
 import os
 import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ def runner():
     return CliRunner()
 
 
-def synth_scene(runner, out, n_sweeps):
+def synth_scene(runner, out, n_sweeps, ego_speed=2.0):
     spec = {
         "seed": 11,
         "n_objects": 6,
@@ -25,7 +26,7 @@ def synth_scene(runner, out, n_sweeps):
         "classes": ["car", "adult", "traffic-cone"],
         "noise_sigma": 0.02,
         "points_per_object": [150, 250],
-        "ego_speed": 2.0,
+        "ego_speed": ego_speed,
     }
     spec_path = out / "spec.json"
     spec_path.write_text(json.dumps(spec))
@@ -207,6 +208,54 @@ class TestEvalVerb:
         assert 0.0 <= report["map3d"] <= 1.0
         assert 0.0 <= report["nds"] <= 1.0
         assert set(report["stratified"]) == {"0-10", "10-20", "20-30", "0-50"}
+
+    def test_scene_measures_bands_from_the_ego(self, runner, tmp_path):
+        from cuboidlift import ingest
+        from cuboidlift.metrics import DISTANCE_BANDS, evaluate_detections, map3d
+
+        scene = synth_scene(runner, tmp_path, n_sweeps=4, ego_speed=12.0)
+        gts = ingest.load_annotations(scene / "gt.ndjson")
+        pred = tmp_path / "pred.ndjson"
+        ingest.write_annotations(gts[::2], pred)
+        args = ["eval", "--pred", str(pred), "--gt", str(scene / "gt.ndjson"), "--stratify"]
+        world = runner.invoke(main, args)
+        ego = runner.invoke(main, args + ["--scene", str(scene / "scene.json")])
+        assert world.exit_code == 0 and ego.exit_code == 0, (world.output, ego.output)
+        world = json.loads(world.output.strip().splitlines()[0])["stratified"]
+        ego = json.loads(ego.output.strip().splitlines()[0])["stratified"]
+        assert world == evaluate_detections(gts[::2], gts, stratify=True).stratified
+        assert ego != world
+
+        sweeps = ingest.load_scene(scene / "scene.json").sweeps
+        lidar = {sw.frame_id: (sw.ego_pose @ sw.sensor_pose).translation for sw in sweeps}
+
+        def ego_dist(a):
+            o = lidar[a.frame_id]
+            return math.hypot(a.cuboid.center[0] - o[0], a.cuboid.center[1] - o[1])
+
+        for lo, hi in DISTANCE_BANDS:
+            sub_preds = [a for a in gts[::2] if lo <= ego_dist(a) < hi]
+            sub_gts = [a for a in gts if lo <= ego_dist(a) < hi]
+            assert ego[f"{lo:g}-{hi:g}"] == map3d(sub_preds, sub_gts)
+
+    def test_scene_missing_a_frame_is_input_error(self, runner, scene_dir, tmp_path):
+        from cuboidlift import ingest
+
+        pred = tmp_path / "pred.ndjson"
+        gts = ingest.load_annotations(scene_dir / "gt.ndjson")
+        ingest.write_annotations([replace(gts[0], frame_id="nowhere")] + gts[1:], pred)
+        res = runner.invoke(
+            main,
+            ["eval", "--pred", str(pred), "--gt", str(scene_dir / "gt.ndjson"), "--stratify",
+             "--scene", str(scene_dir / "scene.json")],
+        )
+        assert "nowhere" in last_error(res)["message"]
+
+    def test_scene_without_stratify_is_usage_error(self, runner, scene_dir):
+        gt = str(scene_dir / "gt.ndjson")
+        res = runner.invoke(main, ["eval", "--pred", gt, "--gt", gt, "--scene", str(scene_dir / "scene.json")])
+        assert res.exit_code == 2
+        assert "--stratify" in res.output
 
     def test_self_eval_perfect(self, runner, scene_dir):
         res = runner.invoke(

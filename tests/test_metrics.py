@@ -306,6 +306,19 @@ class TestEvaluateDetections:
         assert set(doc["stratified"]) == {"0-10", "10-20", "20-30", "0-50"}
         assert isinstance(report.format_table(), str)
 
+    def test_stratified_bands_from_ego_origins(self):
+        # frame b's ego sits 15 m along x, so its car at x = 20 is 5 m away
+        gts = [ann("a", 5, 0), ann("b", 20, 0)]
+        preds = [ann("a", 5, 0, score=0.9)]
+        world = evaluate_detections(preds, gts, stratify=True).stratified
+        ego = evaluate_detections(
+            preds, gts, stratify=True, origins={"a": (0.0, 0.0), "b": (15.0, 0.0)}
+        ).stratified
+        assert world["0-10"] == 1.0 and world["20-30"] == 0.0
+        assert ego["0-10"] == map3d(preds, gts) < 1.0
+        assert ego["20-30"] == 0.0
+        assert ego["0-50"] == world["0-50"]
+
     def test_each_threshold_matched_once_per_class(self, monkeypatch):
         from cuboidlift import metrics
 

@@ -10,19 +10,22 @@ from cuboidlift.geom import Box2D, Cuboid3D, rot_z, wrap_angle, yaw_diff
 from cuboidlift.ingest import Detection2D, SensorRig
 from cuboidlift.prior import SemanticPrior
 from cuboidlift import search
+from cuboidlift.codecs import (
+    canonicalize_points,
+    decode_dim_offsets,
+    encode_dim_offsets,
+    encode_point_features,
+)
 from cuboidlift.search import (
     EmptyFrustumError,
     Hypothesis,
     HypothesisGrid,
     SearchConfig,
-    canonicalize_points,
     coverage_ratio,
-    decode_dim_offsets,
-    encode_dim_offsets,
-    encode_point_features,
     enumerate_hypotheses,
     evaluate_hypotheses,
     init_hypothesis,
+    projected_iou,
     select_best,
 )
 from cuboidlift.synth import (
@@ -30,7 +33,7 @@ from cuboidlift.synth import (
     default_cameras,
     sample_visible_surface,
 )
-from conftest import naive_coverage, naive_evaluate_coverage, random_cuboid
+from conftest import naive_coverage, naive_evaluate_coverage, naive_select_best, random_cuboid
 
 
 def fp_from(points, flags=None):
@@ -253,7 +256,7 @@ class TestCoverageKernel:
         rng = np.random.default_rng([7, len(name), int(full_circle)])
         for _ in range(12):
             grid, fp = random_kernel_case(rng, KERNEL_CONFIGS[name], full_circle)
-            cov, _ = evaluate_hypotheses(grid, fp, KERNEL_DET, rig)
+            cov, _, _ = evaluate_hypotheses(grid, fp, KERNEL_DET, rig)
             want = naive_evaluate_coverage(grid, fp.foreground)
             assert cov.dtype == np.float64
             assert np.array_equal(cov, want)
@@ -263,7 +266,7 @@ class TestCoverageKernel:
         init = Cuboid3D((10.0, 2.0, -0.5), (4.0, 2.0, 1.5), 0.0)
         grid = enumerate_hypotheses(init, prior(dims=init.dims, orientation=0.0), cfg)
         pts = init.center + np.array([[2.0, 0, 0], [0, -1.0, 0], [0, 0, 0.75]])
-        cov, _ = evaluate_hypotheses(grid, fp_from(pts), KERNEL_DET, rig)
+        cov, _, _ = evaluate_hypotheses(grid, fp_from(pts), KERNEL_DET, rig)
         at_init = (grid.centers == init.center).all(axis=1) & (grid.yaws == 0.0)
         assert cov[at_init].tolist() == [1.0]
         assert np.array_equal(cov, naive_evaluate_coverage(grid, pts))
@@ -271,7 +274,7 @@ class TestCoverageKernel:
     def test_empty_foreground_is_zero(self, rig):
         grid, fp = random_kernel_case(np.random.default_rng(3), SearchConfig(), True)
         empty = fp_from(fp.points, np.zeros(len(fp.points), dtype=bool))
-        cov, _ = evaluate_hypotheses(grid, empty, KERNEL_DET, rig)
+        cov, _, _ = evaluate_hypotheses(grid, empty, KERNEL_DET, rig)
         assert cov.dtype == np.float64
         assert np.array_equal(cov, np.zeros(len(grid)))
 
@@ -279,7 +282,7 @@ class TestCoverageKernel:
         _, fp = random_kernel_case(np.random.default_rng(4), SearchConfig(), False)
         init = Cuboid3D((10.0, 0.0, 0.0), (4.0, 2.0, 1.5), 0.0)
         grid = HypothesisGrid(centers=np.zeros((0, 3)), yaws=np.zeros(0), dims=init.dims, init=init)
-        cov, iou = evaluate_hypotheses(grid, fp, KERNEL_DET, rig)
+        cov, _, iou = evaluate_hypotheses(grid, fp, KERNEL_DET, rig)
         assert cov.shape == iou.shape == (0,)
 
     @pytest.mark.parametrize("elems", [1, 7, 500])
@@ -288,7 +291,7 @@ class TestCoverageKernel:
         rng = np.random.default_rng(elems)
         for cfg, full_circle in ((SearchConfig(), False), (KERNEL_CONFIGS["fine_step"], True)):
             grid, fp = random_kernel_case(rng, cfg, full_circle)
-            cov, _ = evaluate_hypotheses(grid, fp, KERNEL_DET, rig)
+            cov, _, _ = evaluate_hypotheses(grid, fp, KERNEL_DET, rig)
             assert np.array_equal(cov, naive_evaluate_coverage(grid, fp.foreground))
 
 
@@ -306,8 +309,144 @@ class TestProjectedIou:
         det = Detection2D("f", "cam_0", "car", Box2D(100, 100, 300, 300), 0.9)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _, iou = evaluate_hypotheses(grid, fp_from([[0.1, 0.0, 0.0], [5.0, 0.0, 0.0]]), det, rig)
+            evaluate_hypotheses(grid, fp_from([[0.1, 0.0, 0.0], [5.0, 0.0, 0.0]]), det, rig)
+            iou = projected_iou(grid, np.arange(len(grid)), det, rig)
         assert (iou == 0.0).any() and (iou > 0.0).any()
+
+    @pytest.mark.parametrize("camera", range(6))
+    def test_subset_rows_match_full_grid(self, rig, camera):
+        # the pruned argmax evaluates IoU on subsets of a grid, so a row's
+        # value must not depend on which other rows are evaluated with it
+        rng = np.random.default_rng([13, camera])
+        heading = camera * math.pi / 3.0
+        for _ in range(5):
+            dist, bearing = rng.uniform(1.0, 30.0), heading + rng.uniform(-1.0, 1.0)
+            anchor = (dist * math.cos(bearing), dist * math.sin(bearing), rng.uniform(-2.0, 1.0))
+            dims = tuple(rng.uniform(0.3, 5.0, size=3))
+            grid = enumerate_hypotheses(
+                Cuboid3D(anchor, dims, float(rng.uniform(-math.pi, math.pi))),
+                prior(dims=dims, orientation=None, sector=math.pi),
+                SearchConfig(),
+            )
+            # the whole image overlaps every projected box, so each IoU
+            # carries its box's rounding
+            det = Detection2D("f", f"cam_{camera}", "car", Box2D(0.0, 0.0, 800.0, 450.0), 0.9)
+            full = projected_iou(grid, np.arange(len(grid)), det, rig)
+            assert (full > 0.0).any()
+            for size in (1, 3, 8, 300):
+                for _ in range(5):
+                    idx = rng.choice(len(grid), size=size, replace=False)
+                    if rng.random() < 0.5:
+                        idx = np.sort(idx)
+                    assert np.array_equal(projected_iou(grid, idx, det, rig), full[idx])
+
+
+def assert_same_hypothesis(a, b):
+    assert a.cuboid.center.tobytes() == b.cuboid.center.tobytes()
+    assert a.cuboid.dims == b.cuboid.dims
+    got = (a.cuboid.yaw, a.coverage, a.proj_iou, a.objective)
+    want = (b.cuboid.yaw, b.coverage, b.proj_iou, b.objective)
+    assert [float(x).hex() for x in got] == [float(x).hex() for x in want]
+
+
+class TestPrunedArgmax:
+    """select_best ranks only the pruned candidates yet equals the full argmax."""
+
+    @pytest.mark.parametrize("full_circle", [False, True], ids=["sector", "full_circle"])
+    @pytest.mark.parametrize("name", sorted(KERNEL_CONFIGS))
+    def test_random_grids_match_naive(self, rig, name, full_circle):
+        rng = np.random.default_rng([17, len(name), int(full_circle)])
+        for _ in range(8):
+            grid, fp = random_kernel_case(rng, KERNEL_CONFIGS[name], full_circle)
+            assert_same_hypothesis(select_best(grid, fp, KERNEL_DET, rig), naive_select_best(grid, fp, KERNEL_DET, rig))
+
+    @pytest.mark.parametrize("full_circle", [False, True], ids=["sector", "full_circle"])
+    def test_synthetic_detections_match_naive(self, rig, full_circle):
+        rng = np.random.default_rng(int(full_circle))
+        pruned = 0
+        for seed in range(6):
+            cub, pts, det = synthetic_detection(rig, seed=700 + seed)
+            p = prior(dims=cub.dims, orientation=None if full_circle else cub.yaw, sector=math.pi if full_circle else math.pi / 6)
+            fp = fp_from(pts)
+            grid = enumerate_hypotheses(init_hypothesis(fp, p), p, SearchConfig())
+            if seed % 2:
+                perm = rng.permutation(len(grid))
+                grid = HypothesisGrid(centers=grid.centers[perm], yaws=grid.yaws[perm], dims=grid.dims, init=grid.init)
+            best = select_best(grid, fp, det, rig)
+            assert_same_hypothesis(best, naive_select_best(grid, fp, det, rig))
+            # every pruned hypothesis scores strictly below the winner
+            cov, candidates, iou = evaluate_hypotheses(grid, fp, det, rig)
+            full_iou = projected_iou(grid, np.arange(len(grid)), det, rig)
+            assert np.all(np.diff(candidates) > 0)
+            assert np.array_equal(iou, full_iou[candidates])
+            assert np.all(np.delete(cov + full_iou, candidates) < best.objective)
+            pruned += len(grid) - len(candidates)
+        assert pruned > 0
+
+    def test_forced_objective_ties(self, rig):
+        # a cube with points symmetric about its center: poses a quarter
+        # turn apart tie on the objective; duplicated rows tie on every key
+        cube = Cuboid3D((12.0, 0.0, -1.0), (2.0, 2.0, 2.0), 0.0)
+        offsets = np.random.default_rng(5).uniform(-0.7, 0.7, size=(40, 3))
+        pts = cube.center + np.concatenate([offsets, -offsets])
+        box = Box2D(340.0, 170.0, 460.0, 280.0)
+        det = Detection2D("f", "cam_0", "car", box, 0.9)
+        p = prior(dims=cube.dims, orientation=None, sector=math.pi)
+        grid = enumerate_hypotheses(cube, p, SearchConfig())
+        doubled = HypothesisGrid(
+            centers=np.concatenate([grid.centers, grid.centers]),
+            yaws=np.concatenate([grid.yaws, grid.yaws]),
+            dims=grid.dims,
+            init=grid.init,
+        )
+        perm = np.random.default_rng(6).permutation(len(doubled))
+        shuffled = HypothesisGrid(centers=doubled.centers[perm], yaws=doubled.yaws[perm], dims=grid.dims, init=grid.init)
+        for g in (grid, doubled, shuffled):
+            fp = fp_from(pts)
+            want = naive_select_best(g, fp, det, rig)
+            cov = evaluate_hypotheses(g, fp, det, rig)[0]
+            objective = cov + projected_iou(g, np.arange(len(g)), det, rig)
+            assert (objective == want.objective).sum() >= 2
+            assert_same_hypothesis(select_best(g, fp, det, rig), want)
+
+    def test_box_off_image_scores_zero_iou(self, rig):
+        grid, fp = random_kernel_case(np.random.default_rng(8), SearchConfig(), True)
+        det = Detection2D("f", "cam_0", "car", Box2D(-60.0, -60.0, -10.0, -10.0), 0.9)
+        assert not projected_iou(grid, np.arange(len(grid)), det, rig).any()
+        best = select_best(grid, fp, det, rig)
+        assert best.proj_iou == 0.0
+        assert_same_hypothesis(best, naive_select_best(grid, fp, det, rig))
+
+    @pytest.mark.parametrize("camera", ["cam_3", "cam_0"], ids=["all_behind", "straddling"])
+    def test_hypotheses_behind_camera(self, rig, camera):
+        # cam_3 looks backwards, so a grid in front of cam_0 is wholly
+        # behind it; a grid around the lidar origin straddles cam_0
+        rng = np.random.default_rng(9)
+        if camera == "cam_3":
+            grid, fp = random_kernel_case(rng, SearchConfig(), True)
+        else:
+            p = prior(dims=(1.0, 1.0, 1.0), orientation=None, sector=math.pi)
+            grid = enumerate_hypotheses(Cuboid3D(np.zeros(3), (1.0, 1.0, 1.0), 0.0), p, SearchConfig())
+            fp = fp_from(rng.uniform(-1.5, 1.5, size=(50, 3)))
+        det = Detection2D("f", camera, "car", Box2D(100.0, 100.0, 300.0, 300.0), 0.9)
+        iou = projected_iou(grid, np.arange(len(grid)), det, rig)
+        assert (camera == "cam_3") == (not iou.any())
+        assert_same_hypothesis(select_best(grid, fp, det, rig), naive_select_best(grid, fp, det, rig))
+
+    def test_single_hypothesis_grid(self, rig):
+        cub, pts, det = synthetic_detection(rig, seed=4)
+        cfg = SearchConfig(trans_step=0.5, rot_step=0.3, xy_range=0.0, z_range=0.0)
+        grid = enumerate_hypotheses(cub, prior(dims=cub.dims, orientation=cub.yaw, sector=0.15), cfg)
+        assert len(grid) == 1
+        assert_same_hypothesis(select_best(grid, fp_from(pts), det, rig), naive_select_best(grid, fp_from(pts), det, rig))
+
+    def test_zero_coverage_keeps_every_hypothesis(self, rig):
+        cub, pts, det = synthetic_detection(rig, seed=6)
+        grid = enumerate_hypotheses(cub, prior(dims=cub.dims, orientation=None, sector=math.pi), SearchConfig())
+        fp = fp_from(pts, np.zeros(len(pts), dtype=bool))
+        _, candidates, _ = evaluate_hypotheses(grid, fp, det, rig)
+        assert np.array_equal(candidates, np.arange(len(grid)))
+        assert_same_hypothesis(select_best(grid, fp, det, rig), naive_select_best(grid, fp, det, rig))
 
 
 class TestSelectBest:
@@ -329,7 +468,8 @@ class TestSelectBest:
         init_idx = int(
             np.nonzero((grid.centers == init.center).all(axis=1) & (grid.yaws == wrap_angle(init.yaw)))[0][0]
         )
-        cov, iou = evaluate_hypotheses(grid, fp, det, rig)
+        cov, _, _ = evaluate_hypotheses(grid, fp, det, rig)
+        iou = projected_iou(grid, np.arange(len(grid)), det, rig)
         assert best.objective >= cov[init_idx] + iou[init_idx]
 
     def test_recovers_synthetic_pose(self, rig):
@@ -367,7 +507,8 @@ class TestSelectBest:
         p = prior(dims=cub.dims, orientation=cub.yaw)
         fp = fp_from(pts)
         grid = enumerate_hypotheses(init_hypothesis(fp, p), p, SearchConfig())
-        cov, iou = evaluate_hypotheses(grid, fp, det, rig)
+        cov, _, _ = evaluate_hypotheses(grid, fp, det, rig)
+        iou = projected_iou(grid, np.arange(len(grid)), det, rig)
         assert np.all((cov >= 0) & (cov <= 1))
         assert np.all((iou >= 0) & (iou <= 1))
         best = select_best(grid, fp, det, rig)
