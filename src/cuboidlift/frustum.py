@@ -59,9 +59,8 @@ class CameraView:
 
 
 def camera_from_lidar(rig: SensorRig, camera_id: str) -> RigidTransform:
-    """camera <- lidar transform for one camera of the rig."""
-    cam = rig.camera(camera_id)
-    return cam.extrinsics.inverse() @ rig.lidar_extrinsics
+    """camera <- lidar transform for one camera of the rig, built once per rig."""
+    return rig.camera_from_lidar(camera_id)
 
 
 def _in_box(u: np.ndarray, v: np.ndarray, box: Box2D) -> np.ndarray:

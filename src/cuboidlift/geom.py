@@ -47,6 +47,11 @@ _CORNER_SIGNS = np.array(
     ]
 )
 
+# np.allclose(rot.T @ rot, I, atol=1e-6) written out: |x - I| <= atol + rtol * |I|
+# with allclose's default rtol, so it accepts exactly the same matrices
+_ORTHONORMAL_TOL = 1e-6 + 1e-5 * np.eye(3)
+_EYE3 = np.eye(3)
+
 
 def wrap_angle(a):
     """Normalize an angle (scalar or array) to (-pi, pi]."""
@@ -133,7 +138,7 @@ class RigidTransform:
     def __post_init__(self):
         rot = np.asarray(self.rotation, dtype=float).reshape(3, 3)
         t = np.asarray(self.translation, dtype=float).reshape(3)
-        if not np.allclose(rot.T @ rot, np.eye(3), atol=1e-6):
+        if not (np.abs(rot.T @ rot - _EYE3) <= _ORTHONORMAL_TOL).all():
             raise ValueError("rotation is not orthonormal")
         if np.linalg.det(rot) < 0:
             raise ValueError("rotation has negative determinant")

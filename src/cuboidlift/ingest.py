@@ -50,7 +50,12 @@ class SweepFrame:
     sensor_pose: RigidTransform  # ego <- lidar
 
     def lidar_to_world(self) -> RigidTransform:
-        return self.ego_pose @ self.sensor_pose
+        """world <- lidar, composed on first use and kept: the poses are frozen."""
+        t = self.__dict__.get("_lidar_to_world")
+        if t is None:
+            t = self.ego_pose @ self.sensor_pose
+            object.__setattr__(self, "_lidar_to_world", t)
+        return t
 
 
 @dataclass(frozen=True)
@@ -132,11 +137,22 @@ class SensorRig:
     cameras: dict  # camera_id -> CameraCalib
     lidar_extrinsics: RigidTransform  # ego <- lidar
 
+    def __post_init__(self):
+        object.__setattr__(self, "_camera_from_lidar", {})
+
     def camera(self, camera_id: str) -> CameraCalib:
         try:
             return self.cameras[camera_id]
         except KeyError:
             raise KeyError(f"unknown camera id {camera_id!r}") from None
+
+    def camera_from_lidar(self, camera_id: str) -> RigidTransform:
+        """camera <- lidar for one camera, composed on first use and kept."""
+        t = self._camera_from_lidar.get(camera_id)
+        if t is None:
+            t = self.camera(camera_id).extrinsics.inverse() @ self.lidar_extrinsics
+            self._camera_from_lidar[camera_id] = t
+        return t
 
 
 @dataclass(frozen=True)

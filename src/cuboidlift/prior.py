@@ -117,7 +117,8 @@ def write_expert_records(records: list, path) -> None:
 
 def camera_axis_azimuth(camera_extr: RigidTransform, lidar_extr: RigidTransform) -> float:
     """Azimuth of the camera optical axis (+z) in the lidar frame."""
-    rot_lidar_cam = lidar_extr.inverse().rotation @ camera_extr.rotation
+    # lidar_extr.inverse().rotation, without building the inverse transform
+    rot_lidar_cam = lidar_extr.rotation.T @ camera_extr.rotation
     axis = rot_lidar_cam @ np.array([0.0, 0.0, 1.0])
     return math.atan2(axis[1], axis[0])
 

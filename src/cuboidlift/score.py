@@ -48,7 +48,8 @@ def occupancy_rate(c: Cuboid3D, points: np.ndarray, k: int) -> float:
     iy = np.floor((local[inside, 1] + w / 2.0) / w * k).astype(int)
     ix = np.minimum(ix, k - 1)
     iy = np.minimum(iy, k - 1)
-    n = len(np.unique(ix * k + iy))
+    # cell indices are >= 0: an inside point has local x >= -l/2 and y >= -w/2
+    n = np.count_nonzero(np.bincount(ix * k + iy))
     return n / float(k * k)
 
 

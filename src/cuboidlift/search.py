@@ -98,6 +98,18 @@ def coverage_ratio(points: np.ndarray, c: Cuboid3D) -> float:
     return float(points_in_cuboid(p, c).sum()) / float(len(p))
 
 
+def _median(x: np.ndarray) -> float:
+    """np.median of a non-empty finite 1-D array, signed zeros included.
+
+    The same partition and mean of the middle one or two order statistics
+    that np.median takes, without its NaN check, whose first call in a
+    process imports numpy.ma.
+    """
+    k = len(x) // 2
+    lo = k if len(x) % 2 else k - 1
+    return float(np.mean(np.partition(x, (lo, k))[lo : k + 1]))
+
+
 def init_hypothesis(fp: FrustumPoints, prior: SemanticPrior) -> Cuboid3D:
     """Anchor cuboid: median-xy center, bottom seated on the lowest point.
 
@@ -108,8 +120,8 @@ def init_hypothesis(fp: FrustumPoints, prior: SemanticPrior) -> Cuboid3D:
     if len(fg) == 0:
         raise EmptyFrustumError("no foreground points in frustum")
     l, w, h = prior.dims
-    cx = float(np.median(fg[:, 0]))
-    cy = float(np.median(fg[:, 1]))
+    cx = _median(fg[:, 0])
+    cy = _median(fg[:, 1])
     cz = float(fg[:, 2].min()) + h / 2.0
     yaw = prior.orientation if prior.orientation is not None else 0.0
     return Cuboid3D(np.array([cx, cy, cz]), prior.dims, yaw)
@@ -170,9 +182,9 @@ def _iou_with_box(boxes: np.ndarray, has_box: np.ndarray, det_box) -> np.ndarray
 
 def _iou_at(grid: HypothesisGrid, idx: np.ndarray, det_box, extr, intr) -> np.ndarray:
     corners = np.empty((len(idx), 8, 3))
-    yaws = grid.yaws[idx]
-    for yaw in np.unique(yaws):
-        sel = yaws == yaw
+    uyaw, iyaw = np.unique(grid.yaws[idx], return_inverse=True)
+    for k, yaw in enumerate(uyaw):
+        sel = iyaw == k
         template = corner_offsets(grid.dims, float(yaw))
         corners[sel] = grid.centers[idx[sel]][:, None, :] + template[None, :, :]
     boxes, has_box = project_boxes(corners, extr, intr)
@@ -198,53 +210,71 @@ def _coverage(grid: HypothesisGrid, fg: np.ndarray) -> np.ndarray:
 
     Yaw rotates about +z, so in a box frame the z test of a point does not
     depend on the box's xy position and the xy test does not depend on its
-    z. The grid's distinct xy nodes and distinct z levels are found once;
+    z. The grid's distinct xy nodes, z levels and yaws are found once;
     then, per yaw, the points and the xy nodes are rotated into the box
     frame and
 
         counts = inside_xy (xy nodes x points) @ inside_z (points x z levels)
 
-    counts the points inside every (xy node, z level) box at once. Each
-    hypothesis reads its count from its own node and level.
+    counts the points inside every (xy node, z level) box at once. The
+    counts of all yaws fill one (yaws x xy nodes x z levels) table, and
+    each hypothesis reads its cell of it.
 
     This is exact, not an approximation: both factors use the same
     `abs(p - c) <= half` comparisons on the same rotated values as a
     per-hypothesis test (rot_z's zero entries make a rotated xy
-    independent of z and a rotated z equal to the input z, bit for bit),
-    and a float64 matmul sums 0/1 values without rounding. The points
-    axis is chunked so no containment block exceeds _CHUNK_ELEMS; the
-    partial matmuls are summed, which is exact for the same reason.
+    independent of z and a rotated z equal to the input z, bit for bit, so
+    `inside_z` is built once from the input z), and a float64 matmul sums
+    0/1 values without rounding. The points axis is chunked so no
+    containment block exceeds _CHUNK_ELEMS; the partial matmuls are
+    summed, which is exact for the same reason. The blocks are computed in
+    buffers allocated once per call, never shared between calls.
+
+    The xy nodes come from one 1-D unique per axis and one on the combined
+    index: two centers share a node exactly when their x and their y
+    compare equal, as with a row-wise unique, and each node keeps its
+    first center's coordinates. Equal values that differ in the sign of
+    zero share a node; that never changes a comparison, because
+    |p - c| is the same for c = 0.0 and c = -0.0.
 
     The cost per yaw is (xy nodes x points) comparisons plus a matmul into
     an (xy nodes x z levels) count table; on a Cartesian grid that table
     has one cell per hypothesis of the yaw.
     """
-    coverage = np.zeros(len(grid))
     m = len(fg)
     if m == 0 or len(grid) == 0:
-        return coverage
+        return np.zeros(len(grid))
     half = np.asarray(grid.dims) / 2.0
-    _, first_xy, ixy = np.unique(
-        grid.centers[:, :2], axis=0, return_index=True, return_inverse=True
-    )
-    ixy = ixy.reshape(-1)  # numpy 2.0.0 returns it with shape (H, 1)
+    ix = np.unique(grid.centers[:, 0], return_inverse=True)[1]
+    uy, iy = np.unique(grid.centers[:, 1], return_inverse=True)
+    first_xy, ixy = np.unique(ix * len(uy) + iy, return_index=True, return_inverse=True)[1:]
     uz, iz = np.unique(grid.centers[:, 2], return_inverse=True)
+    uyaw, iyaw = np.unique(grid.yaws, return_inverse=True)
     nodes_xy = grid.centers[first_xy]  # any z: it never reaches the rotated xy
-    chunk = max(1, _CHUNK_ELEMS // len(nodes_xy))
-    for yaw in np.unique(grid.yaws):
-        sel = np.nonzero(grid.yaws == yaw)[0]
+    n = len(nodes_xy)
+    inside_z = (np.abs(fg[:, 2:3] - uz[None, :]) <= half[2]).astype(np.float64)
+    chunk = max(1, _CHUNK_ELEMS // n)
+    block = np.empty(n * min(chunk, m))
+    in_x = np.empty(len(block), dtype=bool)
+    in_y = np.empty(len(block), dtype=bool)
+    counts = np.zeros((len(uyaw), n, len(uz)))
+    for k, yaw in enumerate(uyaw):
         rinv = rot_z(-float(yaw))
-        prot = fg @ rinv.T
+        px, py = np.ascontiguousarray((fg @ rinv.T)[:, :2].T)
         crot = nodes_xy @ rinv.T
-        counts = np.zeros((len(nodes_xy), len(uz)))
         for s in range(0, m, chunk):
-            p = prot[s : s + chunk]
-            inside_xy = np.abs(p[None, :, 0] - crot[:, 0:1]) <= half[0]
-            inside_xy &= np.abs(p[None, :, 1] - crot[:, 1:2]) <= half[1]
-            inside_z = np.abs(p[:, 2:3] - uz[None, :]) <= half[2]
-            counts += inside_xy.astype(np.float64) @ inside_z.astype(np.float64)
-        coverage[sel] = counts[ixy[sel], iz[sel]] / float(m)
-    return coverage
+            w = min(chunk, m - s)
+            d = block[: n * w].reshape(n, w)
+            bx = in_x[: n * w].reshape(n, w)
+            by = in_y[: n * w].reshape(n, w)
+            np.subtract(px[None, s : s + w], crot[:, 0:1], out=d)
+            np.less_equal(np.abs(d, out=d), half[0], out=bx)
+            np.subtract(py[None, s : s + w], crot[:, 1:2], out=d)
+            np.less_equal(np.abs(d, out=d), half[1], out=by)
+            np.logical_and(bx, by, out=bx)
+            np.copyto(d, bx)
+            counts[k] += d @ inside_z[s : s + w]
+    return counts[iyaw, ixy, iz] / float(m)
 
 
 def evaluate_hypotheses(

@@ -107,14 +107,20 @@ def naive_occupancy(c: Cuboid3D, points, k: int) -> float:
 
 
 def naive_frustum_mask(points, det, rig) -> np.ndarray:
-    """Per-point scalar pinhole projection, plain loop."""
+    """Per-point scalar pinhole projection, plain loop.
+
+    The points are moved into the camera frame in one `pts @ R.T + t`, the
+    rounding of any batched rigid transform, so the oracle agrees with the
+    library at box-boundary ties; a per-point `R @ p` rounds differently.
+    """
     from cuboidlift.frustum import camera_from_lidar
 
     intr = rig.camera(det.camera_id).intrinsics
     t = camera_from_lidar(rig, det.camera_id)
+    pts = np.asarray(points, dtype=float)[:, :3]
     out = []
-    for p in np.asarray(points, dtype=float)[:, :3]:
-        x, y, z = (float(v) for v in t.apply(p))
+    for p in pts @ t.rotation.T + t.translation:
+        x, y, z = (float(v) for v in p)
         if z <= 0.0:
             out.append(False)
             continue

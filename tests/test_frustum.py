@@ -107,6 +107,21 @@ class TestCameraView:
             assert np.array_equal(fp.points, alone.points)
             assert np.array_equal(fp.pixels, alone.pixels)
 
+    @pytest.mark.parametrize("cam_id", [c.camera_id for c in default_cameras()])
+    def test_oracle_agrees_at_ties(self, rig, cam_id):
+        # zero-area boxes on the view's own (u, v) put a point exactly on
+        # every face of its box; the per-point oracle must round like the view
+        rng = np.random.default_rng(29)
+        intr = rig.camera(cam_id).intrinsics
+        pts = rng.uniform(-30, 30, size=(3000, 3))
+        whole = project_view(pts, rig, cam_id, [Box2D(0, 0, intr.width, intr.height)])
+        assert len(whole) > 100
+        for u, v in zip(whole.u[::len(whole) // 100], whole.v[::len(whole) // 100]):
+            d = det(Box2D(u, v, u, v), camera_id=cam_id)
+            want = naive_frustum_mask(pts, d, rig)
+            assert want.any()
+            assert np.array_equal(extract_frustum(whole, d).points, pts[want])
+
     def test_view_copies_the_window(self, rig):
         pts = np.random.default_rng(23).uniform(-30, 30, size=(500, 3))
         view = project_view(pts, rig, "cam_0", [Box2D(0, 0, 800, 450)])

@@ -18,6 +18,7 @@ from cuboidlift.geom import (
     project_boxes,
     project_cuboid_to_box,
     project_point,
+    quat_to_rotmat,
     rot_z,
     wrap_angle,
     yaw_diff,
@@ -251,6 +252,64 @@ class TestRigidTransform:
         m = np.diag([1.0, 1.0, -1.0])
         with pytest.raises(ValueError):
             RigidTransform(m, np.zeros(3))
+
+    @staticmethod
+    def boundary_table():
+        def off_diagonal(e):
+            # rot.T @ rot is exactly e at (0, 1) and 1 + e * e at (1, 1)
+            m = np.eye(3)
+            m[0, 1] = e
+            return m
+
+        table = {
+            "off-diagonal 1e-6": off_diagonal(1e-6),
+            "off-diagonal next float above 1e-6": off_diagonal(np.nextafter(1e-6, 1.0)),
+            "off-diagonal -1e-6": off_diagonal(-1e-6),
+            "scaled identity 2": 2.0 * np.eye(3),
+            "scaled identity 1 + 1e-7": (1.0 + 1e-7) * np.eye(3),
+            "negative determinant": np.diag([1.0, 1.0, -1.0]),
+            "negative determinant, rotated": rot_z(0.4) @ np.diag([1.0, -1.0, 1.0]),
+        }
+        # diagonal error around allclose's tolerance there, 1e-6 + 1e-5 * 1
+        s = math.sqrt(1.0 + 1.1e-5)
+        for k in range(-3, 4):
+            table[f"diagonal error 1.1e-5, {k:+d} ulp"] = np.diag([s + k * np.spacing(s), 1.0, 1.0])
+        for v in (np.nan, np.inf, -np.inf):
+            m = np.eye(3)
+            m[1, 2] = v
+            table[f"{v} entry"] = m
+            table[f"{v} on the diagonal"] = np.diag([1.0, v, 1.0])
+        return table
+
+    @staticmethod
+    def assert_checked_like_allclose(m):
+        with np.errstate(invalid="ignore"):
+            orthonormal = np.allclose(m.T @ m, np.eye(3), atol=1e-6)
+            if not orthonormal:
+                with pytest.raises(ValueError, match="not orthonormal"):
+                    RigidTransform(m, np.zeros(3))
+            elif np.linalg.det(m) < 0:
+                with pytest.raises(ValueError, match="negative determinant"):
+                    RigidTransform(m, np.zeros(3))
+            else:
+                RigidTransform(m, np.zeros(3))
+        return orthonormal
+
+    def test_orthonormality_check_is_allclose(self):
+        verdicts = {name: self.assert_checked_like_allclose(m) for name, m in self.boundary_table().items()}
+        assert verdicts["off-diagonal 1e-6"] and verdicts["off-diagonal -1e-6"]
+        assert not verdicts["off-diagonal next float above 1e-6"]
+        diagonal = [v for name, v in verdicts.items() if name.startswith("diagonal error")]
+        assert any(diagonal) and not all(diagonal)
+
+    def test_orthonormality_check_is_allclose_under_perturbation(self):
+        rng = np.random.default_rng(43)
+        verdicts = []
+        for _ in range(400):
+            m = quat_to_rotmat(rng.normal(size=4))
+            m = m + rng.normal(size=(3, 3)) * 10.0 ** rng.uniform(-7.5, -4.5)
+            verdicts.append(self.assert_checked_like_allclose(m))
+        assert any(verdicts) and not all(verdicts)
 
     def test_apply_matches_matmul(self):
         rng = np.random.default_rng(31)

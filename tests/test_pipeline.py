@@ -1,15 +1,18 @@
 import importlib.util
+import os
+import subprocess
 import sys
 import weakref
 from pathlib import Path
 
 import pytest
 
-from cuboidlift import frustum, ingest, pipeline, prior
+from cuboidlift import frustum, geom, ingest, pipeline, prior
 from cuboidlift.config import PipelineConfig
 from cuboidlift.synth import generate_scene, random_scene_spec
 
-SPANS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS_PY = ROOT / "perfbench" / "spans.py"
 
 
 @pytest.fixture(scope="module")
@@ -87,3 +90,51 @@ def test_benchmark_tracer_contract(inputs, tmp_path, monkeypatch):
     assert names.count("frustum.extract") == plain["detections"]
     assert names.count("search.evaluate") == plain["detections"] - plain["skipped_detections"]
     assert (tmp_path / "traced.ndjson").read_bytes() == (tmp_path / "plain.ndjson").read_bytes()
+
+
+def test_transforms_are_built_per_scene_not_per_detection(inputs, monkeypatch):
+    built = 0
+    original = geom.RigidTransform.__post_init__
+
+    def counting(self):
+        nonlocal built
+        built += 1
+        original(self)
+
+    monkeypatch.setattr(geom.RigidTransform, "__post_init__", counting)
+    config = PipelineConfig()
+    expert_index = prior.load_expert_records(inputs / "expert.ndjson")
+    detections = ingest.load_detections(inputs / "detections.ndjson", config.taxonomy)
+    counts = []
+    for dets in (detections, detections + detections):
+        scene = ingest.load_scene(inputs / "scene.json", stride=config.sweep_stride)
+        built = 0
+        frames, _ = pipeline.annotate_scene(scene, dets, config, expert_index=expert_index, threads=1)
+        counts.append(built)
+    assert sum(len(f) for f in frames) > 0
+    assert counts[0] == counts[1]
+
+
+def test_annotate_does_not_import_numpy_ma(inputs, tmp_path):
+    script = (
+        "import sys\n"
+        "from cuboidlift.cli import main\n"
+        "try:\n"
+        "    main(sys.argv[1:])\n"
+        "except SystemExit as e:\n"
+        "    assert not e.code, e.code\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    args = [
+        "annotate", "--scene", str(inputs / "scene.json"),
+        "--detections", str(inputs / "detections.ndjson"),
+        "--expert", str(inputs / "expert.ndjson"),
+        "--out", str(tmp_path / "pred.ndjson"), "--threads", "1",
+    ]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    res = subprocess.run(
+        [sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert res.returncode == 0, res.stderr
+    assert (tmp_path / "pred.ndjson").stat().st_size > 0
+    assert res.stdout.strip().splitlines()[-1] == "False"

@@ -132,6 +132,30 @@ class TestInitHypothesis:
         with pytest.raises(EmptyFrustumError):
             init_hypothesis(fp_from(np.zeros((3, 3)), flags=[False, False, False]), FULL)
 
+    @staticmethod
+    def median_cases():
+        yield "n=1", np.array([2.5])
+        yield "n=1, -0.0", np.array([-0.0])
+        yield "odd", np.array([3.0, -1.0, 7.0, 0.5, 2.0])
+        yield "even", np.array([3.0, -1.0, 7.0, 0.5])
+        yield "all -0.0", np.full(6, -0.0)
+        yield "all -0.0, odd", np.full(5, -0.0)
+        rng = np.random.default_rng(41)
+        for i in range(40):
+            yield f"mixed signed zeros {i}", rng.choice([-0.0, 0.0], size=int(rng.integers(1, 12)))
+            yield f"zeros among values {i}", rng.choice([-0.0, 0.0, 1.0, -2.0], size=int(rng.integers(1, 12)))
+        for i in range(200):
+            yield f"random {i}", rng.normal(size=int(rng.integers(1, 300)))
+
+    def test_center_is_np_median_signed_zeros_included(self):
+        for name, x in self.median_cases():
+            pts = np.stack([x, x[::-1], np.zeros(len(x))], axis=1)
+            got = init_hypothesis(fp_from(pts), FULL).center
+            for axis in (0, 1):
+                want = np.median(pts[:, axis])
+                assert got[axis] == want, name
+                assert np.signbit(got[axis]) == np.signbit(want), name
+
 
 class TestEnumerateHypotheses:
     def test_degenerate_grid(self):
@@ -284,6 +308,39 @@ class TestCoverageKernel:
         grid = HypothesisGrid(centers=np.zeros((0, 3)), yaws=np.zeros(0), dims=init.dims, init=init)
         cov, _, iou = evaluate_hypotheses(grid, fp, KERNEL_DET, rig)
         assert cov.shape == iou.shape == (0,)
+
+    @staticmethod
+    def signed_zero_case(rng):
+        """Centers, yaws and points drawn from values that include 0.0 and -0.0.
+
+        Unit dims put the faces of a box at a center at +-0.5, so many
+        points lie exactly on faces of boxes at signed-zero centers.
+        """
+        h = int(rng.integers(1, 60))
+        centers = rng.choice([-0.5, -0.0, 0.0, 0.5], size=(h, 3))
+        yaws = rng.choice([-0.0, 0.0, math.pi / 2, -math.pi / 2, 0.3], size=h)
+        init = Cuboid3D(np.zeros(3), (1.0, 1.0, 1.0), 0.0)
+        grid = HypothesisGrid(centers=centers, yaws=yaws, dims=init.dims, init=init)
+        pts = rng.choice([-1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0], size=(int(rng.integers(1, 40)), 3))
+        return grid, fp_from(pts)
+
+    @staticmethod
+    def duplicated_case(rng):
+        """A kernel case whose grid repeats some hypotheses, in shuffled order."""
+        grid, fp = random_kernel_case(rng, SearchConfig(), bool(rng.random() < 0.5))
+        idx = rng.permutation(np.concatenate([np.arange(len(grid)), rng.integers(0, len(grid), 40)]))
+        return HypothesisGrid(grid.centers[idx], grid.yaws[idx], grid.dims, grid.init), fp
+
+    @pytest.mark.parametrize("elems", [None, 1, 7, 500])
+    @pytest.mark.parametrize("case", ["signed_zero_case", "duplicated_case"])
+    def test_signed_zeros_and_duplicates_match_oracle(self, rig, monkeypatch, case, elems):
+        if elems is not None:
+            monkeypatch.setattr(search, "_CHUNK_ELEMS", elems)
+        rng = np.random.default_rng([len(case), elems or 0])
+        for _ in range(20):
+            grid, fp = getattr(self, case)(rng)
+            cov, _, _ = evaluate_hypotheses(grid, fp, KERNEL_DET, rig)
+            assert np.array_equal(cov, naive_evaluate_coverage(grid, fp.foreground))
 
     @pytest.mark.parametrize("elems", [1, 7, 500])
     def test_chunked_points_match_oracle(self, rig, monkeypatch, elems):
