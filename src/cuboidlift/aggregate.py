@@ -58,7 +58,7 @@ def aggregate_sweeps(seq: list, idx: int, strat: AggregationStrategy) -> np.ndar
             chunks.append(pts)
             continue
         t = to_current @ pose
-        chunks.append(pts @ t.rotation.T + t.translation)
+        chunks.append(t.apply(pts))
     if not chunks:
         return np.zeros((0, 3))
     return np.concatenate(chunks, axis=0)

@@ -236,18 +236,20 @@ def tune_alpha(pred_path, gt_path):
 @click.option("--out", "out_path", required=True, type=click.Path())
 def aggregate_only(scene_path, frame_id, class_label, past, future, config_path, out_path):
     """Write the ego-motion-compensated window around one frame."""
+    if class_label is not None and (past is not None or future is not None):
+        raise click.UsageError("--past/--future cannot be combined with --class")
     config = _load_config_arg(config_path)
     scene = _load(ingest.load_scene, scene_path, stride=config.sweep_stride)
     index = {sw.frame_id: i for i, sw in enumerate(scene.sweeps)}
     if frame_id not in index:
         _fail(f"unknown frame {frame_id!r}")
-    if class_label is not None:
-        try:
+    try:
+        if class_label is not None:
             strat = strategy_for_class(config.taxonomy, class_label)
-        except KeyError as e:
-            _fail(str(e))
-    else:
-        strat = AggregationStrategy(past=past or 0, future=future or 0)
+        else:
+            strat = AggregationStrategy(past=past or 0, future=future or 0)
+    except (KeyError, ValueError) as e:
+        _fail(str(e))
     pts = aggregate_sweeps(scene.sweeps, index[frame_id], strat)
     full = np.zeros((len(pts), 4), dtype=np.float32)
     full[:, :3] = pts

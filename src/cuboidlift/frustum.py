@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geom import Box2D, RigidTransform, project_points, round_half_away
+from .geom import Box2D, project_points, round_half_away
 from .ingest import Detection2D, SensorRig
 
 
@@ -58,11 +58,6 @@ class CameraView:
         return len(self.points)
 
 
-def camera_from_lidar(rig: SensorRig, camera_id: str) -> RigidTransform:
-    """camera <- lidar transform for one camera of the rig, built once per rig."""
-    return rig.camera_from_lidar(camera_id)
-
-
 def _in_box(u: np.ndarray, v: np.ndarray, box: Box2D) -> np.ndarray:
     return (u >= box.x1) & (u <= box.x2) & (v >= box.y1) & (v <= box.y2)
 
@@ -85,7 +80,7 @@ def project_view(points: np.ndarray, rig: SensorRig, camera_id: str, boxes: list
     )
     cam = rig.camera(camera_id)
     xyz = np.asarray(points, dtype=float)[:, :3]
-    u, v, front = project_points(camera_from_lidar(rig, camera_id).apply(xyz), cam.intrinsics)
+    u, v, front = project_points(rig.camera_from_lidar(camera_id).apply(xyz), cam.intrinsics)
     idx = np.nonzero(front & _in_box(u, v, bounds))[0]
     return CameraView(camera_id=camera_id, bounds=bounds, points=xyz[idx], u=u[idx], v=v[idx])
 

@@ -214,11 +214,6 @@ class Cuboid3D:
         object.__setattr__(self, "dims", d)
         object.__setattr__(self, "yaw", wrap_angle(float(self.yaw)))
 
-    @property
-    def volume(self) -> float:
-        l, w, h = self.dims
-        return l * w * h
-
 
 @dataclass(frozen=True)
 class Box2D:

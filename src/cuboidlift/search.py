@@ -4,20 +4,22 @@ For one detection the search enumerates cuboid poses on a Cartesian grid
 around an initial guess (dimensions stay fixed at the prior's), scores
 every pose by point coverage plus projected-box IoU against the 2D
 detection, and returns the argmax under a total, deterministic tie-break.
-Coverage is counted per yaw for all translations at once, as one matmul
-of an xy and a z containment factor (see `_coverage`); projected IoU is
-computed only for the hypotheses that can still win (see
-`evaluate_hypotheses`).
+The grid is its x, y, z and yaw axes (`HypothesisGrid`, flat order x
+outer to yaw inner): coverage is counted per yaw for every (x, y) node
+and z level at once, as one matmul of an xy and a z containment factor
+(see `_coverage`); projected IoU is computed only for the hypotheses
+that can still win (see `evaluate_hypotheses`).
 
-Grid enumeration order is x (outer), y, z, yaw (inner); offsets are exact
-integer multiples of the step so the initial pose is always on the grid
-and halving the steps yields a superset grid.
+Offsets are exact integer multiples of the step, so the initial pose is
+always on the grid and halving the steps yields a superset grid.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+
 import numpy as np
 
 from .geom import (
@@ -29,7 +31,7 @@ from .geom import (
     wrap_angle,
 )
 from .ingest import Detection2D, SensorRig
-from .frustum import FrustumPoints, camera_from_lidar
+from .frustum import FrustumPoints
 from .prior import SemanticPrior
 
 # cap on the elements of one (xy node x point) containment block; the
@@ -76,18 +78,53 @@ class Hypothesis:
 
 @dataclass(frozen=True)
 class HypothesisGrid:
-    """Flat pose grid: centers (H, 3), yaws (H,), shared dims and init pose."""
+    """Cartesian pose grid: x, y and z center axes, a yaw axis, shared dims.
 
-    centers: np.ndarray
-    yaws: np.ndarray
+    Flat index i is the pose at axis indices np.unravel_index(i, shape):
+    x outer, y, z, yaw inner. `centers` (H, 3) and `yaws` (H,) are
+    read-only per-hypothesis views of that one mapping.
+    """
+
+    x_axis: np.ndarray
+    y_axis: np.ndarray
+    z_axis: np.ndarray
+    yaw_axis: np.ndarray
     dims: tuple
     init: Cuboid3D
 
+    def __post_init__(self):
+        for name in ("x_axis", "y_axis", "z_axis", "yaw_axis"):
+            axis = np.array(getattr(self, name), dtype=float)
+            if axis.ndim != 1:
+                raise ValueError(f"{name} must be 1-D")
+            axis.setflags(write=False)
+            object.__setattr__(self, name, axis)
+
+    @property
+    def shape(self) -> tuple:
+        return (len(self.x_axis), len(self.y_axis), len(self.z_axis), len(self.yaw_axis))
+
     def __len__(self) -> int:
-        return len(self.yaws)
+        return math.prod(self.shape)
+
+    def pose(self, i):
+        """Center(s) (..., 3) and yaw(s) of flat index or index array `i`."""
+        a, b, c, d = np.unravel_index(i, self.shape)
+        return np.stack([self.x_axis[a], self.y_axis[b], self.z_axis[c]], axis=-1), self.yaw_axis[d]
+
+    @cached_property
+    def _views(self) -> tuple:
+        views = self.pose(np.arange(len(self)))
+        for v in views:
+            v.setflags(write=False)
+        return views
+
+    centers = property(lambda self: self._views[0])
+    yaws = property(lambda self: self._views[1])
 
     def cuboid(self, i: int) -> Cuboid3D:
-        return Cuboid3D(self.centers[i], self.dims, float(self.yaws[i]))
+        center, yaw = self.pose(i)
+        return Cuboid3D(center, self.dims, float(yaw))
 
 
 def coverage_ratio(points: np.ndarray, c: Cuboid3D) -> float:
@@ -151,22 +188,11 @@ def enumerate_hypotheses(
     """
     if cfg.rot_step > 2.0 * prior.sector_half_width:
         raise ValueError("rot_step exceeds the yaw sector width")
-    xo = _symmetric_offsets(cfg.xy_range, cfg.trans_step)
-    yo = xo
+    xyo = _symmetric_offsets(cfg.xy_range, cfg.trans_step)
     zo = _symmetric_offsets(cfg.z_range, cfg.trans_step)
     yawo = _yaw_offsets(prior.sector_half_width, cfg.rot_step)
-
-    gx, gy, gz, gyaw = np.meshgrid(xo, yo, zo, yawo, indexing="ij")
-    centers = np.stack(
-        [
-            init.center[0] + gx.reshape(-1),
-            init.center[1] + gy.reshape(-1),
-            init.center[2] + gz.reshape(-1),
-        ],
-        axis=1,
-    )
-    yaws = wrap_angle(init.yaw + gyaw.reshape(-1))
-    return HypothesisGrid(centers=centers, yaws=np.atleast_1d(yaws), dims=init.dims, init=init)
+    c, yaws = init.center, wrap_angle(init.yaw + yawo)
+    return HypothesisGrid(c[0] + xyo, c[1] + xyo, c[2] + zo, yaws, dims=init.dims, init=init)
 
 
 def _iou_with_box(boxes: np.ndarray, has_box: np.ndarray, det_box) -> np.ndarray:
@@ -180,29 +206,27 @@ def _iou_with_box(boxes: np.ndarray, has_box: np.ndarray, det_box) -> np.ndarray
     return np.where(has_box, iou, 0.0)
 
 
-def _iou_at(grid: HypothesisGrid, idx: np.ndarray, det_box, extr, intr) -> np.ndarray:
-    corners = np.empty((len(idx), 8, 3))
-    uyaw, iyaw = np.unique(grid.yaws[idx], return_inverse=True)
-    for k, yaw in enumerate(uyaw):
-        sel = iyaw == k
-        template = corner_offsets(grid.dims, float(yaw))
-        corners[sel] = grid.centers[idx[sel]][:, None, :] + template[None, :, :]
-    boxes, has_box = project_boxes(corners, extr, intr)
-    return _iou_with_box(boxes, has_box, det_box)
-
-
 def projected_iou(
     grid: HypothesisGrid, idx: np.ndarray, det: Detection2D, rig: SensorRig
 ) -> np.ndarray:
     """IoU of the projected boxes of hypotheses `idx` with the detection box.
 
     Every value depends on its own hypothesis only, so a subset's IoU
-    equals the same rows of the whole grid's IoU bit for bit. Hypotheses
-    wholly behind the camera score 0.
+    equals the same rows of the whole grid's IoU bit for bit: the corners
+    of each come from its center and its yaw axis entry's template.
+    Hypotheses wholly behind the camera score 0.
     """
     idx = np.asarray(idx, dtype=np.intp)
-    cam = rig.camera(det.camera_id)
-    return _iou_at(grid, idx, det.box, camera_from_lidar(rig, det.camera_id), cam.intrinsics)
+    centers = grid.centers[idx]
+    iyaw = np.unravel_index(idx, grid.shape)[3]
+    corners = np.empty((len(idx), 8, 3))
+    for k in np.flatnonzero(np.bincount(iyaw)):
+        sel = iyaw == k
+        template = corner_offsets(grid.dims, float(grid.yaw_axis[k]))
+        corners[sel] = centers[sel][:, None, :] + template[None, :, :]
+    extr, cam = rig.camera_from_lidar(det.camera_id), rig.camera(det.camera_id)
+    boxes, has_box = project_boxes(corners, extr, cam.intrinsics)
+    return _iou_with_box(boxes, has_box, det.box)
 
 
 def _coverage(grid: HypothesisGrid, fg: np.ndarray) -> np.ndarray:
@@ -210,55 +234,40 @@ def _coverage(grid: HypothesisGrid, fg: np.ndarray) -> np.ndarray:
 
     Yaw rotates about +z, so in a box frame the z test of a point does not
     depend on the box's xy position and the xy test does not depend on its
-    z. The grid's distinct xy nodes, z levels and yaws are found once;
-    then, per yaw, the points and the xy nodes are rotated into the box
-    frame and
+    z. Per entry of the yaw axis, the points and the xy nodes (the x axis
+    x y axis product) are rotated into the box frame and
 
         counts = inside_xy (xy nodes x points) @ inside_z (points x z levels)
 
-    counts the points inside every (xy node, z level) box at once. The
-    counts of all yaws fill one (yaws x xy nodes x z levels) table, and
-    each hypothesis reads its cell of it.
+    counts the points inside every (xy node, z level) box at once, one cell
+    per hypothesis of the yaw; the (yaws x xy nodes x z levels) table, its
+    yaw axis moved last, is in the grid's flat order.
 
     This is exact, not an approximation: both factors use the same
     `abs(p - c) <= half` comparisons on the same rotated values as a
     per-hypothesis test (rot_z's zero entries make a rotated xy
     independent of z and a rotated z equal to the input z, bit for bit, so
-    `inside_z` is built once from the input z), and a float64 matmul sums
-    0/1 values without rounding. The points axis is chunked so no
-    containment block exceeds _CHUNK_ELEMS; the partial matmuls are
-    summed, which is exact for the same reason. The blocks are computed in
-    buffers allocated once per call, never shared between calls.
-
-    The xy nodes come from one 1-D unique per axis and one on the combined
-    index: two centers share a node exactly when their x and their y
-    compare equal, as with a row-wise unique, and each node keeps its
-    first center's coordinates. Equal values that differ in the sign of
-    zero share a node; that never changes a comparison, because
-    |p - c| is the same for c = 0.0 and c = -0.0.
-
-    The cost per yaw is (xy nodes x points) comparisons plus a matmul into
-    an (xy nodes x z levels) count table; on a Cartesian grid that table
-    has one cell per hypothesis of the yaw.
+    the nodes sit at z = 0 and `inside_z` is built once from the input z),
+    and a float64 matmul sums 0/1 values without rounding. The points axis
+    is chunked so no containment block exceeds _CHUNK_ELEMS; the partial
+    matmuls are summed, which is exact for the same reason. The blocks are
+    computed in buffers allocated once per call, never shared between
+    calls.
     """
     m = len(fg)
     if m == 0 or len(grid) == 0:
         return np.zeros(len(grid))
     half = np.asarray(grid.dims) / 2.0
-    ix = np.unique(grid.centers[:, 0], return_inverse=True)[1]
-    uy, iy = np.unique(grid.centers[:, 1], return_inverse=True)
-    first_xy, ixy = np.unique(ix * len(uy) + iy, return_index=True, return_inverse=True)[1:]
-    uz, iz = np.unique(grid.centers[:, 2], return_inverse=True)
-    uyaw, iyaw = np.unique(grid.yaws, return_inverse=True)
-    nodes_xy = grid.centers[first_xy]  # any z: it never reaches the rotated xy
+    gx, gy = np.meshgrid(grid.x_axis, grid.y_axis, indexing="ij")
+    nodes_xy = np.stack([gx.reshape(-1), gy.reshape(-1), np.zeros(gx.size)], axis=1)
     n = len(nodes_xy)
-    inside_z = (np.abs(fg[:, 2:3] - uz[None, :]) <= half[2]).astype(np.float64)
+    inside_z = (np.abs(fg[:, 2:3] - grid.z_axis[None, :]) <= half[2]).astype(np.float64)
     chunk = max(1, _CHUNK_ELEMS // n)
     block = np.empty(n * min(chunk, m))
     in_x = np.empty(len(block), dtype=bool)
     in_y = np.empty(len(block), dtype=bool)
-    counts = np.zeros((len(uyaw), n, len(uz)))
-    for k, yaw in enumerate(uyaw):
+    counts = np.zeros((len(grid.yaw_axis), n, len(grid.z_axis)))
+    for k, yaw in enumerate(grid.yaw_axis):
         rinv = rot_z(-float(yaw))
         px, py = np.ascontiguousarray((fg @ rinv.T)[:, :2].T)
         crot = nodes_xy @ rinv.T
@@ -274,7 +283,7 @@ def _coverage(grid: HypothesisGrid, fg: np.ndarray) -> np.ndarray:
             np.logical_and(bx, by, out=bx)
             np.copyto(d, bx)
             counts[k] += d @ inside_z[s : s + w]
-    return counts[iyaw, ixy, iz] / float(m)
+    return np.moveaxis(counts, 0, -1).reshape(-1) / float(m)
 
 
 def evaluate_hypotheses(
@@ -296,16 +305,14 @@ def evaluate_hypotheses(
     coverage is 0 and every hypothesis survives.
     """
     coverage = _coverage(grid, fp.foreground)
-    extr = camera_from_lidar(rig, det.camera_id)
-    intr = rig.camera(det.camera_id).intrinsics
     if len(grid) > _BOUND_SEEDS:
         seeds = np.argpartition(-coverage, _BOUND_SEEDS)[:_BOUND_SEEDS]
     else:
         seeds = np.arange(len(grid))
-    seed_objective = coverage[seeds] + _iou_at(grid, seeds, det.box, extr, intr)
+    seed_objective = coverage[seeds] + projected_iou(grid, seeds, det, rig)
     bound = seed_objective.max(initial=-np.inf)
     candidates = np.nonzero(coverage + 1.0 >= bound)[0]
-    return coverage, candidates, _iou_at(grid, candidates, det.box, extr, intr)
+    return coverage, candidates, projected_iou(grid, candidates, det, rig)
 
 
 def select_best(

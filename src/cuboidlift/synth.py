@@ -277,7 +277,7 @@ def generate_scene(spec: SceneSpec) -> SyntheticScene:
             world_pts.append(sample_wall(wall, rng))
 
         allw = np.concatenate(world_pts, axis=0) if world_pts else np.zeros((0, 3))
-        lidar_pts = allw @ lidar_from_world.rotation.T + lidar_from_world.translation
+        lidar_pts = lidar_from_world.apply(allw)
         stored = np.zeros((len(lidar_pts), 4), dtype=np.float32)
         stored[:, :3] = lidar_pts.astype(np.float32)
         stored[:, 3] = 0.5

@@ -113,10 +113,8 @@ def naive_frustum_mask(points, det, rig) -> np.ndarray:
     rounding of any batched rigid transform, so the oracle agrees with the
     library at box-boundary ties; a per-point `R @ p` rounds differently.
     """
-    from cuboidlift.frustum import camera_from_lidar
-
     intr = rig.camera(det.camera_id).intrinsics
-    t = camera_from_lidar(rig, det.camera_id)
+    t = rig.camera_from_lidar(det.camera_id)
     pts = np.asarray(points, dtype=float)[:, :3]
     out = []
     for p in pts @ t.rotation.T + t.translation:

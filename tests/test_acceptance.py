@@ -236,7 +236,6 @@ class TestCriterion5NestedGridMonotonicity:
     def test_halved_steps_never_decrease_objective(self, taxonomy):
         from cuboidlift.frustum import FrustumPoints
         from cuboidlift.ingest import SensorRig
-        from cuboidlift.frustum import camera_from_lidar
         from cuboidlift.geom import project_cuboid_to_box
 
         cams = default_cameras()
@@ -255,7 +254,7 @@ class TestCriterion5NestedGridMonotonicity:
             cub = Cuboid3D(center, dims, rng.uniform(-math.pi, math.pi))
             pts = sample_visible_surface(cub, np.zeros(3), 150, rng, inset=0.01)
             box = project_cuboid_to_box(
-                cub, camera_from_lidar(rig, "cam_0"), rig.camera("cam_0").intrinsics
+                cub, rig.camera_from_lidar("cam_0"), rig.camera("cam_0").intrinsics
             )
             det = Detection2D("f", "cam_0", "car", box, 0.9)
             prior = SemanticPrior(

@@ -335,6 +335,44 @@ class TestAggregateOnlyVerb:
         )
         assert res.exit_code == 1
 
+    @pytest.mark.parametrize(
+        "window", [["--past", "3"], ["--future", "0"], ["--past", "1", "--future", "1"]]
+    )
+    def test_class_with_window_is_usage_error(self, runner, scene_dir, tmp_path, window):
+        out = tmp_path / "agg.bin"
+        res = runner.invoke(
+            main,
+            [
+                "aggregate-only",
+                "--scene", str(scene_dir / "scene.json"),
+                "--frame", "000000",
+                "--class", "car",
+                *window,
+                "--out", str(out),
+            ],
+        )
+        assert res.exit_code == 2
+        assert "--class" in res.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("window", [["--past", "-1"], ["--future", "-2"]])
+    def test_negative_window_is_input_error(self, runner, scene_dir, tmp_path, window):
+        out = tmp_path / "agg.bin"
+        res = runner.invoke(
+            main,
+            [
+                "aggregate-only",
+                "--scene", str(scene_dir / "scene.json"),
+                "--frame", "000000",
+                *window,
+                "--out", str(out),
+            ],
+        )
+        err = last_error(res)
+        assert err["kind"] == "input_error"
+        assert ">= 0" in err["message"]
+        assert not out.exists()
+
 
 class TestTrackOnlyVerb:
     def test_refines_scores(self, runner, scene_dir, tmp_path):

@@ -214,6 +214,37 @@ class TestEnumerateHypotheses:
             enumerate_hypotheses(init, prior(sector=0.3), cfg)
 
 
+class TestHypothesisGrid:
+    INIT = Cuboid3D((0, 0, 0), (4, 2, 1.6), 0.0)
+
+    def test_flat_order_is_x_outer_yaw_inner(self):
+        xs, ys, zs, yaws = [1.0, 2.0], [3.0, 4.0, 5.0], [6.0], [0.1, -0.2]
+        grid = HypothesisGrid(xs, ys, zs, yaws, dims=self.INIT.dims, init=self.INIT)
+        want = [(x, y, z, yaw) for x in xs for y in ys for z in zs for yaw in yaws]
+        assert len(grid) == len(want) == 12
+        got = [(*c, yaw) for c, yaw in zip(grid.centers.tolist(), grid.yaws.tolist())]
+        assert got == want
+        for i, pose in enumerate(want):
+            cub = grid.cuboid(i)
+            assert (*cub.center.tolist(), cub.yaw) == pose
+
+    def test_axes_and_views_are_read_only(self):
+        xs = np.array([1.0, 2.0])
+        grid = HypothesisGrid(xs, [0.0], [0.0], [0.0], dims=self.INIT.dims, init=self.INIT)
+        xs[0] = 9.0  # the grid keeps its own copy
+        assert grid.x_axis.tolist() == [1.0, 2.0]
+        for a in (grid.x_axis, grid.yaw_axis, grid.centers, grid.yaws):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+    def test_non_axis_rejected(self):
+        # a flat list of centers is not an axis: the grid is Cartesian by type
+        with pytest.raises(ValueError, match="1-D"):
+            HypothesisGrid(np.zeros((4, 3)), [0.0], [0.0], [0.0], dims=self.INIT.dims, init=self.INIT)
+        with pytest.raises(ValueError, match="1-D"):
+            HypothesisGrid([0.0], [0.0], [0.0], 0.0, dims=self.INIT.dims, init=self.INIT)
+
+
 def synthetic_detection(rig, seed=3, dims=(4.0, 2.0, 1.6), dist=12.0, n=400):
     """One clean object with its oracle box, points in the lidar frame."""
     rng = np.random.default_rng(seed)
@@ -222,10 +253,9 @@ def synthetic_detection(rig, seed=3, dims=(4.0, 2.0, 1.6), dist=12.0, n=400):
     yaw = float(rng.uniform(-math.pi, math.pi))
     cub = Cuboid3D(center, dims, yaw)
     pts = sample_visible_surface(cub, np.zeros(3), n, rng, inset=0.01)
-    from cuboidlift.frustum import camera_from_lidar
     from cuboidlift.geom import project_cuboid_to_box
 
-    box = project_cuboid_to_box(cub, camera_from_lidar(rig, "cam_0"), rig.camera("cam_0").intrinsics)
+    box = project_cuboid_to_box(cub, rig.camera_from_lidar("cam_0"), rig.camera("cam_0").intrinsics)
     det = Detection2D("f", "cam_0", "car", box, 0.9)
     return cub, pts, det
 
@@ -239,8 +269,14 @@ KERNEL_CONFIGS = {
 }
 
 
+def permuted_axes(grid, rng):
+    """The same hypotheses in another flat order: each axis permuted on its own."""
+    axes = (grid.x_axis, grid.y_axis, grid.z_axis, grid.yaw_axis)
+    return HypothesisGrid(*(rng.permutation(a) for a in axes), dims=grid.dims, init=grid.init)
+
+
 def random_kernel_case(rng, cfg, full_circle):
-    """A grid (shuffled half the time) and a masked frustum around it.
+    """A grid (axes shuffled half the time) and a masked frustum around it.
 
     The init sits on a dyadic lattice with dyadic dims and, for sector
     priors, yaw 0 half the time, so points built as node +- dims/2 along
@@ -256,8 +292,7 @@ def random_kernel_case(rng, cfg, full_circle):
     init = Cuboid3D(np.round(anchor * 4.0) / 4.0, dims, 0.0 if full_circle else yaw0)
     grid = enumerate_hypotheses(init, p, cfg)
     if rng.random() < 0.5:
-        perm = rng.permutation(len(grid))
-        grid = HypothesisGrid(centers=grid.centers[perm], yaws=grid.yaws[perm], dims=grid.dims, init=grid.init)
+        grid = permuted_axes(grid, rng)
     spread = rng.uniform(-4.0, 4.0, size=(int(rng.integers(1, 100)), 3))
     k = int(rng.integers(1, 30))
     nodes = rng.integers(0, len(grid), size=k)
@@ -305,31 +340,41 @@ class TestCoverageKernel:
     def test_empty_grid(self, rig):
         _, fp = random_kernel_case(np.random.default_rng(4), SearchConfig(), False)
         init = Cuboid3D((10.0, 0.0, 0.0), (4.0, 2.0, 1.5), 0.0)
-        grid = HypothesisGrid(centers=np.zeros((0, 3)), yaws=np.zeros(0), dims=init.dims, init=init)
-        cov, _, iou = evaluate_hypotheses(grid, fp, KERNEL_DET, rig)
-        assert cov.shape == iou.shape == (0,)
+        for empty in range(4):
+            axes = [[10.0, 10.5], [0.0], [0.0, -0.5], [0.0, 0.3]]
+            axes[empty] = []
+            grid = HypothesisGrid(*axes, dims=init.dims, init=init)
+            assert len(grid) == 0 and grid.centers.shape == (0, 3)
+            cov, _, iou = evaluate_hypotheses(grid, fp, KERNEL_DET, rig)
+            assert cov.shape == iou.shape == (0,)
 
     @staticmethod
     def signed_zero_case(rng):
-        """Centers, yaws and points drawn from values that include 0.0 and -0.0.
+        """Axes and points drawn from values that include 0.0 and -0.0.
 
         Unit dims put the faces of a box at a center at +-0.5, so many
-        points lie exactly on faces of boxes at signed-zero centers.
+        points lie exactly on faces of boxes at signed-zero centers. Axes
+        are drawn with replacement, so they repeat entries too.
         """
-        h = int(rng.integers(1, 60))
-        centers = rng.choice([-0.5, -0.0, 0.0, 0.5], size=(h, 3))
-        yaws = rng.choice([-0.0, 0.0, math.pi / 2, -math.pi / 2, 0.3], size=h)
+
+        def axis(values):
+            return rng.choice(values, size=int(rng.integers(1, 5)))
+
+        coords = [-0.5, -0.0, 0.0, 0.5]
+        yaws = axis([-0.0, 0.0, math.pi / 2, -math.pi / 2, 0.3])
         init = Cuboid3D(np.zeros(3), (1.0, 1.0, 1.0), 0.0)
-        grid = HypothesisGrid(centers=centers, yaws=yaws, dims=init.dims, init=init)
+        grid = HypothesisGrid(axis(coords), axis(coords), axis(coords), yaws, dims=init.dims, init=init)
         pts = rng.choice([-1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0], size=(int(rng.integers(1, 40)), 3))
         return grid, fp_from(pts)
 
     @staticmethod
     def duplicated_case(rng):
-        """A kernel case whose grid repeats some hypotheses, in shuffled order."""
+        """A kernel case whose axes repeat some entries, in shuffled order."""
         grid, fp = random_kernel_case(rng, SearchConfig(), bool(rng.random() < 0.5))
-        idx = rng.permutation(np.concatenate([np.arange(len(grid)), rng.integers(0, len(grid), 40)]))
-        return HypothesisGrid(grid.centers[idx], grid.yaws[idx], grid.dims, grid.init), fp
+        axes = []
+        for a in (grid.x_axis, grid.y_axis, grid.z_axis, grid.yaw_axis):
+            axes.append(a[rng.permutation(np.concatenate([np.arange(len(a)), rng.integers(0, len(a), 2)]))])
+        return HypothesisGrid(*axes, dims=grid.dims, init=grid.init), fp
 
     @pytest.mark.parametrize("elems", [None, 1, 7, 500])
     @pytest.mark.parametrize("case", ["signed_zero_case", "duplicated_case"])
@@ -427,8 +472,7 @@ class TestPrunedArgmax:
             fp = fp_from(pts)
             grid = enumerate_hypotheses(init_hypothesis(fp, p), p, SearchConfig())
             if seed % 2:
-                perm = rng.permutation(len(grid))
-                grid = HypothesisGrid(centers=grid.centers[perm], yaws=grid.yaws[perm], dims=grid.dims, init=grid.init)
+                grid = permuted_axes(grid, rng)
             best = select_best(grid, fp, det, rig)
             assert_same_hypothesis(best, naive_select_best(grid, fp, det, rig))
             # every pruned hypothesis scores strictly below the winner
@@ -450,14 +494,10 @@ class TestPrunedArgmax:
         det = Detection2D("f", "cam_0", "car", box, 0.9)
         p = prior(dims=cube.dims, orientation=None, sector=math.pi)
         grid = enumerate_hypotheses(cube, p, SearchConfig())
-        doubled = HypothesisGrid(
-            centers=np.concatenate([grid.centers, grid.centers]),
-            yaws=np.concatenate([grid.yaws, grid.yaws]),
-            dims=grid.dims,
-            init=grid.init,
-        )
-        perm = np.random.default_rng(6).permutation(len(doubled))
-        shuffled = HypothesisGrid(centers=doubled.centers[perm], yaws=doubled.yaws[perm], dims=grid.dims, init=grid.init)
+        yaw_twice = np.concatenate([grid.yaw_axis, grid.yaw_axis])
+        doubled = HypothesisGrid(grid.x_axis, grid.y_axis, grid.z_axis, yaw_twice, dims=grid.dims, init=grid.init)
+        assert len(doubled) == 2 * len(grid)
+        shuffled = permuted_axes(doubled, np.random.default_rng(6))
         for g in (grid, doubled, shuffled):
             fp = fp_from(pts)
             want = naive_select_best(g, fp, det, rig)
@@ -496,6 +536,21 @@ class TestPrunedArgmax:
         grid = enumerate_hypotheses(cub, prior(dims=cub.dims, orientation=cub.yaw, sector=0.15), cfg)
         assert len(grid) == 1
         assert_same_hypothesis(select_best(grid, fp_from(pts), det, rig), naive_select_best(grid, fp_from(pts), det, rig))
+
+    @pytest.mark.parametrize("full_circle", [False, True], ids=["sector", "full_circle"])
+    def test_reads_axes_without_unique(self, rig, monkeypatch, full_circle):
+        # the grid hands its axes over, so nothing rediscovers them
+        cub, pts, det = synthetic_detection(rig, seed=41)
+        p = prior(dims=cub.dims, orientation=None if full_circle else cub.yaw, sector=math.pi if full_circle else math.pi / 6)
+        fp = fp_from(pts)
+        want = naive_select_best(enumerate_hypotheses(init_hypothesis(fp, p), p, SearchConfig()), fp, det, rig)
+
+        def no_unique(*args, **kwargs):
+            raise AssertionError("np.unique called")
+
+        monkeypatch.setattr(np, "unique", no_unique)
+        grid = enumerate_hypotheses(init_hypothesis(fp, p), p, SearchConfig())
+        assert_same_hypothesis(select_best(grid, fp, det, rig), want)
 
     def test_zero_coverage_keeps_every_hypothesis(self, rig):
         cub, pts, det = synthetic_detection(rig, seed=6)
@@ -541,8 +596,6 @@ class TestSelectBest:
             assert yaw_diff(best.cuboid.yaw, cub.yaw) <= math.pi / 10 + 1e-12
 
     def test_deterministic_under_grid_shuffle(self, rig):
-        from cuboidlift.search import HypothesisGrid
-
         cub, pts, det = synthetic_detection(rig, seed=21)
         p = prior(dims=cub.dims, orientation=cub.yaw)
         fp = fp_from(pts)
@@ -551,10 +604,7 @@ class TestSelectBest:
         best = select_best(grid, fp, det, rig)
         rng = np.random.default_rng(0)
         for _ in range(3):
-            perm = rng.permutation(len(grid))
-            shuffled = HypothesisGrid(
-                centers=grid.centers[perm], yaws=grid.yaws[perm], dims=grid.dims, init=grid.init
-            )
+            shuffled = permuted_axes(grid, rng)
             other = select_best(shuffled, fp, det, rig)
             assert np.array_equal(other.cuboid.center, best.cuboid.center)
             assert other.cuboid.yaw == best.cuboid.yaw
