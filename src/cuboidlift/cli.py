@@ -127,18 +127,20 @@ def _require_frames(anns: list, frame_ids) -> None:
 @click.option("--gt-2d", "gt2d_path", type=click.Path(), default=None)
 def eval_cmd(pred_path, gt_path, config_path, stratify, scene_path, pred2d_path, gt2d_path):
     """nuScenes-style metrics over two annotation files."""
+    if scene_path is not None and not stratify:
+        raise click.UsageError("--scene only applies with --stratify")
+    if (pred2d_path is None) != (gt2d_path is None):
+        raise click.UsageError("--pred-2d and --gt-2d go together")
     config = _load_config_arg(config_path)
     preds = _load(ingest.load_annotations, pred_path)
     gts = _load(ingest.load_annotations, gt_path)
-    if scene_path is not None and not stratify:
-        raise click.UsageError("--scene only applies with --stratify")
     origins = None
     if scene_path is not None:
         scene = _load(ingest.load_scene, scene_path, stride=config.sweep_stride)
         origins = {sw.frame_id: sw.lidar_to_world().translation[:2] for sw in scene.sweeps}
         _require_frames(preds + gts, origins)
     report = evaluate_detections(preds, gts, stratify=stratify, origins=origins)
-    if pred2d_path and gt2d_path:
+    if pred2d_path is not None:
         pred2d = _load(ingest.load_detections, pred2d_path, config.taxonomy)
         gt2d = _load(ingest.load_detections, gt2d_path, config.taxonomy)
         report.map2d = map2d(pred2d, gt2d)
@@ -162,31 +164,24 @@ def synth(spec_path, out_dir, seed):
         _fail(f"spec: {e}")
     if not isinstance(doc, dict):
         _fail("spec: expected a JSON object")
-    allowed = {
-        "seed",
-        "n_objects",
-        "n_sweeps",
-        "classes",
-        "noise_sigma",
-        "points_per_object",
-        "moving_fraction",
-        "ego_speed",
+    # spec keys passed on to random_scene_spec, which holds their defaults
+    casts = {
+        "n_sweeps": int,
+        "noise_sigma": float,
+        "points_per_object": tuple,
+        "moving_fraction": float,
+        "ego_speed": float,
     }
-    unknown = set(doc) - allowed
+    unknown = set(doc) - {"seed", "n_objects", "classes", *casts}
     if unknown:
         _fail(f"spec: unknown key(s) {sorted(unknown)}")
-    taxonomy = default_taxonomy()
     try:
         spec = random_scene_spec(
             seed=seed if seed is not None else int(doc.get("seed", 0)),
-            taxonomy=taxonomy,
+            taxonomy=default_taxonomy(),
             n_objects=int(doc.get("n_objects", 8)),
             classes=doc.get("classes"),
-            n_sweeps=int(doc.get("n_sweeps", 1)),
-            noise_sigma=float(doc.get("noise_sigma", 0.0)),
-            points_per_object=tuple(doc.get("points_per_object", (150, 250))),
-            moving_fraction=float(doc.get("moving_fraction", 0.0)),
-            ego_speed=float(doc.get("ego_speed", 0.0)),
+            **{k: cast(doc[k]) for k, cast in casts.items() if k in doc},
         )
         built = generate_scene(spec)
     except (TypeError, ValueError) as e:

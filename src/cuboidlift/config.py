@@ -74,19 +74,24 @@ def _check_keys(obj: dict, allowed, where: str):
 
 def _taxonomy_from_json(obj: dict) -> Taxonomy:
     _check_keys(obj, {"classes"}, "taxonomy")
+    if not isinstance(obj["classes"], list):
+        raise ValueError(f"config taxonomy.classes must be a list, got {obj['classes']!r}")
     classes = []
     for entry in obj["classes"]:
         _check_keys(entry, {f.name for f in fields(ClassSpec)}, "taxonomy class")
         agg = entry.get("aggregation", {})
         _check_keys(agg, {"past", "future"}, "aggregation")
-        classes.append(
-            ClassSpec(
-                name=str(entry["name"]),
-                avg_dims=tuple(float(v) for v in entry["avg_dims"]),
-                aggregation=(int(agg.get("past", 0)), int(agg.get("future", 0))),
-                match_radius=float(entry.get("match_radius", ClassSpec.match_radius)),
+        try:
+            classes.append(
+                ClassSpec(
+                    name=str(entry["name"]),
+                    avg_dims=tuple(float(v) for v in entry["avg_dims"]),
+                    aggregation=(int(agg.get("past", 0)), int(agg.get("future", 0))),
+                    match_radius=float(entry.get("match_radius", ClassSpec.match_radius)),
+                )
             )
-        )
+        except TypeError as e:
+            raise ValueError(f"config taxonomy class {entry!r}: {e}") from None
     return Taxonomy(classes=tuple(classes))
 
 

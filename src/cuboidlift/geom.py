@@ -233,12 +233,6 @@ class Box2D:
         return (self.x2 - self.x1) * (self.y2 - self.y1)
 
 
-def project_point(p, intr: CameraIntrinsics):
-    """Pinhole projection of a camera-frame point; None when z <= 0."""
-    u, v, valid = project_points(p, intr)
-    return np.array([u[0], v[0]]) if valid[0] else None
-
-
 def project_points(points: np.ndarray, intr: CameraIntrinsics):
     """Vectorized projection of (N, 3) camera-frame points.
 
@@ -289,11 +283,6 @@ def inside_local(local: np.ndarray, dims) -> np.ndarray:
     return np.all(np.abs(local) <= np.asarray(dims) / 2.0, axis=1)
 
 
-def point_in_cuboid(p, c: Cuboid3D) -> bool:
-    """Boundary-inclusive containment of a single point."""
-    return bool(points_in_cuboid(p, c)[0])
-
-
 def points_in_cuboid(points: np.ndarray, c: Cuboid3D) -> np.ndarray:
     """Vectorized boundary-inclusive containment for (N, 3) points."""
     return inside_local(cuboid_local(points, c), c.dims)
@@ -326,39 +315,13 @@ def project_cuboid_to_box(c: Cuboid3D, extr: RigidTransform, intr: CameraIntrins
     return Box2D(*(float(x) for x in boxes[0])) if has_box[0] else None
 
 
-def iou_2d(a: Box2D, b: Box2D) -> float:
-    """Intersection over union of two axis-aligned boxes; 0 when the union is empty."""
-    ix = max(0.0, min(a.x2, b.x2) - max(a.x1, b.x1))
-    iy = max(0.0, min(a.y2, b.y2) - max(a.y1, b.y1))
+def iou_2d(boxes: np.ndarray, box: Box2D) -> np.ndarray:
+    """IoU of (N, 4) [x1, y1, x2, y2] boxes with one box, (N,); 0 where the union is empty."""
+    ix = np.maximum(0.0, np.minimum(boxes[:, 2], box.x2) - np.maximum(boxes[:, 0], box.x1))
+    iy = np.maximum(0.0, np.minimum(boxes[:, 3], box.y2) - np.maximum(boxes[:, 1], box.y1))
     inter = ix * iy
-    union = a.area + b.area - inter
-    if union <= 0.0:
-        return 0.0
-    return inter / union
-
-
-def cuboid_from_corners(corners: np.ndarray) -> Cuboid3D:
-    """Reconstruct (center, dims, yaw in [0, pi)) from an (8, 3) corner array.
-
-    Inverse of `cuboid_corners` up to the inherent 180-degree yaw ambiguity
-    of a box; the returned yaw is reduced to [0, pi).
-    """
-    corners = np.asarray(corners, dtype=float).reshape(8, 3)
-    center = corners.mean(axis=0)
-    x_edge = corners[0] - corners[1]  # length direction
-    y_edge = corners[0] - corners[3]  # width direction
-    z_edge = corners[4] - corners[0]  # height direction
-    dims = (
-        float(np.linalg.norm(x_edge)),
-        float(np.linalg.norm(y_edge)),
-        float(np.linalg.norm(z_edge)),
-    )
-    yaw = math.atan2(x_edge[1], x_edge[0])
-    if yaw < 0:
-        yaw += math.pi
-    if yaw >= math.pi:
-        yaw -= math.pi
-    return Cuboid3D(center, dims, yaw)
+    union = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1]) + box.area - inter
+    return np.where(union > 0.0, inter / np.where(union > 0.0, union, 1.0), 0.0)
 
 
 def transform_cuboid(t: RigidTransform, c: Cuboid3D) -> Cuboid3D:

@@ -468,10 +468,13 @@ def annotation_to_json(a: ScoredAnnotation) -> dict:
 
 
 def annotation_from_json(rec: dict) -> ScoredAnnotation:
-    vals = list(rec["center"]) + list(rec["dims"]) + [rec["yaw"], rec["score"]]
+    vel = rec.get("velocity")
+    if vel is not None and not (isinstance(vel, list) and len(vel) == 2):
+        raise ValueError(f"velocity must be two numbers, got {vel!r}")
+    optional = [rec[k] for k in ("s2d", "s3d") if k in rec] + (vel or [])
+    vals = list(rec["center"]) + list(rec["dims"]) + [rec["yaw"], rec["score"], *optional]
     if any(not math.isfinite(float(v)) for v in vals):
         raise ValueError("non-finite value in annotation")
-    vel = rec.get("velocity")
     return ScoredAnnotation(
         frame_id=str(rec["frame_id"]),
         cuboid=Cuboid3D(np.array(rec["center"], dtype=float), tuple(rec["dims"]), float(rec["yaw"])),

@@ -72,17 +72,21 @@ def match_predictions(preds: list, gts: list, class_label: str, threshold_m: flo
     return MatchResult(rows=tuple(rows), gt_count=len(cls_gts))
 
 
+def _precision_recall(is_tp: list, gt_count: int) -> tuple:
+    """Precision and recall after each prediction of a score-sorted TP/FP list."""
+    is_tp = np.array(is_tp, dtype=float)
+    tp = np.cumsum(is_tp)
+    fp = np.cumsum(1.0 - is_tp)
+    return tp / (tp + fp), tp / float(gt_count)
+
+
 def average_precision(match: MatchResult) -> Optional[float]:
     """nuScenes-style clipped 101-point AP; None when the class has no GT."""
     if match.gt_count == 0:
         return None
     if not match.rows:
         return 0.0
-    is_tp = np.array([r[1] for r in match.rows], dtype=float)
-    tp = np.cumsum(is_tp)
-    fp = np.cumsum(1.0 - is_tp)
-    prec = tp / (tp + fp)
-    rec = tp / float(match.gt_count)
+    prec, rec = _precision_recall([r[1] for r in match.rows], match.gt_count)
     rec_interp = np.linspace(0.0, 1.0, 101)
     prec_interp = np.interp(rec_interp, rec, prec, right=0.0)
     clipped = prec_interp[round(100 * MIN_RECALL) + 1 :] - MIN_PRECISION
@@ -159,7 +163,6 @@ class MetricsReport:
     mase: float
     maoe: float
     mave: Optional[float]
-    maae: Optional[float]
     nds: float
     adapted_nds: float
     map2d: Optional[float] = None
@@ -182,7 +185,7 @@ class MetricsReport:
             "mase": self.mase,
             "maoe": self.maoe,
             "mave": self.mave,
-            "maae": self.maae,
+            "maae": None,  # attributes are never predicted
             "nds": self.nds,
             "adapted_nds": self.adapted_nds,
         }
@@ -216,24 +219,34 @@ class MetricsReport:
         return "\n".join(lines)
 
 
-def _gt_classes(gts: list) -> list:
-    seen = []
-    for g in gts:
-        if g.class_label not in seen:
-            seen.append(g.class_label)
-    return sorted(seen)
+def gt_classes(items: list) -> list:
+    """The sorted class labels of a list of annotations or detections."""
+    return sorted({g.class_label for g in items})
+
+
+def _ap_table(preds: list, gts: list, thresholds, tp_threshold=None) -> tuple:
+    """AP per GT class and threshold, and each class's matches by threshold.
+
+    `tp_threshold` joins the matched thresholds; it is usually one of the
+    AP thresholds, and each (class, threshold) pair is matched once.
+    """
+    class_ap, matches = {}, {}
+    extra = () if tp_threshold is None else (tp_threshold,)
+    for cls in gt_classes(gts):
+        m = {t: match_predictions(preds, gts, cls, t) for t in dict.fromkeys((*thresholds, *extra))}
+        class_ap[cls] = {t: average_precision(m[t]) for t in thresholds}
+        matches[cls] = m
+    return class_ap, matches
+
+
+def _mean_ap(class_ap: dict) -> float:
+    aps = [ap for per_threshold in class_ap.values() for ap in per_threshold.values()]
+    return float(np.mean(aps)) if aps else 0.0
 
 
 def map3d(preds: list, gts: list, thresholds=DIST_THRESHOLDS) -> float:
     """Mean over GT classes and thresholds of the clipped AP."""
-    classes = _gt_classes(gts)
-    if not classes:
-        return 0.0
-    aps = []
-    for cls in classes:
-        for t in thresholds:
-            aps.append(average_precision(match_predictions(preds, gts, cls, t)))
-    return float(np.mean([a for a in aps if a is not None]))
+    return _mean_ap(_ap_table(preds, gts, thresholds)[0])
 
 
 def evaluate_detections(
@@ -250,19 +263,12 @@ def evaluate_detections(
     ground plane from `origins[frame_id]`, the (x, y) world position of
     each frame's lidar, or from the world origin when `origins` is None.
     """
-    classes = _gt_classes(gts)
-    class_ap = {}
-    class_err = {}
-    for cls in classes:
-        # tp_threshold is usually one of the AP thresholds: match it once
-        matches = {
-            t: match_predictions(preds, gts, cls, t) for t in dict.fromkeys((*thresholds, tp_threshold))
-        }
-        class_ap[cls] = {t: average_precision(matches[t]) for t in thresholds}
-        class_err[cls] = tp_errors(matches[tp_threshold], preds, gts)
+    class_ap, matches = _ap_table(preds, gts, thresholds, tp_threshold)
+    class_err = {cls: tp_errors(m[tp_threshold], preds, gts) for cls, m in matches.items()}
+    classes = list(class_ap)
+    mean_ap = _mean_ap(class_ap)
 
     if classes:
-        mean_ap = float(np.mean([class_ap[c][t] for c in classes for t in thresholds]))
         mate = float(np.mean([class_err[c]["ate"] for c in classes]))
         mase = float(np.mean([class_err[c]["ase"] for c in classes]))
         maoe = float(np.mean([class_err[c]["aoe"] for c in classes]))
@@ -273,10 +279,9 @@ def evaluate_detections(
             else None
         )
     else:
-        mean_ap, mate, mase, maoe, mave = 0.0, 1.0, 1.0, 1.0, None
+        mate, mase, maoe, mave = 1.0, 1.0, 1.0, None
 
     # attributes are never predicted; the full NDS uses the 1.0 placeholder
-    maae = None
     full = nds(mean_ap, [mate, mase, maoe, mave if mave is not None else 1.0, 1.0])
     adapted = adapted_nds(mean_ap, mate, mase, maoe)
 
@@ -296,7 +301,6 @@ def evaluate_detections(
         mase=mase,
         maoe=maoe,
         mave=mave,
-        maae=maae,
         nds=full,
         adapted_nds=adapted,
         stratified=stratified,
@@ -315,17 +319,13 @@ def _band_dist(a, origins: Optional[dict]) -> float:
 # 2D mAP
 
 
-def _ap_coco_101(rows: list, gt_count: int) -> Optional[float]:
+def _ap_coco_101(is_tp: list, gt_count: int) -> Optional[float]:
     """COCO-style 101-point AP with the precision envelope, no clipping."""
     if gt_count == 0:
         return None
-    if not rows:
+    if not is_tp:
         return 0.0
-    is_tp = np.array([r[1] for r in rows], dtype=float)
-    tp = np.cumsum(is_tp)
-    fp = np.cumsum(1.0 - is_tp)
-    prec = tp / (tp + fp)
-    rec = tp / float(gt_count)
+    prec, rec = _precision_recall(is_tp, gt_count)
     # monotone non-increasing precision envelope
     env = np.maximum.accumulate(prec[::-1])[::-1]
     out = 0.0
@@ -336,36 +336,33 @@ def _ap_coco_101(rows: list, gt_count: int) -> Optional[float]:
 
 
 def map2d(pred_dets: list, gt_dets: list, iou_threshold: float = 0.5) -> float:
-    """Mean over GT classes of greedy-IoU-matched 101-point AP."""
-    classes = sorted({g.class_label for g in gt_dets})
+    """Mean over GT classes of greedy-IoU-matched 101-point AP.
+
+    By descending score (ties keep input order), a prediction is a TP iff
+    an untaken same-class GT box of its image reaches `iou_threshold`; it
+    takes the one of highest IoU, the lowest index on ties.
+    """
     aps = []
-    for cls in classes:
-        cls_preds = [p for p in pred_dets if p.class_label == cls]
-        cls_gts = [(j, g) for j, g in enumerate(gt_dets) if g.class_label == cls]
+    for cls in gt_classes(gt_dets):
         gt_by_image = defaultdict(list)
-        for j, g in cls_gts:
-            gt_by_image[(g.frame_id, g.camera_id)].append(j)
-        order = sorted(range(len(cls_preds)), key=lambda k: -cls_preds[k].score)
-        taken = set()
-        rows = []
-        for k in order:
-            p = cls_preds[k]
-            best_j, best_v = None, -1.0
-            for j in gt_by_image.get((p.frame_id, p.camera_id), ()):
-                if j in taken:
-                    continue
-                v = iou_2d(p.box, gt_dets[j].box)
-                if v >= iou_threshold and v > best_v:
-                    best_v = v
-                    best_j = j
-            if best_j is not None:
-                taken.add(best_j)
-                rows.append((p.score, True))
-            else:
-                rows.append((p.score, False))
-        ap = _ap_coco_101(rows, len(cls_gts))
-        if ap is not None:
-            aps.append(ap)
+        for g in gt_dets:
+            if g.class_label == cls:
+                gt_by_image[(g.frame_id, g.camera_id)].append([g.box.x1, g.box.y1, g.box.x2, g.box.y2])
+        boxes = {k: np.array(v) for k, v in gt_by_image.items()}
+        untaken = {k: np.ones(len(v), dtype=bool) for k, v in gt_by_image.items()}
+        is_tp = []
+        for p in sorted((p for p in pred_dets if p.class_label == cls), key=lambda p: -p.score):
+            key = (p.frame_id, p.camera_id)
+            free = np.flatnonzero(untaken.get(key, ()))
+            hit = False
+            if len(free):
+                iou = iou_2d(boxes[key][free], p.box)
+                k = int(np.argmax(iou))
+                hit = bool(iou[k] >= iou_threshold)
+                if hit:
+                    untaken[key][free[k]] = False
+            is_tp.append(hit)
+        aps.append(_ap_coco_101(is_tp, sum(len(v) for v in gt_by_image.values())))
     if not aps:
         return 0.0
     return float(np.mean(aps))

@@ -25,6 +25,7 @@ import numpy as np
 from .geom import (
     Cuboid3D,
     corner_offsets,
+    iou_2d,
     points_in_cuboid,
     project_boxes,
     rot_z,
@@ -195,17 +196,6 @@ def enumerate_hypotheses(
     return HypothesisGrid(c[0] + xyo, c[1] + xyo, c[2] + zo, yaws, dims=init.dims, init=init)
 
 
-def _iou_with_box(boxes: np.ndarray, has_box: np.ndarray, det_box) -> np.ndarray:
-    bx1, by1, bx2, by2 = det_box.x1, det_box.y1, det_box.x2, det_box.y2
-    ix = np.maximum(0.0, np.minimum(boxes[:, 2], bx2) - np.maximum(boxes[:, 0], bx1))
-    iy = np.maximum(0.0, np.minimum(boxes[:, 3], by2) - np.maximum(boxes[:, 1], by1))
-    inter = ix * iy
-    area = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
-    union = area + det_box.area - inter
-    iou = np.where(union > 0.0, inter / np.where(union > 0.0, union, 1.0), 0.0)
-    return np.where(has_box, iou, 0.0)
-
-
 def projected_iou(
     grid: HypothesisGrid, idx: np.ndarray, det: Detection2D, rig: SensorRig
 ) -> np.ndarray:
@@ -214,7 +204,8 @@ def projected_iou(
     Every value depends on its own hypothesis only, so a subset's IoU
     equals the same rows of the whole grid's IoU bit for bit: the corners
     of each come from its center and its yaw axis entry's template.
-    Hypotheses wholly behind the camera score 0.
+    Hypotheses wholly behind the camera project to the zero box and
+    score 0.
     """
     idx = np.asarray(idx, dtype=np.intp)
     centers = grid.centers[idx]
@@ -225,8 +216,7 @@ def projected_iou(
         template = corner_offsets(grid.dims, float(grid.yaw_axis[k]))
         corners[sel] = centers[sel][:, None, :] + template[None, :, :]
     extr, cam = rig.camera_from_lidar(det.camera_id), rig.camera(det.camera_id)
-    boxes, has_box = project_boxes(corners, extr, cam.intrinsics)
-    return _iou_with_box(boxes, has_box, det.box)
+    return iou_2d(project_boxes(corners, extr, cam.intrinsics)[0], det.box)
 
 
 def _coverage(grid: HypothesisGrid, fg: np.ndarray) -> np.ndarray:

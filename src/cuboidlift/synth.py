@@ -40,7 +40,7 @@ from .ingest import (
     SweepFrame,
     Taxonomy,
 )
-from .prior import ExpertRecord, SemanticPrior
+from .prior import FACES, ExpertRecord, SemanticPrior
 
 if TYPE_CHECKING:
     from .config import PipelineConfig
@@ -127,7 +127,8 @@ def rects_overlap(a: np.ndarray, b: np.ndarray) -> bool:
     return True
 
 
-# face index -> (outward normal in local frame, in-plane axes, area fn)
+# face index -> (outward normal in the local frame, its two in-plane axes);
+# the four side faces come first, in prior.FACES order
 _FACES = (
     (np.array([1.0, 0, 0]), 1, 2),  # +x (front)
     (np.array([-1.0, 0, 0]), 1, 2),  # -x (back)
@@ -138,6 +139,19 @@ _FACES = (
 )
 
 
+def _facing_faces(c: Cuboid3D, pos: np.ndarray) -> list:
+    """Indices into _FACES of the faces whose outward normal points at `pos`."""
+    r = rot_z(c.yaw)
+    half = np.asarray(c.dims) / 2.0
+    out = []
+    for fi, (normal_local, _, _) in enumerate(_FACES):
+        normal = r @ normal_local
+        face_center = c.center + normal * (half * np.abs(normal_local)).sum()
+        if float(normal @ (pos - face_center)) > 0.0:
+            out.append(fi)
+    return out
+
+
 def sample_visible_surface(
     c: Cuboid3D,
     sensor_pos: np.ndarray,
@@ -146,23 +160,16 @@ def sample_visible_surface(
     inset: float = 0.0,
 ) -> np.ndarray:
     """Uniform samples on the faces whose outward normal faces the sensor."""
-    r = rot_z(c.yaw)
     dims = np.asarray(c.dims)
     half = dims / 2.0
-    visible = []
-    for normal_local, ai, bi in _FACES:
-        normal = r @ normal_local
-        face_center = c.center + normal * (half * np.abs(normal_local)).sum()
-        if float(normal @ (sensor_pos - face_center)) > 0.0:
-            area = dims[ai] * dims[bi]
-            visible.append((normal_local, ai, bi, area))
+    visible = [_FACES[fi] for fi in _facing_faces(c, sensor_pos)]
     if not visible:
         return np.zeros((0, 3))
-    areas = np.array([v[3] for v in visible])
+    areas = np.array([dims[ai] * dims[bi] for _, ai, bi in visible])
     choice = rng.choice(len(visible), size=n, p=areas / areas.sum())
     uv = rng.uniform(-0.5, 0.5, size=(n, 2))
     pts_local = np.zeros((n, 3))
-    for fi, (normal_local, ai, bi, _) in enumerate(visible):
+    for fi, (normal_local, ai, bi) in enumerate(visible):
         sel = choice == fi
         if not sel.any():
             continue
@@ -173,7 +180,7 @@ def sample_visible_surface(
         block[:, ai] = uv[sel, 0] * dims[ai]
         block[:, bi] = uv[sel, 1] * dims[bi]
         pts_local[sel] = block
-    return pts_local @ r.T + c.center
+    return pts_local @ rot_z(c.yaw).T + c.center
 
 
 def sample_wall(wall: Wall, rng: np.random.Generator) -> np.ndarray:
@@ -215,19 +222,8 @@ def _rasterize_mask(u: np.ndarray, v: np.ndarray, intr: CameraIntrinsics, radius
 
 
 def _visible_side_faces(c: Cuboid3D, cam_pos_world: np.ndarray) -> tuple:
-    """BEV faces (front/back/left/right) whose normal points at the camera."""
-    names = {0: "front", 1: "back", 2: "left", 3: "right"}
-    r = rot_z(c.yaw)
-    half = np.asarray(c.dims) / 2.0
-    out = []
-    for fi, (normal_local, ai, bi) in enumerate(_FACES[:4]):
-        normal = r @ normal_local
-        face_center = c.center + normal * (half * np.abs(normal_local)).sum()
-        if float(normal[:2] @ (cam_pos_world[:2] - face_center[:2])) > 0.0:
-            out.append(names[fi])
-    # canonical order keeps the record file deterministic
-    order = {"front": 0, "back": 1, "left": 2, "right": 3}
-    return tuple(sorted(out, key=order.get))
+    """Side faces (front/back/left/right) whose normal points at the camera."""
+    return tuple(FACES[fi] for fi in _facing_faces(c, cam_pos_world) if fi < len(FACES))
 
 
 def _image_region(box: Box2D, intr: CameraIntrinsics) -> str:
@@ -413,12 +409,12 @@ def random_scene_spec(
     n_objects: int,
     classes=None,
     n_sweeps: int = 1,
-    noise_sigma: float = 0.0,
-    points_per_object=(150, 250),
+    noise_sigma: float = SceneSpec.noise_sigma,
+    points_per_object=SceneSpec.points_per_object,
     moving_fraction: float = 0.0,
     ego_speed: float = 0.0,
     range_m=(7.0, 38.0),
-    surface_inset: float = 0.0,
+    surface_inset: float = SceneSpec.surface_inset,
     angular_margin: float = 0.03,
     min_objects: int = None,
     corner_views: bool = False,
@@ -436,9 +432,11 @@ def random_scene_spec(
     and the pose is well determined; end-on views of long objects leave
     the depth axis under-constrained.
     """
-    rng = np.random.default_rng(np.random.PCG64(seed))
     if classes is None:
         classes = taxonomy.names
+    if not isinstance(classes, (list, tuple)) or not all(isinstance(c, str) and c in taxonomy for c in classes):
+        raise ValueError(f"classes must be a list of taxonomy class names, got {classes!r}")
+    rng = np.random.default_rng(np.random.PCG64(seed))
     timestamps, poses = straight_ego_trajectory(n_sweeps, speed=ego_speed)
     duration = (timestamps[-1] - timestamps[0]) / 1e6
     check_fracs = (0.0, 0.5, 1.0) if n_sweeps > 1 else (0.0,)
@@ -580,7 +578,7 @@ def verify_roundtrip(spec: SceneSpec, config, priors: str = "oracle") -> Recover
     "expert_file" routes through the generated record sidecar.
     """
     from .geom import yaw_diff
-    from .metrics import DIST_THRESHOLDS, match_predictions
+    from .metrics import DIST_THRESHOLDS, gt_classes, match_predictions
     from .pipeline import annotate_scene
 
     synth = generate_scene(spec)
@@ -635,7 +633,7 @@ def verify_roundtrip(spec: SceneSpec, config, priors: str = "oracle") -> Recover
 
     recall = {}
     precision = {}
-    classes = sorted({g.class_label for g in gts})
+    classes = gt_classes(gts)
     for t in DIST_THRESHOLDS:
         tp = 0
         npred = 0

@@ -205,6 +205,51 @@ def naive_match(preds, gts, class_label, threshold):
     return rows, len(cls_gts)
 
 
+def naive_iou_2d(a: Box2D, b: Box2D) -> float:
+    """Per-pair scalar IoU; 0 when the union is empty."""
+    ix = max(0.0, min(a.x2, b.x2) - max(a.x1, b.x1))
+    iy = max(0.0, min(a.y2, b.y2) - max(a.y1, b.y1))
+    inter = ix * iy
+    union = a.area + b.area - inter
+    if union <= 0.0:
+        return 0.0
+    return inter / union
+
+
+def naive_map2d(pred_dets, gt_dets, iou_threshold=0.5) -> float:
+    """Per-pair greedy 2D matching and 101-point enveloped AP, plain loops.
+
+    By descending score (ties in input order) each prediction scans the
+    untaken same-class GT of its image and keeps the first strictly
+    higher IoU that reaches the threshold.
+    """
+    aps = []
+    for cls in sorted({g.class_label for g in gt_dets}):
+        gts = [g for g in gt_dets if g.class_label == cls]
+        preds = sorted((p for p in pred_dets if p.class_label == cls), key=lambda p: -p.score)
+        taken = set()
+        is_tp = []
+        for p in preds:
+            best_j, best_v = None, -1.0
+            for j, g in enumerate(gts):
+                if j in taken or (g.frame_id, g.camera_id) != (p.frame_id, p.camera_id):
+                    continue
+                v = naive_iou_2d(p.box, g.box)
+                if v >= iou_threshold and v > best_v:
+                    best_j, best_v = j, v
+            if best_j is not None:
+                taken.add(best_j)
+            is_tp.append(best_j is not None)
+        tp = [sum(is_tp[: i + 1]) for i in range(len(is_tp))]
+        prec = [t / (i + 1) for i, t in enumerate(tp)]
+        rec = [t / len(gts) for t in tp]
+        total = 0.0
+        for r in np.linspace(0.0, 1.0, 101):
+            total += max((p for p, q in zip(prec, rec) if q >= r), default=0.0)
+        aps.append(total / 101.0)
+    return float(np.mean(aps)) if aps else 0.0
+
+
 def random_cuboid(rng, span=10.0, dim_range=(0.4, 5.0)) -> Cuboid3D:
     center = rng.uniform(-span, span, size=3)
     dims = tuple(rng.uniform(*dim_range, size=3))

@@ -71,8 +71,15 @@ class TestSynthVerb:
 
     @pytest.mark.parametrize(
         "spec, kind",
-        [(b"[{}]", "input_error"), (b'{"seed": "\xff"}', "input_error"), (b'{"n_objects": null}', "spec_error")],
-        ids=["list", "non_utf8", "null_count"],
+        [
+            (b"[{}]", "input_error"),
+            (b'{"seed": "\xff"}', "input_error"),
+            (b'{"n_objects": null}', "spec_error"),
+            (b'{"classes": "car"}', "spec_error"),
+            (b'{"classes": ["nope"]}', "spec_error"),
+            (b'{"classes": [["car"]]}', "spec_error"),
+        ],
+        ids=["list", "non_utf8", "null_count", "string_classes", "unknown_class", "nested_classes"],
     )
     def test_malformed_spec_structured_error(self, runner, tmp_path, spec, kind):
         p = tmp_path / "spec.json"
@@ -250,6 +257,13 @@ class TestEvalVerb:
              "--scene", str(scene_dir / "scene.json")],
         )
         assert "nowhere" in last_error(res)["message"]
+
+    @pytest.mark.parametrize("flag", ["--pred-2d", "--gt-2d"])
+    def test_one_2d_file_without_the_other_is_usage_error(self, runner, scene_dir, flag):
+        gt = str(scene_dir / "gt.ndjson")
+        res = runner.invoke(main, ["eval", "--pred", gt, "--gt", gt, flag, str(scene_dir / "detections.ndjson")])
+        assert res.exit_code == 2
+        assert "--pred-2d" in res.output and "--gt-2d" in res.output
 
     def test_scene_without_stratify_is_usage_error(self, runner, scene_dir):
         gt = str(scene_dir / "gt.ndjson")
@@ -484,6 +498,9 @@ class TestConfig:
             {"scoring": {"grid_k": [7]}},
             {"scoring": 7},
             {"taxonomy": {"classes": [1]}},
+            {"taxonomy": {"classes": 5}},
+            {"taxonomy": {"classes": [{"name": "car", "avg_dims": 5}]}},
+            {"taxonomy": {"classes": [{"name": "car", "avg_dims": [1, 1, 1], "aggregation": {"past": None}}]}},
         ):
             with pytest.raises(ValueError):
                 config_from_dict(doc)
@@ -524,6 +541,24 @@ class TestConfig:
         assert res.exit_code == 1
         err = json.loads(res.output.strip().splitlines()[-1])
         assert "bogus_key" in err["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"search": {"trans_step": None}},
+            {"taxonomy": {"classes": 5}},
+            {"taxonomy": {"classes": [{"name": "car", "avg_dims": 5}]}},
+            {"taxonomy": {"classes": [{"name": "car", "avg_dims": [1, 1, 1], "aggregation": {"past": None}}]}},
+        ],
+        ids=["null_step", "int_classes", "int_dims", "null_past"],
+    )
+    def test_cli_bad_config_value_is_input_error(self, runner, scene_dir, tmp_path, doc):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        gt = str(scene_dir / "gt.ndjson")
+        err = last_error(runner.invoke(main, ["eval", "--pred", gt, "--gt", gt, "--config", str(bad)]))
+        assert err["kind"] == "input_error"
+        assert err["message"].startswith("config:")
 
     def test_threads_env_honored_flag_wins(self, runner, scene_dir, tmp_path, monkeypatch):
         monkeypatch.setenv("CUBOIDLIFT_THREADS", "nope")

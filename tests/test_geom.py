@@ -12,18 +12,17 @@ from cuboidlift.geom import (
     RigidTransform,
     bev_rect,
     cuboid_corners,
-    cuboid_from_corners,
     iou_2d,
-    point_in_cuboid,
+    points_in_cuboid,
     project_boxes,
     project_cuboid_to_box,
-    project_point,
+    project_points,
     quat_to_rotmat,
     rot_z,
     wrap_angle,
     yaw_diff,
 )
-from conftest import naive_point_in_cuboid, random_cuboid
+from conftest import naive_iou_2d, naive_point_in_cuboid, random_cuboid
 
 
 def make_intr(fx=100.0, fy=100.0, cx=50.0, cy=50.0, w=100, h=100):
@@ -32,17 +31,17 @@ def make_intr(fx=100.0, fy=100.0, cx=50.0, cy=50.0, w=100, h=100):
 
 class TestProjectPoint:
     def test_optical_axis_hits_principal_point(self):
-        uv = project_point((0, 0, 1), make_intr())
-        assert np.allclose(uv, [50, 50])
+        u, v, valid = project_points((0, 0, 1), make_intr())
+        assert valid[0] and (u[0], v[0]) == (50.0, 50.0)
 
     def test_behind_camera_is_none(self):
-        assert project_point((0, 0, -1), make_intr()) is None
-        assert project_point((1, 2, 0), make_intr()) is None
+        _, _, valid = project_points([(0, 0, -1), (1, 2, 0)], make_intr())
+        assert not valid.any()
 
     def test_hand_computed(self):
         intr = make_intr(fx=500, fy=500, cx=320, cy=240, w=640, h=480)
-        uv = project_point((2, 1, 4), intr)
-        assert np.allclose(uv, [570, 365])
+        u, v, valid = project_points((2, 1, 4), intr)
+        assert valid[0] and np.allclose([u[0], v[0]], [570, 365])
 
 
 class TestCuboidCorners:
@@ -72,40 +71,38 @@ class TestCuboidCorners:
         assert np.allclose(cuboid_corners(c), want)
 
     def test_roundtrip_recovers_parameters(self):
+        # center, dims and yaw read back from the corner order's edges
         rng = np.random.default_rng(3)
         for _ in range(200):
             c = random_cuboid(rng)
-            rec = cuboid_from_corners(cuboid_corners(c))
-            assert np.allclose(rec.center, c.center, atol=1e-6)
-            assert np.allclose(rec.dims, c.dims, atol=1e-6)
-            # yaw recovered up to the 180-degree ambiguity of a box
-            assert min(yaw_diff(rec.yaw, c.yaw), yaw_diff(rec.yaw, c.yaw + math.pi)) < 1e-6
+            corners = cuboid_corners(c)
+            x_edge, y_edge, z_edge = corners[0] - corners[1], corners[0] - corners[3], corners[4] - corners[0]
+            assert np.allclose(corners.mean(axis=0), c.center, atol=1e-6)
+            assert np.allclose(np.linalg.norm([x_edge, y_edge, z_edge], axis=1), c.dims, atol=1e-6)
+            assert yaw_diff(math.atan2(x_edge[1], x_edge[0]), c.yaw) < 1e-6
 
 
 class TestPointInCuboid:
     def test_center_inside(self):
         c = Cuboid3D((1, 2, 3), (2, 3, 4), 0.7)
-        assert point_in_cuboid(c.center, c)
+        assert points_in_cuboid(c.center, c).tolist() == [True]
 
     def test_corner_is_inside(self):
         # exact arithmetic case: axis-aligned, representable halves
         c = Cuboid3D((1, 2, 3), (2, 3, 4), 0.0)
-        for corner in cuboid_corners(c):
-            assert point_in_cuboid(corner, c)
+        assert points_in_cuboid(cuboid_corners(c), c).all()
 
     def test_near_corner_inside_rotated(self):
         # rotated corners round-trip with last-ulp error; nudge inward
         c = Cuboid3D((1, 2, 3), (2, 3, 4), 0.7)
-        for corner in cuboid_corners(c):
-            p = corner + (c.center - corner) * 1e-9
-            assert point_in_cuboid(p, c)
+        corners = cuboid_corners(c)
+        assert points_in_cuboid(corners + (c.center - corners) * 1e-9, c).all()
 
     def test_against_halfspace_oracle(self):
         rng = np.random.default_rng(11)
         c = random_cuboid(rng)
         pts = rng.uniform(-12, 12, size=(1000, 3))
-        for p in pts:
-            assert point_in_cuboid(p, c) == naive_point_in_cuboid(p, c)
+        assert points_in_cuboid(pts, c).tolist() == [naive_point_in_cuboid(p, c) for p in pts]
 
     def test_invariant_under_joint_rigid_transform(self):
         rng = np.random.default_rng(5)
@@ -114,8 +111,7 @@ class TestPointInCuboid:
             t = RigidTransform(rot_z(rng.uniform(-math.pi, math.pi)), rng.uniform(-5, 5, 3))
             pts = rng.uniform(-12, 12, size=(25, 3))
             moved = Cuboid3D(t.apply(c.center), c.dims, c.yaw + t.heading())
-            for p in pts:
-                assert point_in_cuboid(p, c) == point_in_cuboid(t.apply(p), moved)
+            assert points_in_cuboid(pts, c).tolist() == points_in_cuboid(t.apply(pts), moved).tolist()
 
 
 class TestProjectCuboid:
@@ -140,8 +136,11 @@ class TestProjectCuboid:
             center = np.array([rng.uniform(-4, 4), rng.uniform(-3, 3), rng.uniform(3, 25)])
             c = Cuboid3D(center, tuple(rng.uniform(0.4, 3.0, 3)), rng.uniform(-math.pi, math.pi))
             box = project_cuboid_to_box(c, extr, intr)
-            uvs = [project_point(p, intr) for p in cuboid_corners(c)]
-            uvs = [uv for uv in uvs if uv is not None]
+            uvs = [
+                (intr.fx * x / z + intr.cx, intr.fy * y / z + intr.cy)
+                for x, y, z in cuboid_corners(c)
+                if z > 0
+            ]
             if not uvs:
                 assert box is None
                 continue
@@ -174,20 +173,45 @@ class TestProjectCuboid:
         assert all(a > b for a, b in zip(areas, areas[1:]))
 
 
+def iou(a: Box2D, b: Box2D) -> float:
+    return float(iou_2d(np.array([[a.x1, a.y1, a.x2, a.y2]]), b)[0])
+
+
+IOU_PAIR_KINDS = ["random", "disjoint", "touching", "identical", "zero_area"]
+
+
+def box_pair(kind: str, rng) -> tuple:
+    """Two boxes related as `kind` says."""
+    x1, y1 = rng.uniform(0, 100, 2)
+    w, h = rng.uniform(0.5, 40, 2)
+    a = Box2D(x1, y1, x1 + w, y1 + h)
+    if kind == "random":
+        x3, y3 = rng.uniform(0, 100, 2)
+        return a, Box2D(x3, y3, x3 + rng.uniform(0, 40), y3 + rng.uniform(0, 40))
+    if kind == "disjoint":
+        return a, Box2D(a.x2 + rng.uniform(0.1, 5), a.y1, a.x2 + 10, a.y2)
+    if kind == "touching":
+        return a, Box2D(a.x2, a.y1 + h / 2, a.x2 + w, a.y2 + h / 2)
+    if kind == "identical":
+        return a, Box2D(a.x1, a.y1, a.x2, a.y2)
+    line = Box2D(a.x1, a.y1, a.x1, a.y2)  # zero width
+    return line, (line if rng.uniform() < 0.5 else a)
+
+
 class TestIou2D:
     def test_identical(self):
         b = Box2D(1, 2, 5, 9)
-        assert iou_2d(b, b) == 1.0
+        assert iou(b, b) == 1.0
 
     def test_disjoint(self):
-        assert iou_2d(Box2D(0, 0, 1, 1), Box2D(2, 2, 3, 3)) == 0.0
+        assert iou(Box2D(0, 0, 1, 1), Box2D(2, 2, 3, 3)) == 0.0
 
     def test_hand_computed(self):
-        assert math.isclose(iou_2d(Box2D(0, 0, 2, 2), Box2D(1, 1, 3, 3)), 1 / 7)
+        assert math.isclose(iou(Box2D(0, 0, 2, 2), Box2D(1, 1, 3, 3)), 1 / 7)
 
     def test_zero_union(self):
         degenerate = Box2D(1, 1, 1, 1)
-        assert iou_2d(degenerate, degenerate) == 0.0
+        assert iou(degenerate, degenerate) == 0.0
 
     @given(st.lists(st.floats(0, 100), min_size=8, max_size=8))
     def test_symmetric_and_bounded(self, vals):
@@ -196,9 +220,20 @@ class TestIou2D:
         x3, x4 = sorted(vals[4:6])
         y3, y4 = sorted(vals[6:8])
         a, b = Box2D(x1, y1, x2, y2), Box2D(x3, y3, x4, y4)
-        v = iou_2d(a, b)
-        assert v == iou_2d(b, a)
+        v = iou(a, b)
+        assert v == iou(b, a)
         assert 0.0 <= v <= 1.0
+
+    @pytest.mark.parametrize("kind", IOU_PAIR_KINDS)
+    def test_rows_bitwise_equal_naive_both_orders(self, kind):
+        rng = np.random.default_rng(IOU_PAIR_KINDS.index(kind))
+        a_boxes, b_boxes = zip(*(box_pair(kind, rng) for _ in range(100)))
+        for firsts, seconds in ((a_boxes, b_boxes), (b_boxes, a_boxes)):
+            rows = np.array([[a.x1, a.y1, a.x2, a.y2] for a in firsts])
+            for b in seconds:
+                got = iou_2d(rows, b)
+                for want in ([naive_iou_2d(a, b) for a in firsts], [naive_iou_2d(b, a) for a in firsts]):
+                    assert got.tobytes() == np.array(want).tobytes()
 
 
 class TestBevRect:

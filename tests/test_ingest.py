@@ -245,6 +245,26 @@ class TestAnnotationsIO:
         with pytest.raises(FormatError):
             load_annotations(p)
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            {"velocity": [1.0]},
+            {"velocity": [1.0, 2.0, 3.0]},
+            {"velocity": "12"},
+            {"velocity": [float("nan"), 1.0]},
+            {"velocity": [1.0, float("inf")]},
+            {"s2d": float("nan")},
+            {"s3d": float("-inf")},
+        ],
+        ids=["one_value", "three_values", "string", "nan", "inf", "nan_s2d", "inf_s3d"],
+    )
+    def test_rejects_bad_optional_fields(self, tmp_path, extra):
+        p = tmp_path / "ann.ndjson"
+        rec = {"frame_id": "f", "class": "car", "center": [0, 0, 0], "dims": [1, 1, 1], "yaw": 0.0, "score": 0.5}
+        p.write_text("\n" + json.dumps({**rec, **extra}) + "\n")
+        with pytest.raises(FormatError, match=f"{p}:2:"):
+            load_annotations(p)
+
 
 class TestSceneIO:
     def test_manifest_roundtrip(self, tmp_path):

@@ -17,7 +17,7 @@ from cuboidlift.metrics import (
     nds,
     tp_errors,
 )
-from conftest import naive_match
+from conftest import naive_map2d, naive_match
 
 
 def ann(frame, x, y, cls="car", score=0.5, dims=(4.0, 2.0, 1.6), yaw=0.0, vel=None):
@@ -278,6 +278,25 @@ class TestMap2D:
             det2d("f", "c", (50, 50, 60, 60), cls="adult", score=0.9),
         ]
         assert map2d(preds, gts) == 1.0
+
+
+    @pytest.mark.parametrize("iou_threshold", [0.5, 0.6, 1 / 3])
+    def test_against_naive_matcher_with_ties(self, iou_threshold):
+        # 10 px boxes on a 2.5 px lattice: a box between two GT boxes has
+        # the same IoU with both, lattice repeats give duplicate GTs, and
+        # 0.6 and 1/3 are the exact IoUs of 2.5 and 5 px shifts
+        rng = np.random.default_rng(29)
+        for _ in range(60):
+            gts, preds = [], []
+            for image in ("a", "b"):
+                for dets, n, scored in ((gts, rng.integers(0, 6), False), (preds, rng.integers(0, 9), True)):
+                    for _ in range(n):
+                        x, y = rng.integers(0, 5, 2) * 2.5
+                        dets.append(
+                            det2d(image, "c", (x, y, x + 10, y + 10), cls=["car", "adult"][rng.integers(2)],
+                                  score=round(float(rng.uniform()), 1) if scored else 1.0)
+                        )
+            assert map2d(preds, gts, iou_threshold) == naive_map2d(preds, gts, iou_threshold)
 
 
 class TestEvaluateDetections:
