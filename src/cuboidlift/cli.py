@@ -23,8 +23,6 @@ from .pipeline import annotate_scene, track_and_refine
 from .prior import load_expert_records
 from .score import tune_alpha as tune_alpha_op
 
-THREADS_ENV = "CUBOIDLIFT_THREADS"
-
 
 def _fail(message: str, kind: str = "input_error") -> None:
     click.echo(json.dumps({"error": {"kind": kind, "message": message}}))
@@ -46,22 +44,6 @@ def _load(loader, *args, **kwargs):
         return loader(*args, **kwargs)
     except (OSError, ingest.FormatError) as e:
         _fail(str(e))
-
-
-def _resolve_threads(flag, config: PipelineConfig) -> int:
-    env = os.environ.get(THREADS_ENV)
-    if flag is not None:
-        threads, source = flag, "--threads"
-    elif env is not None:
-        try:
-            threads, source = int(env), THREADS_ENV
-        except ValueError:
-            _fail(f"bad {THREADS_ENV} value {env!r}")
-    else:
-        return config.threads
-    if threads < 0:
-        _fail(f"{source} must be >= 0, got {threads}")
-    return threads
 
 
 def _atomic_write(path, write_fn) -> None:
@@ -86,19 +68,20 @@ def main():
 @click.option("--expert", "expert_path", type=click.Path(), default=None)
 @click.option("--config", "config_path", type=click.Path(), default=None)
 @click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--threads", type=int, default=None, help="worker threads, 0 = auto")
+@click.option("--threads", type=int, default=0, help="worker threads, 0 = auto")
 @click.option("--seed", type=int, default=None)
 def annotate(scene_path, det_path, expert_path, config_path, out_path, threads, seed):
     """Generate scored 3D cuboid annotations for a scene."""
+    if threads < 0:
+        _fail(f"--threads must be >= 0, got {threads}")
     config = _load_config_arg(config_path)
     scene = _load(ingest.load_scene, scene_path, stride=config.sweep_stride)
     detections = _load(ingest.load_detections, det_path, config.taxonomy)
     expert_index = _load(load_expert_records, expert_path) if expert_path else None
 
-    n_threads = _resolve_threads(threads, config)
     try:
         frames, summary = annotate_scene(
-            scene, detections, config, expert_index=expert_index, threads=n_threads
+            scene, detections, config, expert_index=expert_index, threads=threads
         )
     except (ValueError, KeyError) as e:
         _fail(str(e), kind="pipeline_error")

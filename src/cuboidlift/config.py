@@ -6,7 +6,7 @@ import json
 import math
 from dataclasses import dataclass, field, fields, is_dataclass
 
-from .ingest import ClassSpec, Taxonomy
+from .ingest import ClassSpec, Taxonomy, read_int, read_number, read_numbers
 from .score import ScoringConfig
 from .search import SearchConfig
 
@@ -51,7 +51,6 @@ class PipelineConfig:
     routing_threshold: float = 0.3
     sector_half_width: float = math.pi / 6.0
     sweep_stride: int = 5  # binary record stride, 4 or 5 floats
-    threads: int = 0  # 0 = auto
 
     def __post_init__(self):
         if self.sweep_stride not in (4, 5):
@@ -60,8 +59,6 @@ class PipelineConfig:
             raise ValueError("routing_threshold must be in [0, 1]")
         if not (0.0 < self.sector_half_width <= math.pi):
             raise ValueError("sector_half_width must be in (0, pi]")
-        if self.threads < 0:
-            raise ValueError("threads must be >= 0")
 
 
 def _check_keys(obj: dict, allowed, where: str):
@@ -81,17 +78,14 @@ def _taxonomy_from_json(obj: dict) -> Taxonomy:
         _check_keys(entry, {f.name for f in fields(ClassSpec)}, "taxonomy class")
         agg = entry.get("aggregation", {})
         _check_keys(agg, {"past", "future"}, "aggregation")
-        try:
-            classes.append(
-                ClassSpec(
-                    name=str(entry["name"]),
-                    avg_dims=tuple(float(v) for v in entry["avg_dims"]),
-                    aggregation=(int(agg.get("past", 0)), int(agg.get("future", 0))),
-                    match_radius=float(entry.get("match_radius", ClassSpec.match_radius)),
-                )
+        classes.append(
+            ClassSpec(
+                name=str(entry["name"]),
+                avg_dims=read_numbers(entry["avg_dims"], 3),
+                aggregation=(read_int(agg.get("past", 0)), read_int(agg.get("future", 0))),
+                match_radius=read_number(entry.get("match_radius", ClassSpec.match_radius)),
             )
-        except TypeError as e:
-            raise ValueError(f"config taxonomy class {entry!r}: {e}") from None
+        )
     return Taxonomy(classes=tuple(classes))
 
 
@@ -99,8 +93,8 @@ def _dataclass_from_dict(cls, doc, where: str):
     """Build `cls` from a JSON object, field by field, defaults for the rest.
 
     Nested dataclass fields recurse, the taxonomy has its own layout, and
-    every other value is cast to the type of the field's default. Unknown
-    keys and values that do not cast are errors.
+    every other value goes through the reader for the type of the field's
+    default. Unknown keys and values the reader rejects are errors.
     """
     _check_keys(doc, {f.name for f in fields(cls)}, where)
     defaults = cls()
@@ -112,12 +106,11 @@ def _dataclass_from_dict(cls, doc, where: str):
         elif is_dataclass(default):
             kwargs[key] = _dataclass_from_dict(type(default), value, key)
         else:
+            read = read_int if isinstance(default, int) else read_number
             try:
-                kwargs[key] = type(default)(value)
-            except (TypeError, ValueError):
-                raise ValueError(
-                    f"config {where}.{key}: expected {type(default).__name__}, got {value!r}"
-                ) from None
+                kwargs[key] = read(value)
+            except ValueError as e:
+                raise ValueError(f"config {where}.{key}: {e}") from None
     return cls(**kwargs)
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -95,6 +95,14 @@ class ClassSpec:
     aggregation: tuple  # (past, future)
     match_radius: float = 2.0
 
+    def __post_init__(self):
+        if len(self.avg_dims) != 3 or any(d <= 0 for d in self.avg_dims):
+            raise ValueError(f"class {self.name}: avg_dims must be three positive values")
+        if len(self.aggregation) != 2 or any(not isinstance(n, int) or n < 0 for n in self.aggregation):
+            raise ValueError(f"class {self.name}: aggregation must be two integers >= 0")
+        if not self.match_radius > 0:
+            raise ValueError(f"class {self.name}: match_radius must be positive")
+
 
 @dataclass(frozen=True)
 class Taxonomy:
@@ -104,9 +112,6 @@ class Taxonomy:
         names = [c.name for c in self.classes]
         if len(set(names)) != len(names):
             raise ValueError("duplicate class names in taxonomy")
-        for c in self.classes:
-            if any(d <= 0 for d in c.avg_dims):
-                raise ValueError(f"class {c.name}: avg_dims must be positive")
         object.__setattr__(self, "_by_name", {c.name: c for c in self.classes})
 
     def __contains__(self, name: str) -> bool:
@@ -162,6 +167,36 @@ class Scene:
 
 
 # ---------------------------------------------------------------------------
+# JSON values: every number a loader reads goes through one of these
+
+
+def read_number(value) -> float:
+    """A finite JSON number (an int or float, not a bool or str) as a float."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:
+            x = math.inf
+        if math.isfinite(x):
+            return x
+    raise ValueError(f"expected a finite number, got {value!r}")
+
+
+def read_int(value) -> int:
+    """A JSON integer (an int, not a bool)."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"expected an integer, got {value!r}")
+
+
+def read_numbers(value, n: int) -> tuple:
+    """A JSON list of exactly n finite numbers, as a tuple of floats."""
+    if not isinstance(value, list) or len(value) != n:
+        raise ValueError(f"expected a list of {n} numbers, got {value!r}")
+    return tuple(read_number(v) for v in value)
+
+
+# ---------------------------------------------------------------------------
 # NDJSON
 
 
@@ -198,10 +233,10 @@ def read_ndjson(path, parse):
 
 
 def write_ndjson(records, path) -> None:
-    """One `json.dumps` line per record."""
+    """One `json.dumps` line per record; a NaN or infinity is a ValueError."""
     with open(path, "w", encoding="utf-8") as f:
         for rec in records:
-            f.write(json.dumps(rec) + "\n")
+            f.write(json.dumps(rec, allow_nan=False) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +262,7 @@ def mask_to_rle(mask: np.ndarray) -> dict:
 
 
 def rle_to_mask(rle: dict) -> np.ndarray:
-    h, w = (int(v) for v in rle["size"])
+    h, w = (read_int(v) for v in rle["size"])
     counts = rle["counts"]
     for c in counts:
         if isinstance(c, bool) or not isinstance(c, (int, np.integer)) or c < 0:
@@ -281,7 +316,7 @@ def write_sweep_points(points: np.ndarray, path, stride: int = 5) -> None:
 
 
 def _pose_from_json(obj) -> RigidTransform:
-    return RigidTransform.from_quat(obj["rotation"], obj["translation"])
+    return RigidTransform.from_quat(read_numbers(obj["rotation"], 4), read_numbers(obj["translation"], 3))
 
 
 def _pose_to_json(t: RigidTransform) -> dict:
@@ -319,12 +354,12 @@ def _scene_from_json(doc: dict, base: str, stride: int) -> Scene:
         cameras[camera_id] = CameraCalib(
             camera_id=camera_id,
             intrinsics=CameraIntrinsics(
-                fx=float(intr["fx"]),
-                fy=float(intr["fy"]),
-                cx=float(intr["cx"]),
-                cy=float(intr["cy"]),
-                width=int(intr["width"]),
-                height=int(intr["height"]),
+                fx=read_number(intr["fx"]),
+                fy=read_number(intr["fy"]),
+                cx=read_number(intr["cx"]),
+                cy=read_number(intr["cy"]),
+                width=read_int(intr["width"]),
+                height=read_int(intr["height"]),
             ),
             extrinsics=_pose_from_json(cam["extrinsics"]),
         )
@@ -338,7 +373,7 @@ def _scene_from_json(doc: dict, base: str, stride: int) -> Scene:
         if frame_id in frame_ids:
             raise ValueError(f"duplicate sweep frame_id {frame_id!r}")
         frame_ids.add(frame_id)
-        ts = int(entry["timestamp"])
+        ts = read_int(entry["timestamp"])
         if last_ts is not None and ts <= last_ts:
             raise ValueError("sweep timestamps not strictly increasing")
         last_ts = ts
@@ -391,7 +426,7 @@ def write_scene(scene: Scene, out_dir, stride: int = 5, manifest_name="scene.jso
     }
     manifest = os.path.join(out_dir, manifest_name)
     with open(manifest, "w") as f:
-        json.dump(doc, f, indent=1)
+        json.dump(doc, f, indent=1, allow_nan=False)
         f.write("\n")
     return manifest
 
@@ -409,19 +444,13 @@ def _detection_from_json(rec: dict, taxonomy: Taxonomy) -> Detection2D:
     label = rec["class"]
     if label not in taxonomy:
         raise ValueError(f"unknown class {label!r}")
-    score = float(rec["score"])
-    if not (0.0 <= score <= 1.0):
-        raise ValueError(f"score {score} outside [0, 1]")
-    box_vals = [float(v) for v in rec["box"]]
-    if any(not math.isfinite(v) for v in box_vals):
-        raise ValueError("non-finite box coordinates")
     mask = rle_to_mask(rec["mask_rle"]) if rec.get("mask_rle") else None
     return Detection2D(
         frame_id=str(rec["frame_id"]),
         camera_id=str(rec["camera_id"]),
         class_label=label,
-        box=Box2D(*box_vals),
-        score=score,
+        box=Box2D(*read_numbers(rec["box"], 4)),
+        score=read_number(rec["score"]),
         mask=mask,
     )
 
@@ -468,22 +497,15 @@ def annotation_to_json(a: ScoredAnnotation) -> dict:
 
 
 def annotation_from_json(rec: dict) -> ScoredAnnotation:
-    vel = rec.get("velocity")
-    if vel is not None and not (isinstance(vel, list) and len(vel) == 2):
-        raise ValueError(f"velocity must be two numbers, got {vel!r}")
-    optional = [rec[k] for k in ("s2d", "s3d") if k in rec] + (vel or [])
-    vals = list(rec["center"]) + list(rec["dims"]) + [rec["yaw"], rec["score"], *optional]
-    if any(not math.isfinite(float(v)) for v in vals):
-        raise ValueError("non-finite value in annotation")
     return ScoredAnnotation(
         frame_id=str(rec["frame_id"]),
-        cuboid=Cuboid3D(np.array(rec["center"], dtype=float), tuple(rec["dims"]), float(rec["yaw"])),
+        cuboid=Cuboid3D(read_numbers(rec["center"], 3), read_numbers(rec["dims"], 3), read_number(rec["yaw"])),
         class_label=str(rec["class"]),
-        score=float(rec["score"]),
-        track_id=int(rec["track_id"]) if "track_id" in rec else None,
-        velocity=(float(vel[0]), float(vel[1])) if vel is not None else None,
-        s2d=float(rec["s2d"]) if "s2d" in rec else None,
-        s3d=float(rec["s3d"]) if "s3d" in rec else None,
+        score=read_number(rec["score"]),
+        track_id=read_int(rec["track_id"]) if "track_id" in rec else None,
+        velocity=read_numbers(rec["velocity"], 2) if "velocity" in rec else None,
+        s2d=read_number(rec["s2d"]) if "s2d" in rec else None,
+        s3d=read_number(rec["s3d"]) if "s3d" in rec else None,
     )
 
 

@@ -12,6 +12,7 @@ slot per detection index and every reduction is order-free.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Optional
@@ -75,20 +76,18 @@ def annotate_scene(
     config: PipelineConfig,
     expert_index: Optional[dict] = None,
     prior_provider: Optional[Callable] = None,
-    threads: Optional[int] = None,
+    threads: int = 0,
 ):
     """Run the full pipeline; returns (per-frame annotation lists, summary).
 
     `prior_provider` overrides the routing stage entirely (used by the
     synthetic round-trip); otherwise detections route through the expert
-    record index with class-average fallback.
+    record index with class-average fallback. `threads` 0 means one worker
+    per CPU, at most 8.
     """
     t_start = time.perf_counter()
-    n_threads = config.threads if threads is None else threads
-    if n_threads <= 0:
-        import os
-
-        n_threads = min(8, os.cpu_count() or 1)
+    if threads <= 0:
+        threads = min(8, os.cpu_count() or 1)
 
     frame_index = {sw.frame_id: i for i, sw in enumerate(scene.sweeps)}
     for det in detections:
@@ -140,8 +139,8 @@ def annotate_scene(
         det, si = jobs[i]
         annotations[i] = _process_detection(det, si, views[i], scene, config, prior_for(det))
 
-    if n_threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
+    if threads > 1 and len(jobs) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(run, range(len(jobs))))
     else:
         for i in range(len(jobs)):

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .geom import RigidTransform, wrap_angle
-from .ingest import Detection2D, FormatError, SensorRig, Taxonomy, read_ndjson, write_ndjson
+from .ingest import Detection2D, FormatError, SensorRig, Taxonomy, read_ndjson, read_numbers, write_ndjson
 
 FULL_SECTOR = math.pi
 
@@ -82,8 +82,8 @@ def _record_from_json(rec: dict) -> ExpertRecord:
     return ExpertRecord(
         frame_id=str(rec["frame_id"]),
         camera_id=str(rec["camera_id"]),
-        box=tuple(float(v) for v in rec["box"]),
-        dims=tuple(float(v) for v in rec["dims"]),
+        box=read_numbers(rec["box"], 4),
+        dims=read_numbers(rec["dims"], 3),
         visible_faces=tuple(rec["visible_faces"]),
         image_region=rec.get("image_region", "center"),
     )

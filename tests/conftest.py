@@ -283,5 +283,9 @@ BROKEN_MANIFESTS = {
     "null_intrinsic": _set(("cameras", 0, "intrinsics", "fx"), None),
     "numeric_sweep_file": _set(("sweeps", 0, "file"), 7),
     "three_value_rotation": _set(("lidar", "rotation"), [1.0, 0.0, 0.0]),
+    "string_rotation": _set(("lidar", "rotation"), "1000"),
+    "nan_translation": _set(("sweeps", 0, "ego_pose", "translation"), [0.0, float("nan"), 0.0]),
+    "fractional_width": _set(("cameras", 0, "intrinsics", "width"), 800.5),
+    "bool_timestamp": _set(("sweeps", 0, "timestamp"), True),
     "missing_cameras": lambda doc: {k: v for k, v in doc.items() if k != "cameras"},
 }

@@ -466,6 +466,26 @@ def test_removed_flag_is_usage_error(runner, verb, flag):
     assert "No such option" in res.output and flag in res.output
 
 
+def _car_class(**entry) -> dict:
+    return {"taxonomy": {"classes": [{"name": "car", "avg_dims": [1, 1, 1], **entry}]}}
+
+
+# config values of the right key but the wrong kind, count or sign
+BAD_CONFIG_VALUES = {
+    "fractional_stride": {"sweep_stride": 4.9},
+    "fractional_grid_k": {"scoring": {"grid_k": 7.9}},
+    "string_threshold": {"routing_threshold": "0.3"},
+    "bool_step": {"search": {"trans_step": True}},
+    "nan_step": {"search": {"trans_step": float("nan")}},
+    "two_dims": _car_class(avg_dims=[4, 2]),
+    "string_dims": _car_class(avg_dims="421"),
+    "fractional_past": _car_class(aggregation={"past": 1.7}),
+    "negative_past": _car_class(aggregation={"past": -1}),
+    "negative_radius": _car_class(match_radius=-3),
+    "threads": {"threads": 4},
+}
+
+
 class TestConfig:
     def test_defaults(self):
         cfg = config_from_dict({})
@@ -501,6 +521,7 @@ class TestConfig:
             {"taxonomy": {"classes": 5}},
             {"taxonomy": {"classes": [{"name": "car", "avg_dims": 5}]}},
             {"taxonomy": {"classes": [{"name": "car", "avg_dims": [1, 1, 1], "aggregation": {"past": None}}]}},
+            *BAD_CONFIG_VALUES.values(),
         ):
             with pytest.raises(ValueError):
                 config_from_dict(doc)
@@ -514,7 +535,6 @@ class TestConfig:
                     {"name": "car", "avg_dims": [4.5, 1.9, 1.7], "aggregation": {"past": 1, "future": 2}, "match_radius": 3.0}
                 ]
             },
-            "threads": 4,
         }
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(doc))
@@ -523,7 +543,6 @@ class TestConfig:
         assert cfg.scoring.alpha == 0.7
         assert cfg.taxonomy.get("car").aggregation == (1, 2)
         assert cfg.taxonomy.get("car").match_radius == 3.0
-        assert cfg.threads == 4
 
     def test_cli_rejects_bad_config(self, runner, scene_dir, tmp_path):
         bad = tmp_path / "bad.json"
@@ -549,8 +568,9 @@ class TestConfig:
             {"taxonomy": {"classes": 5}},
             {"taxonomy": {"classes": [{"name": "car", "avg_dims": 5}]}},
             {"taxonomy": {"classes": [{"name": "car", "avg_dims": [1, 1, 1], "aggregation": {"past": None}}]}},
+            *BAD_CONFIG_VALUES.values(),
         ],
-        ids=["null_step", "int_classes", "int_dims", "null_past"],
+        ids=["null_step", "int_classes", "int_dims", "null_past", *BAD_CONFIG_VALUES],
     )
     def test_cli_bad_config_value_is_input_error(self, runner, scene_dir, tmp_path, doc):
         bad = tmp_path / "bad.json"
@@ -560,37 +580,9 @@ class TestConfig:
         assert err["kind"] == "input_error"
         assert err["message"].startswith("config:")
 
-    def test_threads_env_honored_flag_wins(self, runner, scene_dir, tmp_path, monkeypatch):
-        monkeypatch.setenv("CUBOIDLIFT_THREADS", "nope")
-        out = tmp_path / "pred.ndjson"
-        res = runner.invoke(
-            main,
-            [
-                "annotate",
-                "--scene", str(scene_dir / "scene.json"),
-                "--detections", str(scene_dir / "detections.ndjson"),
-                "--out", str(out),
-            ],
-        )
-        assert res.exit_code == 1  # bad env value without a flag is an error
-        res = run_annotate(runner, scene_dir, out, threads=1)
-        assert res.exit_code == 0  # the flag bypasses the env entirely
-
-    def test_negative_threads_rejected(self, runner, scene_dir, tmp_path, monkeypatch):
+    def test_negative_threads_rejected(self, runner, scene_dir, tmp_path):
         out = tmp_path / "pred.ndjson"
         res = run_annotate(runner, scene_dir, out, threads=-1)
-        assert res.exit_code == 1
-        assert json.loads(res.output.strip().splitlines()[-1])["error"]["kind"] == "input_error"
-        monkeypatch.setenv("CUBOIDLIFT_THREADS", "-2")
-        res = runner.invoke(
-            main,
-            [
-                "annotate",
-                "--scene", str(scene_dir / "scene.json"),
-                "--detections", str(scene_dir / "detections.ndjson"),
-                "--out", str(out),
-            ],
-        )
         assert res.exit_code == 1
         assert json.loads(res.output.strip().splitlines()[-1])["error"]["kind"] == "input_error"
         assert not out.exists()

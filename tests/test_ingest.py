@@ -388,6 +388,20 @@ class TestSceneIO:
             ingest.load_scene(manifest)
 
 
+LOADERS = {
+    "detections": load_detections,
+    "annotations": lambda p, _: load_annotations(p),
+    "expert": lambda p, _: load_expert_records(p),
+}
+
+# one valid record per loader, for tests that break a single field
+GOOD_RECORDS = {
+    "detections": {"frame_id": "f", "camera_id": "c", "class": "car", "box": [0, 0, 1, 1], "score": 0.5},
+    "annotations": {"frame_id": "f", "class": "car", "center": [0, 0, 0], "dims": [1, 1, 1], "yaw": 0.0, "score": 0.5},
+    "expert": {"frame_id": "f", "camera_id": "c", "box": [0, 0, 1, 1], "dims": [1, 1, 1], "visible_faces": ["back"]},
+}
+
+
 class TestNdjson:
     def test_write_then_read_skips_blank_lines(self, tmp_path):
         p = tmp_path / "x.ndjson"
@@ -395,6 +409,10 @@ class TestNdjson:
         assert p.read_bytes() == b'{"a": 1}\n{"a": 2.5}\n'
         p.write_text('{"a": 1}\n\n  \n{"a": 2.5}\n')
         assert list(ingest.read_ndjson(p, lambda rec: rec["a"])) == [(1, 1), (4, 2.5)]
+
+    def test_write_rejects_non_finite(self, tmp_path):
+        with pytest.raises(ValueError):
+            ingest.write_ndjson([{"a": [1.0, float("nan")]}], tmp_path / "x.ndjson")
 
     @pytest.mark.parametrize(
         "line, fragment",
@@ -419,15 +437,30 @@ class TestNdjson:
 
     @pytest.mark.parametrize("loader", ["detections", "annotations", "expert"])
     def test_loaders_reject_non_utf8(self, tmp_path, tiny_taxonomy, loader):
-        load = {
-            "detections": lambda p: load_detections(p, tiny_taxonomy),
-            "annotations": load_annotations,
-            "expert": load_expert_records,
-        }[loader]
         p = tmp_path / "x.ndjson"
         p.write_bytes(b"\x89PNG\r\n\x1a\n\x00\xff\n")
         with pytest.raises(FormatError, match=f"{p}:1: not UTF-8"):
-            load(p)
+            LOADERS[loader](p, tiny_taxonomy)
+
+    @pytest.mark.parametrize(
+        "loader, key, value",
+        [
+            ("detections", "box", "1234"),
+            ("annotations", "dims", "111"),
+            ("annotations", "track_id", 1.5),
+            ("annotations", "track_id", True),
+            ("expert", "box", "1234"),
+            ("expert", "dims", "421"),
+        ],
+        ids=["det_string_box", "ann_string_dims", "ann_fractional_track", "ann_bool_track",
+             "expert_string_box", "expert_string_dims"],
+    )
+    def test_value_of_wrong_kind_cites_line(self, tmp_path, tiny_taxonomy, loader, key, value):
+        good = GOOD_RECORDS[loader]
+        p = tmp_path / "x.ndjson"
+        p.write_text(json.dumps(good) + "\n" + json.dumps({**good, key: value}) + "\n")
+        with pytest.raises(FormatError, match=f"{p}:2: expected"):
+            LOADERS[loader](p, tiny_taxonomy)
 
     def test_oversized_integer_cites_line(self, tmp_path, tiny_taxonomy):
         rec = '{"frame_id": "f", "camera_id": "c", "class": "car", "box": [0, 0, 1, %s], "score": 0.5}'
@@ -445,6 +478,22 @@ class TestTaxonomy:
     def test_nonpositive_dims_rejected(self):
         with pytest.raises(ValueError):
             Taxonomy(classes=(ClassSpec("car", (0, 1, 1), (0, 0)),))
+
+    @pytest.mark.parametrize(
+        "avg_dims, aggregation, match_radius",
+        [
+            ((4.0, 2.0), (0, 0), 2.0),
+            ((4.0, 2.0, 1.0), (1.5, 0), 2.0),
+            ((4.0, 2.0, 1.0), (0, -1), 2.0),
+            ((4.0, 2.0, 1.0), (0,), 2.0),
+            ((4.0, 2.0, 1.0), (0, 0), 0.0),
+            ((4.0, 2.0, 1.0), (0, 0), float("nan")),
+        ],
+        ids=["two_dims", "fractional_past", "negative_future", "one_window", "zero_radius", "nan_radius"],
+    )
+    def test_class_spec_checks_itself(self, avg_dims, aggregation, match_radius):
+        with pytest.raises(ValueError, match="class car"):
+            ClassSpec("car", avg_dims, aggregation, match_radius)
 
     def test_lookup(self, tiny_taxonomy):
         assert "car" in tiny_taxonomy
