@@ -147,24 +147,35 @@ def synth(spec_path, out_dir, seed):
         _fail(f"spec: {e}")
     if not isinstance(doc, dict):
         _fail("spec: expected a JSON object")
-    # spec keys passed on to random_scene_spec, which holds their defaults
-    casts = {
-        "n_sweeps": int,
-        "noise_sigma": float,
-        "points_per_object": tuple,
-        "moving_fraction": float,
-        "ego_speed": float,
+    # spec keys and their readers; random_scene_spec holds the defaults
+    # of all but seed and n_objects
+    readers = {
+        "seed": ingest.read_int,
+        "n_objects": ingest.read_int,
+        "n_sweeps": ingest.read_int,
+        "noise_sigma": ingest.read_number,
+        "points_per_object": lambda v: ingest.read_ints(v, 2),
+        "moving_fraction": ingest.read_number,
+        "ego_speed": ingest.read_number,
     }
-    unknown = set(doc) - {"seed", "n_objects", "classes", *casts}
+    unknown = set(doc) - {"classes", *readers}
     if unknown:
         _fail(f"spec: unknown key(s) {sorted(unknown)}")
+    args = {}
+    for key, read in readers.items():
+        if key in doc:
+            try:
+                args[key] = read(doc[key])
+            except ValueError as e:
+                _fail(f"spec: {key}: {e}", kind="spec_error")
+    spec_seed = args.pop("seed", 0)
     try:
         spec = random_scene_spec(
-            seed=seed if seed is not None else int(doc.get("seed", 0)),
+            seed=seed if seed is not None else spec_seed,
             taxonomy=default_taxonomy(),
-            n_objects=int(doc.get("n_objects", 8)),
+            n_objects=args.pop("n_objects", 8),
             classes=doc.get("classes"),
-            **{k: cast(doc[k]) for k, cast in casts.items() if k in doc},
+            **args,
         )
         built = generate_scene(spec)
     except (TypeError, ValueError) as e:
@@ -254,10 +265,13 @@ def track_only(pred_path, scene_path, config_path, out_path):
 
     ts_by_frame = {sw.frame_id: sw.timestamp for sw in scene.sweeps}
     _require_frames(anns, ts_by_frame)
-    frame_order = sorted(dict.fromkeys(a.frame_id for a in anns), key=lambda f: ts_by_frame[f])
+    by_frame = {}
+    for a in anns:
+        by_frame.setdefault(a.frame_id, []).append(a)
+    frame_order = sorted(by_frame, key=lambda f: ts_by_frame[f])
     timestamps = [ts_by_frame[f] for f in frame_order]
 
-    frames = [[a for a in anns if a.frame_id == f] for f in frame_order]
+    frames = [by_frame[f] for f in frame_order]
     frames, tracks = track_and_refine(frames, timestamps, config.taxonomy)
     flat = [a for frame in frames for a in frame]
     _atomic_write(out_path, lambda p: ingest.write_annotations(flat, p))

@@ -63,59 +63,69 @@ class PipelineConfig:
 
 def _check_keys(obj: dict, allowed, where: str):
     if not isinstance(obj, dict):
-        raise ValueError(f"config {where} must be an object, got {obj!r}")
+        raise ValueError(f"{where} must be an object, got {obj!r}")
     unknown = set(obj) - set(allowed)
     if unknown:
         raise ValueError(f"unknown config key(s) in {where}: {sorted(unknown)}")
 
 
+def _read(read, value, where: str):
+    """`read(value)`, its ValueError prefixed with the value's place in the document."""
+    try:
+        return read(value)
+    except ValueError as e:
+        raise ValueError(f"{where}: {e}") from None
+
+
 def _taxonomy_from_json(obj: dict) -> Taxonomy:
     _check_keys(obj, {"classes"}, "taxonomy")
     if not isinstance(obj["classes"], list):
-        raise ValueError(f"config taxonomy.classes must be a list, got {obj['classes']!r}")
+        raise ValueError(f"taxonomy.classes must be a list, got {obj['classes']!r}")
     classes = []
-    for entry in obj["classes"]:
-        _check_keys(entry, {f.name for f in fields(ClassSpec)}, "taxonomy class")
+    for i, entry in enumerate(obj["classes"]):
+        where = f"taxonomy.classes[{i}]"
+        _check_keys(entry, {f.name for f in fields(ClassSpec)}, where)
+        name = str(entry["name"])
+        # the same "class <name>: " that ClassSpec's own checks put first
+        at = f"{where}: class {name}"
         agg = entry.get("aggregation", {})
-        _check_keys(agg, {"past", "future"}, "aggregation")
-        classes.append(
-            ClassSpec(
-                name=str(entry["name"]),
-                avg_dims=read_numbers(entry["avg_dims"], 3),
-                aggregation=(read_int(agg.get("past", 0)), read_int(agg.get("future", 0))),
-                match_radius=read_number(entry.get("match_radius", ClassSpec.match_radius)),
-            )
-        )
+        _check_keys(agg, {"past", "future"}, f"{at}: aggregation")
+        dims = _read(lambda v: read_numbers(v, 3), entry["avg_dims"], f"{at}: avg_dims")
+        window = tuple(_read(read_int, agg.get(k, 0), f"{at}: aggregation.{k}") for k in ("past", "future"))
+        radius = _read(read_number, entry.get("match_radius", ClassSpec.match_radius), f"{at}: match_radius")
+        try:
+            spec = ClassSpec(name=name, avg_dims=dims, aggregation=window, match_radius=radius)
+        except ValueError as e:
+            raise ValueError(f"{where}: {e}") from None
+        classes.append(spec)
     return Taxonomy(classes=tuple(classes))
 
 
-def _dataclass_from_dict(cls, doc, where: str):
+def _dataclass_from_dict(cls, doc, where: str = ""):
     """Build `cls` from a JSON object, field by field, defaults for the rest.
 
     Nested dataclass fields recurse, the taxonomy has its own layout, and
     every other value goes through the reader for the type of the field's
-    default. Unknown keys and values the reader rejects are errors.
+    default. Unknown keys and values the reader rejects are errors that
+    name the key's dotted path (`where`, empty at the top level).
     """
-    _check_keys(doc, {f.name for f in fields(cls)}, where)
+    _check_keys(doc, {f.name for f in fields(cls)}, where or "config")
     defaults = cls()
     kwargs = {}
     for key, value in doc.items():
         default = getattr(defaults, key)
+        path = f"{where}.{key}" if where else key
         if isinstance(default, Taxonomy):
             kwargs[key] = _taxonomy_from_json(value)
         elif is_dataclass(default):
-            kwargs[key] = _dataclass_from_dict(type(default), value, key)
+            kwargs[key] = _dataclass_from_dict(type(default), value, path)
         else:
-            read = read_int if isinstance(default, int) else read_number
-            try:
-                kwargs[key] = read(value)
-            except ValueError as e:
-                raise ValueError(f"config {where}.{key}: {e}") from None
+            kwargs[key] = _read(read_int if isinstance(default, int) else read_number, value, path)
     return cls(**kwargs)
 
 
 def config_from_dict(doc: dict) -> PipelineConfig:
-    return _dataclass_from_dict(PipelineConfig, doc, "config")
+    return _dataclass_from_dict(PipelineConfig, doc)
 
 
 def load_config(path) -> PipelineConfig:

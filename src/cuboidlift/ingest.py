@@ -189,11 +189,20 @@ def read_int(value) -> int:
     raise ValueError(f"expected an integer, got {value!r}")
 
 
+def _read_list(value, n: int, read, kind: str) -> tuple:
+    if not isinstance(value, list) or len(value) != n:
+        raise ValueError(f"expected a list of {n} {kind}, got {value!r}")
+    return tuple(read(v) for v in value)
+
+
 def read_numbers(value, n: int) -> tuple:
     """A JSON list of exactly n finite numbers, as a tuple of floats."""
-    if not isinstance(value, list) or len(value) != n:
-        raise ValueError(f"expected a list of {n} numbers, got {value!r}")
-    return tuple(read_number(v) for v in value)
+    return _read_list(value, n, read_number, "numbers")
+
+
+def read_ints(value, n: int) -> tuple:
+    """A JSON list of exactly n integers, as a tuple of ints."""
+    return _read_list(value, n, read_int, "integers")
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 
 from cuboidlift.config import PipelineConfig, default_taxonomy
 from cuboidlift.geom import Box2D, Cuboid3D, cuboid_corners, rot_z, wrap_angle
-from cuboidlift.search import Hypothesis, SearchConfig, evaluate_hypotheses, projected_iou
+from cuboidlift.search import Hypothesis, SearchConfig, projected_iou
 from cuboidlift.synth import random_scene_spec
 
 CRITERION_CLASSES = [
@@ -128,6 +128,11 @@ def naive_frustum_mask(points, det, rig) -> np.ndarray:
     return np.array(out, dtype=bool)
 
 
+def grid_poses(grid):
+    """Centers (H, 3) and yaws (H,) of every hypothesis of `grid`, in flat order."""
+    return grid.pose(np.arange(len(grid)))
+
+
 def naive_evaluate_coverage(grid, fg) -> np.ndarray:
     """Coverage of every grid entry by the unfactorised containment test.
 
@@ -140,28 +145,30 @@ def naive_evaluate_coverage(grid, fg) -> np.ndarray:
     if len(fg) == 0:
         return coverage
     half = np.asarray(grid.dims) / 2.0
-    for yaw in np.unique(grid.yaws):
-        sel = np.nonzero(grid.yaws == yaw)[0]
+    centers, yaws = grid_poses(grid)
+    for yaw in np.unique(yaws):
+        sel = np.nonzero(yaws == yaw)[0]
         rinv = rot_z(-float(yaw))
         prot = fg @ rinv.T
-        crot = grid.centers[sel] @ rinv.T
+        crot = centers[sel] @ rinv.T
         inside = np.all(np.abs(prot[None, :, :] - crot[:, None, :]) <= half, axis=2)
         coverage[sel] = inside.sum(axis=1) / float(len(fg))
     return coverage
 
 
 def naive_select_best(grid, fp, det, rig):
-    """Evaluate-all-then-lexsort argmax: full projected IoU, no pruning."""
-    coverage = evaluate_hypotheses(grid, fp, det, rig)[0]
+    """Evaluate-all-then-lexsort argmax: oracle coverage, full projected IoU, no pruning."""
+    coverage = naive_evaluate_coverage(grid, fp.foreground)
     iou = projected_iou(grid, np.arange(len(grid)), det, rig)
     objective = coverage + iou
-    yaw_dist = np.abs(wrap_angle(grid.yaws - grid.init.yaw))
+    centers, yaws = grid_poses(grid)
+    yaw_dist = np.abs(wrap_angle(yaws - grid.init.yaw))
     order = np.lexsort(
         (
-            grid.yaws,
-            grid.centers[:, 2],
-            grid.centers[:, 1],
-            grid.centers[:, 0],
+            yaws,
+            centers[:, 2],
+            centers[:, 1],
+            centers[:, 0],
             yaw_dist,
             -coverage,
             -objective,

@@ -78,8 +78,25 @@ class TestSynthVerb:
             (b'{"classes": "car"}', "spec_error"),
             (b'{"classes": ["nope"]}', "spec_error"),
             (b'{"classes": [["car"]]}', "spec_error"),
+            (b'{"seed": true, "n_objects": 2.7, "n_sweeps": 2.9, "classes": ["car"]}', "spec_error"),
+            (b'{"seed": true}', "spec_error"),
+            (b'{"seed": 1.5}', "spec_error"),
+            (b'{"n_objects": 2.7}', "spec_error"),
+            (b'{"n_sweeps": 2.9}', "spec_error"),
+            (b'{"n_sweeps": "2"}', "spec_error"),
+            (b'{"noise_sigma": "0.02"}', "spec_error"),
+            (b'{"noise_sigma": NaN}', "spec_error"),
+            (b'{"moving_fraction": true}', "spec_error"),
+            (b'{"ego_speed": [2.0]}', "spec_error"),
+            (b'{"points_per_object": [150.5, 250]}', "spec_error"),
+            (b'{"points_per_object": [150, 250, 300]}', "spec_error"),
         ],
-        ids=["list", "non_utf8", "null_count", "string_classes", "unknown_class", "nested_classes"],
+        ids=[
+            "list", "non_utf8", "null_count", "string_classes", "unknown_class", "nested_classes",
+            "bool_seed_fractional_counts", "bool_seed", "fractional_seed", "fractional_objects",
+            "fractional_sweeps", "string_sweeps", "string_sigma", "nan_sigma", "bool_fraction",
+            "list_speed", "fractional_points", "three_points",
+        ],
     )
     def test_malformed_spec_structured_error(self, runner, tmp_path, spec, kind):
         p = tmp_path / "spec.json"
@@ -579,6 +596,39 @@ class TestConfig:
         err = last_error(runner.invoke(main, ["eval", "--pred", gt, "--gt", gt, "--config", str(bad)]))
         assert err["kind"] == "input_error"
         assert err["message"].startswith("config:")
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"sweep_stride": 4.9}, "config: sweep_stride: expected an integer, got 4.9"),
+            ({"search": {"trans_step": True}}, "config: search.trans_step: expected a finite number, got True"),
+            (
+                _car_class(avg_dims=[4, 2, 1], aggregation={"past": 1.7}),
+                "config: taxonomy.classes[0]: class car: aggregation.past: expected an integer, got 1.7",
+            ),
+            (
+                {"taxonomy": {"classes": [
+                    {"name": "car", "avg_dims": [4, 2, 1]},
+                    {"name": "bus", "avg_dims": [11, 2.9, "3.5"]},
+                ]}},
+                "config: taxonomy.classes[1]: class bus: avg_dims: expected a finite number, got '3.5'",
+            ),
+            (
+                {"taxonomy": {"classes": [
+                    {"name": "car", "avg_dims": [4, 2, 1]},
+                    {"name": "bus", "avg_dims": [11, 2.9, 3.5], "match_radius": -3},
+                ]}},
+                "config: taxonomy.classes[1]: class bus: match_radius must be positive",
+            ),
+        ],
+        ids=["top_level", "nested", "class_field", "second_class_dims", "second_class_check"],
+    )
+    def test_cli_config_error_names_the_value(self, runner, scene_dir, tmp_path, doc, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        gt = str(scene_dir / "gt.ndjson")
+        err = last_error(runner.invoke(main, ["eval", "--pred", gt, "--gt", gt, "--config", str(bad)]))
+        assert err == {"kind": "input_error", "message": message}
 
     def test_negative_threads_rejected(self, runner, scene_dir, tmp_path):
         out = tmp_path / "pred.ndjson"

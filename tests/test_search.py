@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cuboidlift.frustum import FrustumPoints
-from cuboidlift.geom import Box2D, Cuboid3D, rot_z, wrap_angle, yaw_diff
+from cuboidlift.geom import Box2D, Cuboid3D, project_cuboid_to_box, rot_z, wrap_angle, yaw_diff
 from cuboidlift.ingest import Detection2D, SensorRig
 from cuboidlift.prior import SemanticPrior
 from cuboidlift import search
@@ -33,7 +33,7 @@ from cuboidlift.synth import (
     default_cameras,
     sample_visible_surface,
 )
-from conftest import naive_coverage, naive_evaluate_coverage, naive_select_best, random_cuboid
+from conftest import grid_poses, naive_coverage, naive_evaluate_coverage, naive_select_best, random_cuboid
 
 
 def fp_from(points, flags=None):
@@ -163,8 +163,9 @@ class TestEnumerateHypotheses:
         init = Cuboid3D((0, 0, 0), (4, 2, 1.6), 0.0)
         grid = enumerate_hypotheses(init, prior(sector=0.3), cfg)
         assert len(grid) == 3
-        assert np.allclose(sorted(grid.yaws), [-0.3, 0.0, 0.3])
-        assert np.allclose(grid.centers, 0.0)
+        centers, yaws = grid_poses(grid)
+        assert np.allclose(sorted(yaws), [-0.3, 0.0, 0.3])
+        assert np.allclose(centers, 0.0)
 
     def test_default_grid_size(self):
         # 9 x 9 translations, 5 z levels, 3 yaw steps inside the pi/6 sector
@@ -177,16 +178,15 @@ class TestEnumerateHypotheses:
         cfg = SearchConfig()
         init = Cuboid3D((0, 0, 0), (4, 2, 1.6), 0.0)
         grid = enumerate_hypotheses(init, FULL, cfg)
-        yaws = np.unique(np.round(grid.yaws, 12))
+        yaws = np.unique(np.round(grid_poses(grid)[1], 12))
         assert len(yaws) == round(2 * math.pi / cfg.rot_step)  # 20 at the default step
 
     def test_includes_init_exactly(self):
         cfg = SearchConfig()
         init = Cuboid3D((1.7, -3.1, 0.4), (4, 2, 1.6), 0.37)
         grid = enumerate_hypotheses(init, prior(orientation=0.37), cfg)
-        hit = np.nonzero(
-            (grid.centers == init.center).all(axis=1) & (grid.yaws == wrap_angle(init.yaw))
-        )[0]
+        centers, yaws = grid_poses(grid)
+        hit = np.nonzero((centers == init.center).all(axis=1) & (yaws == wrap_angle(init.yaw)))[0]
         assert len(hit) == 1
 
     def test_dims_fixed(self):
@@ -204,7 +204,7 @@ class TestEnumerateHypotheses:
             yaw0 = float(rng.uniform(-math.pi, math.pi))
             init = Cuboid3D((0, 0, 0), (4, 2, 1.6), yaw0)
             grid = enumerate_hypotheses(init, prior(orientation=yaw0, sector=sector), cfg)
-            for y in np.unique(grid.yaws):
+            for y in np.unique(grid_poses(grid)[1]):
                 assert yaw_diff(float(y), yaw0) <= sector + 1e-9
 
     def test_rot_step_wider_than_sector_rejected(self):
@@ -222,7 +222,8 @@ class TestHypothesisGrid:
         grid = HypothesisGrid(xs, ys, zs, yaws, dims=self.INIT.dims, init=self.INIT)
         want = [(x, y, z, yaw) for x in xs for y in ys for z in zs for yaw in yaws]
         assert len(grid) == len(want) == 12
-        got = [(*c, yaw) for c, yaw in zip(grid.centers.tolist(), grid.yaws.tolist())]
+        centers, yaws = grid_poses(grid)
+        got = [(*c, yaw) for c, yaw in zip(centers.tolist(), yaws.tolist())]
         assert got == want
         for i, pose in enumerate(want):
             cub = grid.cuboid(i)
@@ -233,7 +234,7 @@ class TestHypothesisGrid:
         grid = HypothesisGrid(xs, [0.0], [0.0], [0.0], dims=self.INIT.dims, init=self.INIT)
         xs[0] = 9.0  # the grid keeps its own copy
         assert grid.x_axis.tolist() == [1.0, 2.0]
-        for a in (grid.x_axis, grid.yaw_axis, grid.centers, grid.yaws):
+        for a in (grid.x_axis, grid.y_axis, grid.z_axis, grid.yaw_axis, grid.corner_table):
             with pytest.raises(ValueError):
                 a[0] = 0.0
 
@@ -297,13 +298,29 @@ def random_kernel_case(rng, cfg, full_circle):
     k = int(rng.integers(1, 30))
     nodes = rng.integers(0, len(grid), size=k)
     axes = rng.integers(0, 3, size=k)
-    faces = grid.centers[nodes].copy()
+    faces = grid.pose(nodes)[0]
     faces[np.arange(k), axes] += rng.choice([-1.0, 1.0], size=k) * np.asarray(dims)[axes] / 2.0
     pts = np.concatenate([init.center + spread, faces])[rng.permutation(len(spread) + k)]
     return grid, fp_from(pts, rng.random(len(pts)) < 0.8)
 
 
 KERNEL_DET = Detection2D("f", "cam_0", "car", Box2D(200.0, 150.0, 900.0, 600.0), 0.9)
+
+
+def all_nodes(grid):
+    return np.arange(len(grid.x_axis) * len(grid.y_axis))
+
+
+def assert_coverage_matches_oracle(grid, fp, rig, det=KERNEL_DET):
+    """The all-node kernel on the whole grid, then the coverages the pruned
+    path hands back at its candidates, each against the naive oracle."""
+    want = naive_evaluate_coverage(grid, fp.foreground)
+    cov = search._coverage(grid, fp.foreground, all_nodes(grid))
+    assert cov.dtype == np.float64
+    assert np.array_equal(cov, want)
+    candidates, cand_cov, _ = evaluate_hypotheses(grid, fp, det, rig)
+    assert cand_cov.dtype == np.float64
+    assert np.array_equal(cand_cov, want[candidates])
 
 
 class TestCoverageKernel:
@@ -315,25 +332,25 @@ class TestCoverageKernel:
         rng = np.random.default_rng([7, len(name), int(full_circle)])
         for _ in range(12):
             grid, fp = random_kernel_case(rng, KERNEL_CONFIGS[name], full_circle)
-            cov, _, _ = evaluate_hypotheses(grid, fp, KERNEL_DET, rig)
-            want = naive_evaluate_coverage(grid, fp.foreground)
-            assert cov.dtype == np.float64
-            assert np.array_equal(cov, want)
+            assert_coverage_matches_oracle(grid, fp, rig)
 
     def test_point_on_face_counts(self, rig):
         cfg = SearchConfig(xy_range=0.5, z_range=0.5)
         init = Cuboid3D((10.0, 2.0, -0.5), (4.0, 2.0, 1.5), 0.0)
         grid = enumerate_hypotheses(init, prior(dims=init.dims, orientation=0.0), cfg)
         pts = init.center + np.array([[2.0, 0, 0], [0, -1.0, 0], [0, 0, 0.75]])
-        cov, _, _ = evaluate_hypotheses(grid, fp_from(pts), KERNEL_DET, rig)
-        at_init = (grid.centers == init.center).all(axis=1) & (grid.yaws == 0.0)
+        cov = search._coverage(grid, pts, all_nodes(grid))
+        centers, yaws = grid_poses(grid)
+        at_init = (centers == init.center).all(axis=1) & (yaws == 0.0)
         assert cov[at_init].tolist() == [1.0]
-        assert np.array_equal(cov, naive_evaluate_coverage(grid, pts))
+        assert_coverage_matches_oracle(grid, fp_from(pts), rig)
 
     def test_empty_foreground_is_zero(self, rig):
         grid, fp = random_kernel_case(np.random.default_rng(3), SearchConfig(), True)
         empty = fp_from(fp.points, np.zeros(len(fp.points), dtype=bool))
-        cov, _, _ = evaluate_hypotheses(grid, empty, KERNEL_DET, rig)
+        assert np.array_equal(search._coverage(grid, empty.foreground, all_nodes(grid)), np.zeros(len(grid)))
+        candidates, cov, _ = evaluate_hypotheses(grid, empty, KERNEL_DET, rig)
+        assert np.array_equal(candidates, np.arange(len(grid)))
         assert cov.dtype == np.float64
         assert np.array_equal(cov, np.zeros(len(grid)))
 
@@ -344,9 +361,10 @@ class TestCoverageKernel:
             axes = [[10.0, 10.5], [0.0], [0.0, -0.5], [0.0, 0.3]]
             axes[empty] = []
             grid = HypothesisGrid(*axes, dims=init.dims, init=init)
-            assert len(grid) == 0 and grid.centers.shape == (0, 3)
-            cov, _, iou = evaluate_hypotheses(grid, fp, KERNEL_DET, rig)
-            assert cov.shape == iou.shape == (0,)
+            assert len(grid) == 0 and grid_poses(grid)[0].shape == (0, 3)
+            candidates, cov, iou = evaluate_hypotheses(grid, fp, KERNEL_DET, rig)
+            assert candidates.shape == cov.shape == iou.shape == (0,)
+            assert search._coverage(grid, fp.foreground, all_nodes(grid)).shape == (0,)
 
     @staticmethod
     def signed_zero_case(rng):
@@ -384,8 +402,7 @@ class TestCoverageKernel:
         rng = np.random.default_rng([len(case), elems or 0])
         for _ in range(20):
             grid, fp = getattr(self, case)(rng)
-            cov, _, _ = evaluate_hypotheses(grid, fp, KERNEL_DET, rig)
-            assert np.array_equal(cov, naive_evaluate_coverage(grid, fp.foreground))
+            assert_coverage_matches_oracle(grid, fp, rig)
 
     @pytest.mark.parametrize("elems", [1, 7, 500])
     def test_chunked_points_match_oracle(self, rig, monkeypatch, elems):
@@ -393,8 +410,7 @@ class TestCoverageKernel:
         rng = np.random.default_rng(elems)
         for cfg, full_circle in ((SearchConfig(), False), (KERNEL_CONFIGS["fine_step"], True)):
             grid, fp = random_kernel_case(rng, cfg, full_circle)
-            cov, _, _ = evaluate_hypotheses(grid, fp, KERNEL_DET, rig)
-            assert np.array_equal(cov, naive_evaluate_coverage(grid, fp.foreground))
+            assert_coverage_matches_oracle(grid, fp, rig)
 
 
 class TestProjectedIou:
@@ -476,9 +492,11 @@ class TestPrunedArgmax:
             best = select_best(grid, fp, det, rig)
             assert_same_hypothesis(best, naive_select_best(grid, fp, det, rig))
             # every pruned hypothesis scores strictly below the winner
-            cov, candidates, iou = evaluate_hypotheses(grid, fp, det, rig)
+            candidates, cand_cov, iou = evaluate_hypotheses(grid, fp, det, rig)
+            cov = naive_evaluate_coverage(grid, fp.foreground)
             full_iou = projected_iou(grid, np.arange(len(grid)), det, rig)
             assert np.all(np.diff(candidates) > 0)
+            assert np.array_equal(cand_cov, cov[candidates])
             assert np.array_equal(iou, full_iou[candidates])
             assert np.all(np.delete(cov + full_iou, candidates) < best.objective)
             pruned += len(grid) - len(candidates)
@@ -501,7 +519,7 @@ class TestPrunedArgmax:
         for g in (grid, doubled, shuffled):
             fp = fp_from(pts)
             want = naive_select_best(g, fp, det, rig)
-            cov = evaluate_hypotheses(g, fp, det, rig)[0]
+            cov = naive_evaluate_coverage(g, fp.foreground)
             objective = cov + projected_iou(g, np.arange(len(g)), det, rig)
             assert (objective == want.objective).sum() >= 2
             assert_same_hypothesis(select_best(g, fp, det, rig), want)
@@ -556,9 +574,161 @@ class TestPrunedArgmax:
         cub, pts, det = synthetic_detection(rig, seed=6)
         grid = enumerate_hypotheses(cub, prior(dims=cub.dims, orientation=None, sector=math.pi), SearchConfig())
         fp = fp_from(pts, np.zeros(len(pts), dtype=bool))
-        _, candidates, _ = evaluate_hypotheses(grid, fp, det, rig)
+        candidates, _, _ = evaluate_hypotheses(grid, fp, det, rig)
         assert np.array_equal(candidates, np.arange(len(grid)))
         assert_same_hypothesis(select_best(grid, fp, det, rig), naive_select_best(grid, fp, det, rig))
+
+
+
+def record_calls(monkeypatch, name):
+    """Wrap search.<name>, recording each call's positional arguments."""
+    calls = []
+    inner = getattr(search, name)
+
+    def wrapped(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(search, name, wrapped)
+    return calls
+
+
+class TestNodeBound:
+    """Each grid bounds its xy nodes and counts coverage only where a hypothesis can win."""
+
+    @staticmethod
+    def box_points(grid, node, yaw):
+        """The 8 corners, 6 face centers and 4 side-edge midpoints of the box at
+        an xy node and z level 0 with the given yaw, built in its frame and
+        rotated out, so they lie on its boundary up to rounding."""
+        half = np.asarray(grid.dims) / 2.0
+        signs = [(sx, sy, sz) for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)]
+        signs += [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+        signs += [(1, 1, 0), (1, -1, 0), (-1, 1, 0), (-1, -1, 0)]
+        ix, iy = divmod(int(node), len(grid.y_axis))
+        center = np.array([grid.x_axis[ix], grid.y_axis[iy], grid.z_axis[0]])
+        return center + (np.array(signs, dtype=float) * half) @ rot_z(float(yaw)).T
+
+    @pytest.mark.parametrize("dims", [(4.0, 2.0, 1.5), (4.6, 1.95, 1.7), (0.41, 0.41, 1.07)])
+    def test_counts_every_boundary_point_the_kernel_counts(self, dims):
+        init = Cuboid3D((14.25, -3.5, -0.75), dims, 0.0)
+        grid = enumerate_hypotheses(init, prior(dims=dims, orientation=None, sector=math.pi), SearchConfig())
+        nodes = all_nodes(grid)
+        counted = 0
+        for node in (0, 40, 71):
+            for yaw in grid.yaw_axis:
+                for p in self.box_points(grid, node, yaw):
+                    kernel = search._coverage(grid, p[None], nodes).reshape(len(nodes), -1).max(axis=1)
+                    bound = search._node_bound(grid, p[None])
+                    assert np.all(bound >= kernel)
+                    counted += int(kernel[node])
+        # a good share of the boundary points round inside their own box
+        assert counted > 3 * len(grid.yaw_axis) * 18 // 4
+
+    @pytest.mark.parametrize("elems", [1, 7, 500])
+    def test_chunking_leaves_the_bound_unchanged(self, monkeypatch, elems):
+        rng = np.random.default_rng([29, elems])
+        cases = [random_kernel_case(rng, SearchConfig(), True) for _ in range(6)]
+        want = [search._node_bound(grid, fp.foreground) for grid, fp in cases]
+        monkeypatch.setattr(search, "_CHUNK_ELEMS", elems)
+        for (grid, fp), ub in zip(cases, want):
+            assert np.array_equal(search._node_bound(grid, fp.foreground), ub)
+
+    @pytest.mark.parametrize("elems", [None, 7, 500])
+    def test_random_full_circle_grids_match_naive(self, rig, monkeypatch, elems):
+        if elems is not None:
+            monkeypatch.setattr(search, "_CHUNK_ELEMS", elems)
+        bounds = record_calls(monkeypatch, "_node_bound")
+        counted = record_calls(monkeypatch, "_coverage")
+        rng = np.random.default_rng([23, elems or 0])
+        for trial in range(8):
+            dims = [(4.6, 1.95, 1.7), (6.9, 2.5, 2.8), (0.73, 0.67, 1.77)][trial % 3]
+            cub, pts, det = synthetic_detection(rig, seed=900 + trial, dims=dims, n=int(rng.integers(30, 300)))
+            p = prior(dims=dims, orientation=None, sector=math.pi)
+            fp = fp_from(pts, rng.random(len(pts)) < 0.9)
+            grid = enumerate_hypotheses(init_hypothesis(fp, p), p, SearchConfig())
+            if trial % 2:
+                grid = permuted_axes(grid, rng)
+            assert_same_hypothesis(select_best(grid, fp, det, rig), naive_select_best(grid, fp, det, rig))
+        assert len(bounds) == 8
+        # some grids were pruned to fewer nodes than the whole grid
+        assert any(len(args[2]) < 81 for args in counted)
+
+    def test_every_node_survives(self, rig, monkeypatch):
+        # truck-sized dims around a tight cluster: every node's disc holds
+        # every point, so the bound is 1.0 everywhere and no node is pruned
+        dims = (6.9, 2.5, 2.8)
+        center = np.array([15.0, 1.0, -0.4])
+        pts = center + np.random.default_rng(31).uniform(-0.3, 0.3, size=(60, 3))
+        p = prior(dims=dims, orientation=None, sector=math.pi)
+        fp = fp_from(pts)
+        grid = enumerate_hypotheses(Cuboid3D(center, dims, 0.0), p, SearchConfig())
+        assert np.array_equal(search._node_bound(grid, pts), np.ones(81))
+        counted = record_calls(monkeypatch, "_coverage")
+        det = Detection2D("f", "cam_0", "truck", Box2D(300.0, 150.0, 700.0, 400.0), 0.9)
+        assert_same_hypothesis(select_best(grid, fp, det, rig), naive_select_best(grid, fp, det, rig))
+        assert [len(args[2]) for args in counted] == [1, 81]
+
+    def test_winner_reaching_its_node_bound_survives(self, rig):
+        # points near the corners of one box, and a detection box equal to
+        # its projection: that hypothesis scores exactly 1 + 1, its node's
+        # bound + 1 equals that objective, and no other node reaches it
+        box = Cuboid3D((15.0, 0.5, -0.5), (4.0, 2.0, 1.5), 0.0)
+        corners = np.array([[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)], dtype=float)
+        pts = box.center + 0.95 * corners * np.asarray(box.dims) / 2.0
+        grid = enumerate_hypotheses(box, prior(dims=box.dims, orientation=None, sector=math.pi), SearchConfig())
+        centers, yaws = grid_poses(grid)
+        at_box = int(np.flatnonzero((centers == box.center).all(axis=1) & (yaws == box.yaw))[0])
+        proj = project_cuboid_to_box(box, rig.camera_from_lidar("cam_0"), rig.camera("cam_0").intrinsics)
+        det = Detection2D("f", "cam_0", "car", proj, 0.9)
+        ub = search._node_bound(grid, pts)
+        assert ub[at_box // (len(grid.z_axis) * len(grid.yaw_axis))] == 1.0 and (ub == 1.0).sum() == 1
+        candidates, _, _ = evaluate_hypotheses(grid, fp_from(pts), det, rig)
+        assert at_box in candidates
+        best = select_best(grid, fp_from(pts), det, rig)
+        assert best.objective == 2.0
+        assert_same_hypothesis(best, naive_select_best(grid, fp_from(pts), det, rig))
+
+    def test_weak_seed_node_still_prunes_iou(self, rig, monkeypatch):
+        # a ring of points just inside the bound radius of a corner node
+        # gives that node the largest bound but a poor best objective, so
+        # no node is pruned; the counted grid then seeds L again, and IoU
+        # goes only to what seeding from the whole grid would keep
+        dims = (0.8, 0.58, 1.03)
+        cub, obj_pts, det = synthetic_detection(rig, seed=61, dims=dims, n=100)
+        p = prior(dims=dims, orientation=None, sector=math.pi)
+        grid = enumerate_hypotheses(cub, p, SearchConfig())
+        corner = np.array([grid.x_axis[0], grid.y_axis[0], cub.center[2]])
+        angle = np.linspace(0.0, 2.0 * math.pi, 300, endpoint=False)
+        ring = corner + 0.97 * math.hypot(*dims[:2]) / 2.0 * np.stack([np.cos(angle), np.sin(angle), 0.0 * angle], 1)
+        pts = np.concatenate([obj_pts, ring])
+        counted = record_calls(monkeypatch, "_coverage")
+        candidates, _, _ = evaluate_hypotheses(grid, fp_from(pts), det, rig)
+        assert [len(args[2]) for args in counted] == [1, 81]
+        cov = naive_evaluate_coverage(grid, pts)
+        whole = search._attained(grid, np.arange(len(grid)), cov, det, rig)
+        assert np.array_equal(candidates, np.flatnonzero(cov + 1.0 >= whole))
+        assert len(candidates) < len(grid) // 10
+
+    def test_no_foreground_skips_the_bound(self, rig, monkeypatch):
+        grid, fp = random_kernel_case(np.random.default_rng(12), SearchConfig(), True)
+        empty = fp_from(fp.points, np.zeros(len(fp.points), dtype=bool))
+        bounds = record_calls(monkeypatch, "_node_bound")
+        candidates, cov, _ = evaluate_hypotheses(grid, empty, KERNEL_DET, rig)
+        assert np.array_equal(candidates, np.arange(len(grid)))
+        assert not cov.any() and not bounds
+        assert_same_hypothesis(select_best(grid, empty, KERNEL_DET, rig), naive_select_best(grid, empty, KERNEL_DET, rig))
+
+    def test_sector_grids_are_bounded_too(self, rig, monkeypatch):
+        bounds = record_calls(monkeypatch, "_node_bound")
+        for seed in range(4):
+            cub, pts, det = synthetic_detection(rig, seed=77 + seed)
+            p = prior(dims=cub.dims, orientation=cub.yaw)
+            fp = fp_from(pts)
+            grid = enumerate_hypotheses(init_hypothesis(fp, p), p, SearchConfig())
+            assert len(grid.yaw_axis) == 3
+            assert_same_hypothesis(select_best(grid, fp, det, rig), naive_select_best(grid, fp, det, rig))
+        assert len(bounds) == 4
 
 
 class TestSelectBest:
@@ -577,10 +747,9 @@ class TestSelectBest:
         init = init_hypothesis(fp, p)
         grid = enumerate_hypotheses(init, p, SearchConfig())
         best = select_best(grid, fp, det, rig)
-        init_idx = int(
-            np.nonzero((grid.centers == init.center).all(axis=1) & (grid.yaws == wrap_angle(init.yaw)))[0][0]
-        )
-        cov, _, _ = evaluate_hypotheses(grid, fp, det, rig)
+        centers, yaws = grid_poses(grid)
+        init_idx = int(np.nonzero((centers == init.center).all(axis=1) & (yaws == wrap_angle(init.yaw)))[0][0])
+        cov = search._coverage(grid, fp.foreground, all_nodes(grid))
         iou = projected_iou(grid, np.arange(len(grid)), det, rig)
         assert best.objective >= cov[init_idx] + iou[init_idx]
 
@@ -614,7 +783,7 @@ class TestSelectBest:
         p = prior(dims=cub.dims, orientation=cub.yaw)
         fp = fp_from(pts)
         grid = enumerate_hypotheses(init_hypothesis(fp, p), p, SearchConfig())
-        cov, _, _ = evaluate_hypotheses(grid, fp, det, rig)
+        cov = search._coverage(grid, fp.foreground, all_nodes(grid))
         iou = projected_iou(grid, np.arange(len(grid)), det, rig)
         assert np.all((cov >= 0) & (cov <= 1))
         assert np.all((iou >= 0) & (iou <= 1))
