@@ -16,7 +16,7 @@ import click
 import numpy as np
 
 from . import ingest
-from .aggregate import AggregationStrategy, aggregate_sweeps, strategy_for_class
+from .aggregate import aggregate_sweeps
 from .config import PipelineConfig, default_taxonomy, load_config
 from .metrics import evaluate_detections, map2d
 from .pipeline import annotate_scene, track_and_refine
@@ -234,19 +234,19 @@ def aggregate_only(scene_path, frame_id, class_label, past, future, config_path,
         _fail(f"unknown frame {frame_id!r}")
     try:
         if class_label is not None:
-            strat = strategy_for_class(config.taxonomy, class_label)
+            window = config.taxonomy.get(class_label).aggregation
         else:
-            strat = AggregationStrategy(past=past or 0, future=future or 0)
+            window = (past or 0, future or 0)
+        pts = aggregate_sweeps(scene.sweeps, index[frame_id], window)
     except (KeyError, ValueError) as e:
         _fail(str(e))
-    pts = aggregate_sweeps(scene.sweeps, index[frame_id], strat)
     full = np.zeros((len(pts), 4), dtype=np.float32)
     full[:, :3] = pts
     full[:, 3] = 0.5
     _atomic_write(
         out_path, lambda p: ingest.write_sweep_points(full, p, stride=config.sweep_stride)
     )
-    click.echo(json.dumps({"points": int(len(pts)), "past": strat.past, "future": strat.future}))
+    click.echo(json.dumps({"points": int(len(pts)), "past": window[0], "future": window[1]}))
 
 
 @main.command("track-only")
@@ -257,21 +257,20 @@ def aggregate_only(scene_path, frame_id, class_label, past, future, config_path,
 def track_only(pred_path, scene_path, config_path, out_path):
     """Track annotations across frames and refine their scores.
 
-    The scene's sweep timestamps order the frames and time the velocities.
+    Every sweep of the scene is a frame, in scene order, and its timestamp
+    times the velocities; as in annotate, a sweep without annotations ends
+    every track that would cross it.
     """
     config = _load_config_arg(config_path)
     anns = _load(ingest.load_annotations, pred_path)
     scene = _load(ingest.load_scene, scene_path, stride=config.sweep_stride)
 
-    ts_by_frame = {sw.frame_id: sw.timestamp for sw in scene.sweeps}
-    _require_frames(anns, ts_by_frame)
+    _require_frames(anns, {sw.frame_id for sw in scene.sweeps})
     by_frame = {}
     for a in anns:
         by_frame.setdefault(a.frame_id, []).append(a)
-    frame_order = sorted(by_frame, key=lambda f: ts_by_frame[f])
-    timestamps = [ts_by_frame[f] for f in frame_order]
-
-    frames = [by_frame[f] for f in frame_order]
+    frames = [by_frame.get(sw.frame_id, []) for sw in scene.sweeps]
+    timestamps = [sw.timestamp for sw in scene.sweeps]
     frames, tracks = track_and_refine(frames, timestamps, config.taxonomy)
     flat = [a for frame in frames for a in frame]
     _atomic_write(out_path, lambda p: ingest.write_annotations(flat, p))

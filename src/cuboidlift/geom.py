@@ -272,20 +272,31 @@ def bev_distance(a: Cuboid3D, b: Cuboid3D) -> float:
     return math.hypot(d[0], d[1])
 
 
+def yaw_frame(points: np.ndarray, yaw: float) -> np.ndarray:
+    """(N, 3) points, or one point as (1, 3), in axes turned by `yaw` about +z.
+
+    rot_z's zero entries leave z unchanged and make x and y independent
+    of z, bit for bit.
+    """
+    return np.asarray(points, dtype=float).reshape(-1, 3) @ rot_z(-yaw).T
+
+
 def cuboid_local(points: np.ndarray, c: Cuboid3D) -> np.ndarray:
-    """(N, 3) points expressed in the cuboid's yaw-aligned local frame."""
-    p = np.asarray(points, dtype=float).reshape(-1, 3)
-    return (p - c.center) @ rot_z(-c.yaw).T
+    """(N, 3) points expressed in the cuboid's yaw-aligned local frame.
+
+    Points and center are turned apart and then subtracted, the arithmetic
+    of the search's coverage kernel: containment counted on these offsets
+    equals the kernel's count on a grid of this one box, bit for bit. On a
+    grid of many nodes it can differ for a point within rounding of a
+    face, because the BLAS product may round a one-row and a many-row
+    product differently.
+    """
+    return yaw_frame(points, c.yaw) - yaw_frame(c.center, c.yaw)
 
 
 def inside_local(local: np.ndarray, dims) -> np.ndarray:
     """Boundary-inclusive containment of local-frame points in a centered box of `dims`."""
     return np.all(np.abs(local) <= np.asarray(dims) / 2.0, axis=1)
-
-
-def points_in_cuboid(points: np.ndarray, c: Cuboid3D) -> np.ndarray:
-    """Vectorized boundary-inclusive containment for (N, 3) points."""
-    return inside_local(cuboid_local(points, c), c.dims)
 
 
 def project_boxes(corners: np.ndarray, extr: RigidTransform, intr: CameraIntrinsics):

@@ -17,7 +17,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Optional
 
-from .aggregate import aggregate_sweeps, strategy_for_class
+from .aggregate import aggregate_sweeps
 from .config import PipelineConfig
 from .frustum import CameraView, extract_frustum, filter_foreground, project_view
 from .geom import transform_cuboid
@@ -115,18 +115,18 @@ def annotate_scene(
         )
 
     jobs = []  # (detection, sweep index)
-    windows = {}  # (sweep index, strategy) -> camera id -> job indices, first-seen order
+    windows = {}  # (sweep index, (past, future)) -> camera id -> job indices, first-seen order
     for i, det in enumerate(detections):
         si = frame_index[det.frame_id]
-        strat = strategy_for_class(config.taxonomy, det.class_label)
+        aggregation = config.taxonomy.get(det.class_label).aggregation
         jobs.append((det, si))
-        windows.setdefault((si, strat), {}).setdefault(det.camera_id, []).append(i)
+        windows.setdefault((si, aggregation), {}).setdefault(det.camera_id, []).append(i)
 
     # project each window once per camera, keeping only what some box of
     # that camera can select, then drop the window: one is alive at a time
     views = [None] * len(jobs)
-    for (si, strat), cameras in windows.items():
-        window = aggregate_sweeps(scene.sweeps, si, strat)
+    for (si, aggregation), cameras in windows.items():
+        window = aggregate_sweeps(scene.sweeps, si, aggregation)
         for camera_id, members in cameras.items():
             view = project_view(window, scene.rig, camera_id, [jobs[i][0].box for i in members])
             for i in members:

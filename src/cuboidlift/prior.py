@@ -24,6 +24,9 @@ FULL_SECTOR = math.pi
 # canonical face order also breaks circular-mean ties at exact opposition
 FACES = ("front", "back", "left", "right")
 
+# third of the image width that holds the box center (docs/expert_prompt.md)
+IMAGE_REGIONS = ("left", "center", "right")
+
 # heading of the face's outward normal relative to the camera optical-axis
 # azimuth; seeing a face means the object heads the opposite way for front,
 # the same way for back, etc.
@@ -66,6 +69,8 @@ class ExpertRecord:
                 raise ValueError(f"unknown face {f!r}")
         if any(d <= 0 for d in self.dims):
             raise ValueError("record dims must be positive")
+        if self.image_region not in IMAGE_REGIONS:
+            raise ValueError(f"expected image_region in {IMAGE_REGIONS}, got {self.image_region!r}")
 
 
 def _detection_key(frame_id: str, camera_id: str, box) -> tuple:

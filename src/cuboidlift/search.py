@@ -36,10 +36,9 @@ from .geom import (
     Cuboid3D,
     corner_offsets,
     iou_2d,
-    points_in_cuboid,
     project_boxes,
-    rot_z,
     wrap_angle,
+    yaw_frame,
 )
 from .ingest import Detection2D, SensorRig
 from .frustum import FrustumPoints
@@ -133,14 +132,6 @@ class HypothesisGrid:
     def cuboid(self, i: int) -> Cuboid3D:
         center, yaw = self.pose(i)
         return Cuboid3D(center, self.dims, float(yaw))
-
-
-def coverage_ratio(points: np.ndarray, c: Cuboid3D) -> float:
-    """Fraction of points inside the cuboid (boundary inclusive); 0 if empty."""
-    p = np.asarray(points, dtype=float).reshape(-1, 3)
-    if len(p) == 0:
-        return 0.0
-    return float(points_in_cuboid(p, c).sum()) / float(len(p))
 
 
 def _median(x: np.ndarray) -> float:
@@ -246,8 +237,8 @@ def _coverage(grid: HypothesisGrid, fg: np.ndarray, nodes: np.ndarray) -> np.nda
 
     Yaw rotates about +z, so in a box frame the z test of a point does not
     depend on the box's xy position and the xy test does not depend on its
-    z. Per entry of the yaw axis, the points and the nodes are rotated
-    into the box frame and
+    z. Per entry of the yaw axis, the points and the nodes are turned
+    into the box frame by `geom.yaw_frame` and
 
         counts = inside_xy (nodes x points) @ inside_z (points x z levels)
 
@@ -256,13 +247,13 @@ def _coverage(grid: HypothesisGrid, fg: np.ndarray, nodes: np.ndarray) -> np.nda
     yaw axis moved last, is in the order of `_node_hypotheses`.
 
     This is exact, not an approximation: both factors use the same
-    `abs(p - c) <= half` comparisons on the same rotated values as a
-    per-hypothesis test (rot_z's zero entries make a rotated xy
-    independent of z and a rotated z equal to the input z, bit for bit, so
-    the nodes sit at z = 0 and `inside_z` is built once from the input z),
-    and a float64 matmul sums 0/1 values without rounding. Every node is
-    rotated and the subset's rows taken, so a node's rotated position is
-    the same whichever subset it is counted in.
+    `abs(p - c) <= half` comparisons on the same turned values as a
+    per-hypothesis test, `inside_local(cuboid_local(fg, box), dims)` on a
+    one-entry grid (`yaw_frame` leaves z unchanged and its xy independent
+    of z, so the nodes sit at z = 0 and `inside_z` is built once from the
+    input z), and a float64 matmul sums 0/1 values without rounding.
+    Every node is turned and the subset's rows taken, so a node's turned
+    position is the same whichever subset it is counted in.
 
     No containment block exceeds _CHUNK_ELEMS: a block holds as many
     whole yaws (all nodes by all points) as fit, which keeps few-node
@@ -289,9 +280,8 @@ def _coverage(grid: HypothesisGrid, fg: np.ndarray, nodes: np.ndarray) -> np.nda
     for y0 in range(0, nyaw, batch):
         b = min(batch, nyaw - y0)
         for k, yaw in enumerate(grid.yaw_axis[y0 : y0 + b]):
-            rinv = rot_z(-float(yaw))
-            rot[:, k] = (fg @ rinv.T)[:, :2].T
-            crot[:, k, :, 0] = (nodes_xy @ rinv.T)[nodes, :2].T
+            rot[:, k] = yaw_frame(fg, yaw)[:, :2].T
+            crot[:, k, :, 0] = yaw_frame(nodes_xy, yaw)[nodes, :2].T
         px, py = rot[:, :b]
         cx, cy = crot[:, :b]
         for s in range(0, m, chunk):

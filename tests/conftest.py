@@ -12,7 +12,8 @@ import pytest
 
 from cuboidlift.config import PipelineConfig, default_taxonomy
 from cuboidlift.geom import Box2D, Cuboid3D, cuboid_corners, rot_z, wrap_angle
-from cuboidlift.search import Hypothesis, SearchConfig, projected_iou
+from cuboidlift import search
+from cuboidlift.search import Hypothesis, HypothesisGrid, SearchConfig, projected_iou
 from cuboidlift.synth import random_scene_spec
 
 CRITERION_CLASSES = [
@@ -262,6 +263,13 @@ def random_cuboid(rng, span=10.0, dim_range=(0.4, 5.0)) -> Cuboid3D:
     dims = tuple(rng.uniform(*dim_range, size=3))
     yaw = rng.uniform(-math.pi, math.pi)
     return Cuboid3D(center, dims, yaw)
+
+
+def kernel_coverage(points, c: Cuboid3D) -> float:
+    """`search._coverage` of the one-entry grid holding `c`: the production coverage of one box."""
+    grid = HypothesisGrid([c.center[0]], [c.center[1]], [c.center[2]], [c.yaw], dims=c.dims, init=c)
+    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    return float(search._coverage(grid, pts, np.array([0]))[0])
 
 
 def random_box(rng, span=100.0) -> Box2D:

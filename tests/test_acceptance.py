@@ -25,7 +25,6 @@ from cuboidlift.prior import SemanticPrior
 from cuboidlift.score import occupancy_rate
 from cuboidlift.search import (
     SearchConfig,
-    coverage_ratio,
     enumerate_hypotheses,
     init_hypothesis,
     select_best,
@@ -45,6 +44,7 @@ from cuboidlift.synth import (
 )
 from conftest import (
     criterion_scene_spec,
+    kernel_coverage,
     naive_coverage,
     naive_frustum_mask,
     naive_match,
@@ -117,8 +117,8 @@ class TestCriterion2BruteForceEquivalence:
         for _ in range(1000):
             c = random_cuboid(rng, span=4.0)
             pts = rng.uniform(-8, 8, size=(20, 3))
-            assert coverage_ratio(pts, c) == naive_coverage(pts, c)
-        ok("criterion 2: coverage_ratio == naive reference on 1000 instances")
+            assert kernel_coverage(pts, c) == naive_coverage(pts, c)
+        ok("criterion 2: coverage kernel (one-entry grids) == naive reference on 1000 instances")
 
     def test_occupancy_rate(self):
         rng = np.random.default_rng(103)

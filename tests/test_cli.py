@@ -18,7 +18,7 @@ def runner():
     return CliRunner()
 
 
-def synth_scene(runner, out, n_sweeps, ego_speed=2.0):
+def synth_scene(runner, out, n_sweeps, ego_speed=2.0, **overrides):
     spec = {
         "seed": 11,
         "n_objects": 6,
@@ -27,6 +27,7 @@ def synth_scene(runner, out, n_sweeps, ego_speed=2.0):
         "noise_sigma": 0.02,
         "points_per_object": [150, 250],
         "ego_speed": ego_speed,
+        **overrides,
     }
     spec_path = out / "spec.json"
     spec_path.write_text(json.dumps(spec))
@@ -426,15 +427,27 @@ class TestTrackOnlyVerb:
     def test_reproduces_annotate_output(self, runner, tmp_path):
         # annotate already tracked and refined, so doing it again changes no
         # byte; seven sweeps make tracks long enough that re-averaging
-        # scores a track already shares would move their last bits
-        scene = synth_scene(runner, tmp_path, n_sweeps=7)
-        pred = tmp_path / "pred.ndjson"
-        assert run_annotate(runner, scene, pred).exit_code == 0
-        out = tmp_path / "tracked.ndjson"
-        args = ["track-only", "--pred", str(pred), "--scene", str(scene / "scene.json")]
-        res = runner.invoke(main, args + ["--out", str(out)])
-        assert res.exit_code == 0, res.output
-        assert out.read_bytes() == pred.read_bytes()
+        # scores a track already shares would move their last bits. The
+        # second scene has no detection in its middle sweep: that sweep
+        # ends every track in annotate, and must in track-only too
+        (tmp_path / "long").mkdir()
+        (tmp_path / "gap").mkdir()
+        scenes = [
+            synth_scene(runner, tmp_path / "long", n_sweeps=7),
+            synth_scene(runner, tmp_path / "gap", n_sweeps=3, seed=3, n_objects=4, classes=["car"]),
+        ]
+        middle = json.loads((scenes[1] / "scene.json").read_text())["sweeps"][1]["frame_id"]
+        dets = scenes[1] / "detections.ndjson"
+        kept = [line for line in dets.read_text().splitlines(True) if json.loads(line)["frame_id"] != middle]
+        dets.write_text("".join(kept))
+        for scene in scenes:
+            pred = scene / "pred.ndjson"
+            assert run_annotate(runner, scene, pred).exit_code == 0
+            out = scene / "tracked.ndjson"
+            args = ["track-only", "--pred", str(pred), "--scene", str(scene / "scene.json")]
+            res = runner.invoke(main, args + ["--out", str(out)])
+            assert res.exit_code == 0, res.output
+            assert out.read_bytes() == pred.read_bytes()
 
     def test_scene_required(self, runner, scene_dir, tmp_path):
         pred = tmp_path / "pred.ndjson"

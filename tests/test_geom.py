@@ -12,8 +12,9 @@ from cuboidlift.geom import (
     RigidTransform,
     bev_rect,
     cuboid_corners,
+    cuboid_local,
+    inside_local,
     iou_2d,
-    points_in_cuboid,
     project_boxes,
     project_cuboid_to_box,
     project_points,
@@ -85,24 +86,25 @@ class TestCuboidCorners:
 class TestPointInCuboid:
     def test_center_inside(self):
         c = Cuboid3D((1, 2, 3), (2, 3, 4), 0.7)
-        assert points_in_cuboid(c.center, c).tolist() == [True]
+        assert inside_local(cuboid_local(c.center, c), c.dims).tolist() == [True]
 
     def test_corner_is_inside(self):
         # exact arithmetic case: axis-aligned, representable halves
         c = Cuboid3D((1, 2, 3), (2, 3, 4), 0.0)
-        assert points_in_cuboid(cuboid_corners(c), c).all()
+        assert inside_local(cuboid_local(cuboid_corners(c), c), c.dims).all()
 
     def test_near_corner_inside_rotated(self):
         # rotated corners round-trip with last-ulp error; nudge inward
         c = Cuboid3D((1, 2, 3), (2, 3, 4), 0.7)
         corners = cuboid_corners(c)
-        assert points_in_cuboid(corners + (c.center - corners) * 1e-9, c).all()
+        assert inside_local(cuboid_local(corners + (c.center - corners) * 1e-9, c), c.dims).all()
 
     def test_against_halfspace_oracle(self):
         rng = np.random.default_rng(11)
         c = random_cuboid(rng)
         pts = rng.uniform(-12, 12, size=(1000, 3))
-        assert points_in_cuboid(pts, c).tolist() == [naive_point_in_cuboid(p, c) for p in pts]
+        inside = inside_local(cuboid_local(pts, c), c.dims)
+        assert inside.tolist() == [naive_point_in_cuboid(p, c) for p in pts]
 
     def test_invariant_under_joint_rigid_transform(self):
         rng = np.random.default_rng(5)
@@ -111,7 +113,8 @@ class TestPointInCuboid:
             t = RigidTransform(rot_z(rng.uniform(-math.pi, math.pi)), rng.uniform(-5, 5, 3))
             pts = rng.uniform(-12, 12, size=(25, 3))
             moved = Cuboid3D(t.apply(c.center), c.dims, c.yaw + t.heading())
-            assert points_in_cuboid(pts, c).tolist() == points_in_cuboid(t.apply(pts), moved).tolist()
+            inside = inside_local(cuboid_local(pts, c), c.dims)
+            assert inside.tolist() == inside_local(cuboid_local(t.apply(pts), moved), c.dims).tolist()
 
 
 class TestProjectCuboid:

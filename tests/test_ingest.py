@@ -451,9 +451,11 @@ class TestNdjson:
             ("annotations", "track_id", True),
             ("expert", "box", "1234"),
             ("expert", "dims", "421"),
+            ("expert", "image_region", [5]),
+            ("expert", "image_region", "middle"),
         ],
         ids=["det_string_box", "ann_string_dims", "ann_fractional_track", "ann_bool_track",
-             "expert_string_box", "expert_string_dims"],
+             "expert_string_box", "expert_string_dims", "expert_list_region", "expert_unknown_region"],
     )
     def test_value_of_wrong_kind_cites_line(self, tmp_path, tiny_taxonomy, loader, key, value):
         good = GOOD_RECORDS[loader]

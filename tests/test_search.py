@@ -6,7 +6,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cuboidlift.frustum import FrustumPoints
-from cuboidlift.geom import Box2D, Cuboid3D, project_cuboid_to_box, rot_z, wrap_angle, yaw_diff
+from cuboidlift.geom import (
+    Box2D,
+    Cuboid3D,
+    cuboid_local,
+    inside_local,
+    project_cuboid_to_box,
+    rot_z,
+    wrap_angle,
+    yaw_diff,
+)
 from cuboidlift.ingest import Detection2D, SensorRig
 from cuboidlift.prior import SemanticPrior
 from cuboidlift import search
@@ -21,7 +30,6 @@ from cuboidlift.search import (
     Hypothesis,
     HypothesisGrid,
     SearchConfig,
-    coverage_ratio,
     enumerate_hypotheses,
     evaluate_hypotheses,
     init_hypothesis,
@@ -33,7 +41,14 @@ from cuboidlift.synth import (
     default_cameras,
     sample_visible_surface,
 )
-from conftest import grid_poses, naive_coverage, naive_evaluate_coverage, naive_select_best, random_cuboid
+from conftest import (
+    grid_poses,
+    kernel_coverage,
+    naive_coverage,
+    naive_evaluate_coverage,
+    naive_select_best,
+    random_cuboid,
+)
 
 
 def fp_from(points, flags=None):
@@ -62,14 +77,16 @@ def rig():
 
 
 class TestCoverageRatio:
+    """The coverage kernel on one-entry grids, the production coverage of one box."""
+
     def test_all_inside(self):
         c = Cuboid3D((0, 0, 0), (2, 2, 2), 0.3)
         rng = np.random.default_rng(1)
         pts = rng.uniform(-0.5, 0.5, size=(50, 3))
-        assert coverage_ratio(pts, c) == 1.0
+        assert kernel_coverage(pts, c) == 1.0
 
     def test_empty_points(self):
-        assert coverage_ratio(np.zeros((0, 3)), Cuboid3D((0, 0, 0), (1, 1, 1), 0.0)) == 0.0
+        assert kernel_coverage(np.zeros((0, 3)), Cuboid3D((0, 0, 0), (1, 1, 1), 0.0)) == 0.0
 
     def test_partial_counts_match_oracle(self):
         c = Cuboid3D((0, 0, 0), (2, 2, 2), 0.0)
@@ -78,15 +95,41 @@ class TestCoverageRatio:
              [0.5, 0.5, 0.5], [0.2, -0.3, 0.1], [3, 0, 0], [0, 3, 0], [0, 0, -3]],
             dtype=float,
         )
-        assert coverage_ratio(pts, c) == 0.7
-        assert coverage_ratio(pts, c) == naive_coverage(pts, c)
+        assert kernel_coverage(pts, c) == 0.7
+        assert kernel_coverage(pts, c) == naive_coverage(pts, c)
 
     def test_random_against_oracle(self):
         rng = np.random.default_rng(5)
         for _ in range(30):
             c = random_cuboid(rng, span=3.0)
             pts = rng.uniform(-8, 8, size=(60, 3))
-            assert coverage_ratio(pts, c) == naive_coverage(pts, c)
+            assert kernel_coverage(pts, c) == naive_coverage(pts, c)
+
+    def test_box_frame_ties_kernel_on_faces_edges_corners(self):
+        # points built on a box's corners, edges and faces in its own frame
+        # lie within rounding of its boundary once moved to the world, where
+        # the order of turning and subtracting decides some of them;
+        # `cuboid_local` must decide every one as the kernel does
+        rng = np.random.default_rng(29)
+        n_corner, n_edge, n_face = 8, 24, 24
+        some_outside = 0
+        for _ in range(1000):
+            c = random_cuboid(rng, span=40.0, dim_range=(0.3, 7.0))
+            signs = rng.choice([-1.0, 1.0], size=(n_corner + n_edge + n_face, 3))
+            free = rng.uniform(-1.0, 1.0, size=signs.shape)
+            # an edge point has one free coordinate, a face point two
+            axis = rng.integers(0, 3, size=n_edge + n_face)
+            on = signs.copy()
+            on[n_corner + np.arange(n_edge), axis[:n_edge]] = free[n_corner : n_corner + n_edge, 0]
+            face = n_corner + n_edge + np.arange(n_face)
+            on[face] = free[face]
+            on[face, axis[n_edge:]] = signs[face, 0]
+            pts = (on * np.asarray(c.dims) / 2.0) @ rot_z(c.yaw).T + c.center
+            inside = inside_local(cuboid_local(pts, c), c.dims)
+            assert inside.sum() / len(pts) == kernel_coverage(pts, c)
+            some_outside += inside.sum() != len(pts)
+        # the boundary cases are really exercised: some points fall outside
+        assert some_outside > 100
 
 
 class TestInitHypothesis:

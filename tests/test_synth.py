@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from cuboidlift.geom import Cuboid3D, points_in_cuboid, rot_z
+from cuboidlift.geom import Cuboid3D, cuboid_local, inside_local, rot_z
 from cuboidlift.synth import (
     DEFAULT_LIDAR_EXTRINSICS,
     SceneObject,
@@ -67,7 +67,7 @@ class TestSurfaceSampling:
         pts = np.asarray(built.scene.sweeps[0].points[:, :3], dtype=float)
         world = pts @ built.scene.sweeps[0].lidar_to_world().rotation.T + DEFAULT_LIDAR_EXTRINSICS.translation
         c = obj.cuboid
-        assert points_in_cuboid(world, c).all()
+        assert inside_local(cuboid_local(world, c), c.dims).all()
         for p in world:
             dist_to_face = min(
                 min(abs(abs(p[i] - c.center[i]) - c.dims[i] / 2) for i in range(3)),
@@ -146,7 +146,7 @@ class TestOracleBoxes:
             obj = built.spec.objects[oi]
             cam = built.scene.rig.camera(det.camera_id)
             cam_from_world = (sweep.ego_pose @ cam.extrinsics).inverse()
-            own = pts_world[points_in_cuboid(pts_world, obj.cuboid)]
+            own = pts_world[inside_local(cuboid_local(pts_world, obj.cuboid), obj.cuboid.dims)]
             pc = own @ cam_from_world.rotation.T + cam_from_world.translation
             front = pc[:, 2] > 0
             u = cam.intrinsics.fx * pc[front, 0] / pc[front, 2] + cam.intrinsics.cx
