@@ -59,6 +59,9 @@ class PipelineConfig:
             raise ValueError("routing_threshold must be in [0, 1]")
         if not (0.0 < self.sector_half_width <= math.pi):
             raise ValueError("sector_half_width must be in (0, pi]")
+        # every per-instance search grid would be refused at run time
+        if self.search.rot_step > 2.0 * self.sector_half_width:
+            raise ValueError("search.rot_step exceeds the yaw sector width 2 * sector_half_width")
 
 
 def _check_keys(obj: dict, allowed, where: str):

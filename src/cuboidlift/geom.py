@@ -300,12 +300,15 @@ def inside_local(local: np.ndarray, dims) -> np.ndarray:
 
 
 def project_boxes(corners: np.ndarray, extr: RigidTransform, intr: CameraIntrinsics):
-    """Clipped image AABBs of projected corner sets, (H, 8, 3) -> (H, 4).
+    """Clipped image AABBs of projected corner sets, corner-major (8, H, 3) -> (H, 4).
 
     `extr` maps the corners' frame into the camera frame. Corners with
     z <= 0 are dropped; partially behind-camera cuboids keep only their
     front corners. Returns (boxes, has_box); rows without any corner in
-    front of the camera have no box and zeros in `boxes`.
+    front of the camera have no box and zeros in `boxes`. Corner-major
+    input makes the min/max over the 8 corners a pass over contiguous
+    rows of H; min and max are exact, so the order they run in changes
+    no bit.
     """
     u, v, front = project_points(extr.apply(corners.reshape(-1, 3)), intr)
     front = front.reshape(corners.shape[:2])
@@ -313,8 +316,8 @@ def project_boxes(corners: np.ndarray, extr: RigidTransform, intr: CameraIntrins
     # np.nanmin they do not warn about rows that are all NaN
     u = np.where(front, u.reshape(front.shape), np.nan)
     v = np.where(front, v.reshape(front.shape), np.nan)
-    boxes = np.stack([np.fmin.reduce(u, 1), np.fmin.reduce(v, 1), np.fmax.reduce(u, 1), np.fmax.reduce(v, 1)], 1)
-    has_box = front.any(axis=1)
+    boxes = np.stack([np.fmin.reduce(u), np.fmin.reduce(v), np.fmax.reduce(u), np.fmax.reduce(v)], 1)
+    has_box = front.any(axis=0)
     boxes[~has_box] = 0.0
     np.clip(boxes, 0.0, [intr.width, intr.height] * 2, out=boxes)
     return boxes, has_box
@@ -322,7 +325,7 @@ def project_boxes(corners: np.ndarray, extr: RigidTransform, intr: CameraIntrins
 
 def project_cuboid_to_box(c: Cuboid3D, extr: RigidTransform, intr: CameraIntrinsics):
     """`project_boxes` for one cuboid: a Box2D, or None if fully behind the camera."""
-    boxes, has_box = project_boxes(cuboid_corners(c)[None], extr, intr)
+    boxes, has_box = project_boxes(cuboid_corners(c)[:, None], extr, intr)
     return Box2D(*(float(x) for x in boxes[0])) if has_box[0] else None
 
 

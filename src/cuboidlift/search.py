@@ -10,15 +10,17 @@ nodes and every z level at once, as one matmul of an xy and a z
 containment factor (see `_coverage`); projected IoU is computed only for
 the hypotheses that can still win (see `evaluate_hypotheses`).
 
-Each grid first bounds every (x, y) node's coverage over all its yaws
-(see `_node_bound`) and counts exact coverage only at the nodes whose
-bound can still reach the best objective found so far. The bound
-is a superset test: a point inside a box of dims (l, w, h) centred on a
-node lies within hypot(l, w) / 2 of the node in xy whatever the box's
-yaw, so counting the points within that radius (plus a margin for the
-rounding of the rotations) and inside the box's z slab never undercounts
-any of the node's hypotheses, and a node it prunes holds no hypothesis
-that could win or tie.
+Each grid first bounds the coverage of every (x, y node, z level) pair
+over all its yaws (see `_node_bound`). The bound is a superset test: a
+point inside a box of dims (l, w, h) centred on a node lies within
+hypot(l, w) / 2 of the node in xy whatever the box's yaw, so counting the
+points within that radius (plus a margin for the rounding of the
+rotations) and inside the box's z slab never undercounts any hypothesis
+of the pair. The node with the largest bound (the one nearest the init on
+a tie) seeds an objective L that some hypothesis reaches; IoU goes only to
+the pairs whose bound + 1 reaches L, and coverage only to the nodes that
+hold a hypothesis whose bound + its own IoU reaches L. Every hypothesis
+pruned on the way scores strictly below L, so none could win or tie.
 
 Offsets are exact integer multiples of the step, so the initial pose is
 always on the grid and halving the steps yields a superset grid.
@@ -49,10 +51,10 @@ from .prior import SemanticPrior
 # stay cache-sized however many points a frustum holds
 _CHUNK_ELEMS = 65_536
 
-# hypotheses whose projected IoU seeds the pruning bound of
-# `evaluate_hypotheses`; any count is exact, and a few of the
-# highest-coverage ones usually bound near the best objective
-_BOUND_SEEDS = 8
+# cap on the hypotheses of one `projected_iou` block, so that its corner
+# and projection temporaries stay a few hundred KB however many rows a
+# call is given
+_IOU_BLOCK = 512
 
 
 class EmptyFrustumError(ValueError):
@@ -123,9 +125,9 @@ class HypothesisGrid:
 
     @cached_property
     def corner_table(self) -> np.ndarray:
-        """Corner offsets (yaws, 8, 3) of the shared dims at each yaw axis entry."""
+        """Corner offsets, corner-major (8, yaws, 3), of the shared dims at each yaw axis entry."""
         table = np.array([corner_offsets(self.dims, float(y)) for y in self.yaw_axis])
-        table = table.reshape(len(self.yaw_axis), 8, 3)
+        table = np.ascontiguousarray(table.reshape(len(self.yaw_axis), 8, 3).transpose(1, 0, 2))
         table.setflags(write=False)
         return table
 
@@ -201,16 +203,20 @@ def projected_iou(
 
     Every value depends on its own hypothesis only, so a subset's IoU
     equals the same rows of the whole grid's IoU bit for bit: the corners
-    of each are its center plus its yaw's row of `grid.corner_table`.
+    of each are its center plus its yaw's column of `grid.corner_table`.
     Hypotheses wholly behind the camera project to the zero box and
-    score 0.
+    score 0. The rows go through `geom.project_boxes` in blocks of at
+    most _IOU_BLOCK, which bounds the memory of a call.
     """
     idx = np.asarray(idx, dtype=np.intp)
-    centers, _ = grid.pose(idx)
-    iyaw = np.unravel_index(idx, grid.shape)[3]
-    corners = centers[:, None, :] + grid.corner_table[iyaw]
-    extr, cam = rig.camera_from_lidar(det.camera_id), rig.camera(det.camera_id)
-    return iou_2d(project_boxes(corners, extr, cam.intrinsics)[0], det.box)
+    extr, intr = rig.camera_from_lidar(det.camera_id), rig.camera(det.camera_id).intrinsics
+    iou = np.empty(len(idx))
+    for s in range(0, len(idx), _IOU_BLOCK):
+        block = idx[s : s + _IOU_BLOCK]
+        centers, _ = grid.pose(block)
+        corners = grid.corner_table[:, np.unravel_index(block, grid.shape)[3]] + centers
+        iou[s : s + len(block)] = iou_2d(project_boxes(corners, extr, intr)[0], det.box)
+    return iou
 
 
 def _node_hypotheses(grid: HypothesisGrid, nodes: np.ndarray) -> np.ndarray:
@@ -300,18 +306,18 @@ def _coverage(grid: HypothesisGrid, fg: np.ndarray, nodes: np.ndarray) -> np.nda
 
 
 def _node_bound(grid: HypothesisGrid, fg: np.ndarray) -> np.ndarray:
-    """Upper bound (xy nodes,) on the coverage of any hypothesis at a node.
+    """Upper bound (xy nodes, z levels) on the coverage of any hypothesis there.
 
     Per (node, z level) it counts the points within r of the node in xy
-    and inside the z slab (`_inside_z`, the kernel's own z test), and
-    takes the largest count over z. A point the kernel counts inside a box
-    of the node, at any yaw, lies within hypot(l, w) / 2 of the node: its
-    box-frame offset is at most (l/2, w/2), and a rotation keeps lengths.
-    The kernel compares rounded rotations, and this distance is rounded
-    too, so r = hypot(l, w) / 2 * (1 + 1e-9) + 1e-6 m: the relative
-    margin covers the rounding of the squares and the absolute one that
-    of the rotations, which is below 1e-12 m at lidar ranges. Chunked over
-    the points like `_coverage`, with the same block cap.
+    and inside the z slab (`_inside_z`, the kernel's own z test). A point
+    the kernel counts inside a box of the node, at any yaw, lies within
+    hypot(l, w) / 2 of the node: its box-frame offset is at most
+    (l/2, w/2), and a rotation keeps lengths. The kernel compares rounded
+    rotations, and this distance is rounded too, so
+    r = hypot(l, w) / 2 * (1 + 1e-9) + 1e-6 m: the relative margin covers
+    the rounding of the squares and the absolute one that of the
+    rotations, which is below 1e-12 m at lidar ranges. Chunked over the
+    points like `_coverage`, with the same block cap.
     """
     m = len(fg)
     nx, ny = len(grid.x_axis), len(grid.y_axis)
@@ -336,64 +342,71 @@ def _node_bound(grid: HypothesisGrid, fg: np.ndarray) -> np.ndarray:
         np.less_equal(d, r * r, out=b)
         np.copyto(d, b)
         counts += d.reshape(nx * ny, w) @ inside_z[s : s + w]
-    return counts.max(axis=1) / float(m)
+    return counts / float(m)
 
 
-def _attained(grid: HypothesisGrid, idx, coverage, det: Detection2D, rig: SensorRig) -> float:
-    """Best objective among the _BOUND_SEEDS highest-coverage hypotheses `idx`.
+def _seed_node(grid: HypothesisGrid, ub: np.ndarray) -> np.ndarray:
+    """The xy node (as a one-entry array) with the largest bound `ub`.
 
-    Some hypothesis reaches it, so the winner's objective is at least as
-    high; -inf when `idx` is empty.
+    Of tied nodes, the one nearest the grid's centre, the init's xy, and
+    then the first: a tie at the top is usually a wide box whose bound is
+    1.0 at every node, and the nodes near the init hold the best poses.
     """
-    if len(idx) > _BOUND_SEEDS:
-        top = np.argpartition(-coverage, _BOUND_SEEDS)[:_BOUND_SEEDS]
-        idx, coverage = idx[top], coverage[top]
-    return (coverage + projected_iou(grid, idx, det, rig)).max(initial=-np.inf)
+    x, y = np.meshgrid(grid.x_axis - grid.init.center[0], grid.y_axis - grid.init.center[1], indexing="ij")
+    return np.lexsort((x.reshape(-1) ** 2 + y.reshape(-1) ** 2, -ub))[:1]
 
 
 def evaluate_hypotheses(
     grid: HypothesisGrid, fp: FrustumPoints, det: Detection2D, rig: SensorRig
 ):
-    """The hypotheses that can still win, with their coverage and projected IoU.
+    """The hypotheses that tie for the best objective, with their coverage and IoU.
 
     Returns (candidates (K,), coverage (K,), iou (K,)): the ascending
-    flat indices of the hypotheses that can still win or tie the argmax of
-    coverage + IoU, and their coverage and projected IoU. A pruned
-    hypothesis gets no coverage.
+    flat indices of the hypotheses whose coverage + IoU is the grid's
+    largest, and their coverage and projected IoU. With no foreground
+    point every coverage is 0 and every hypothesis is returned.
 
-    The pruning is exact. IoU is at most 1 (the intersection never
-    exceeds the union, and division rounds correctly), and float addition
-    is monotone, so fl(cov + iou) <= fl(cov + 1). The IoU of the
-    _BOUND_SEEDS highest-coverage hypotheses of one node set gives an
-    objective L that some hypothesis reaches; one with fl(cov + 1) < L is
-    strictly below it and can neither win nor tie. Which hypotheses seed
-    L changes only how many survive, never the winner.
-
-    The grid first takes `_node_bound`, ub, of every xy node. It is a
-    superset bound, cov <= ub for every hypothesis of the node, so
-    fl(cov + 1) <= fl(ub + 1): a first L comes from the exact coverage of
-    the node with the largest bound, and coverage is counted only at the
-    nodes with fl(ub + 1) >= L. The counted hypotheses seed L once more,
-    the larger L is kept, and they face the fl(cov + 1) >= L rule. A hypothesis at a pruned
-    node is below the first L, so the kept L is at least the one the
-    whole grid's highest coverages would seed, up to which of equal
-    coverages are picked. With no foreground point every coverage is 0
-    and every hypothesis survives.
+    The pruning is exact. `_node_bound` gives ub, a superset bound on the
+    coverage of each (xy node, z level): cov <= ub for each of its
+    hypotheses. IoU is at most 1 (the intersection never exceeds the
+    union, and division rounds correctly), and float addition is
+    monotone, so fl(cov + iou) <= fl(ub + iou) <= fl(ub + 1).
+    1. The seed node, the one with the largest bound (`_seed_node`),
+       gets exact coverage and IoU; its best objective L (`bound`) is
+       one that some hypothesis reaches.
+    2. IoU is computed for the hypotheses of the (node, z) pairs with
+       fl(ub + 1) >= L; every other one scores strictly below L.
+    3. Coverage is counted only at the nodes that hold a hypothesis with
+       fl(ub + iou) >= L, its own IoU; every other one is strictly below
+       L too.
+    What is left holds every hypothesis that reaches L, the seed's best
+    among them, so the grid's best objective and every hypothesis that
+    ties it. Which node seeds L changes only how many survive, never the
+    winner.
     """
     fg = fp.foreground
-    nodes = np.arange(len(grid.x_axis) * len(grid.y_axis))
-    bound = -np.inf
-    if len(fg) and len(grid):
-        ub = _node_bound(grid, fg)
-        seed = np.array([np.argmax(ub)])
-        bound = _attained(grid, _node_hypotheses(grid, seed), _coverage(grid, fg, seed), det, rig)
-        nodes = np.flatnonzero(ub + 1.0 >= bound)
-    hyps = _node_hypotheses(grid, nodes)
-    coverage = _coverage(grid, fg, nodes)
-    bound = max(bound, _attained(grid, hyps, coverage, det, rig))
-    keep = coverage + 1.0 >= bound
-    candidates = hyps[keep]
-    return candidates, coverage[keep], projected_iou(grid, candidates, det, rig)
+    if len(fg) == 0 or len(grid) == 0:
+        every = np.arange(len(grid))
+        return every, np.zeros(len(grid)), projected_iou(grid, every, det, rig)
+    nyaw, per_node = len(grid.yaw_axis), len(grid.z_axis) * len(grid.yaw_axis)
+    ub = _node_bound(grid, fg)
+    seed = _seed_node(grid, ub.max(axis=1))
+    bound = (_coverage(grid, fg, seed) + projected_iou(grid, _node_hypotheses(grid, seed), det, rig)).max()
+    # flat index // yaws is the (node, z level) pair, ub's flat index
+    pairs = np.flatnonzero(ub.reshape(-1) + 1.0 >= bound)
+    hyps = (pairs[:, None] * nyaw + np.arange(nyaw)).reshape(-1)
+    iou = projected_iou(grid, hyps, det, rig)
+    live = np.repeat(ub.reshape(-1)[pairs], nyaw) + iou >= bound
+    hyps, iou = hyps[live], iou[live]
+    # hyps ascend, so each node's live hypotheses are one run
+    node = hyps // per_node
+    starts = np.ones(len(node), dtype=bool)
+    np.not_equal(node[1:], node[:-1], out=starts[1:])
+    run = np.cumsum(starts) - 1
+    coverage = _coverage(grid, fg, node[starts])[run * per_node + hyps % per_node]
+    objective = coverage + iou
+    keep = objective >= objective.max()
+    return hyps[keep], coverage[keep], iou[keep]
 
 
 def select_best(

@@ -513,6 +513,8 @@ BAD_CONFIG_VALUES = {
     "negative_past": _car_class(aggregation={"past": -1}),
     "negative_radius": _car_class(match_radius=-3),
     "threads": {"threads": 4},
+    "narrow_sector": {"sector_half_width": 0.1},
+    "wide_rot_step": {"search": {"rot_step": 7.0}},
 }
 
 
@@ -537,6 +539,13 @@ class TestConfig:
             config_from_dict({"search": {"trans_stepp": 0.5}})
         with pytest.raises(ValueError):
             config_from_dict({"taxonomy": {"classes": [{"name": "x", "avg_dims": [1, 1, 1], "wat": 1}]}})
+
+    def test_rot_step_may_equal_the_sector_width(self):
+        # as in enumerate_hypotheses: one yaw step across the whole sector
+        cfg = config_from_dict({"sector_half_width": math.pi / 20})
+        assert cfg.search.rot_step == 2.0 * cfg.sector_half_width
+        with pytest.raises(ValueError, match="rot_step"):
+            config_from_dict({"sector_half_width": math.pi / 20, "search": {"rot_step": math.nextafter(math.pi / 10, 4.0)}})
 
     def test_seed_key_rejected(self):
         with pytest.raises(ValueError, match="seed"):

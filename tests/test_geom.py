@@ -158,7 +158,7 @@ class TestProjectCuboid:
     def test_batch_rows_without_front_corner_have_no_box(self, recwarn):
         intr = make_intr()
         cubs = [Cuboid3D((0, 0, 10), (1, 1, 1), 0.2), Cuboid3D((0, 0, -10), (1, 1, 1), 0.0)]
-        corners = np.stack([cuboid_corners(c) for c in cubs])
+        corners = np.stack([cuboid_corners(c) for c in cubs], axis=1)
         boxes, has_box = project_boxes(corners, RigidTransform.identity(), intr)
         assert has_box.tolist() == [True, False]
         front = project_cuboid_to_box(cubs[0], RigidTransform.identity(), intr)

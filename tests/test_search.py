@@ -637,19 +637,19 @@ def record_calls(monkeypatch, name):
 
 
 class TestNodeBound:
-    """Each grid bounds its xy nodes and counts coverage only where a hypothesis can win."""
+    """Each grid bounds its (node, z level) pairs and counts coverage only where a hypothesis can win."""
 
     @staticmethod
-    def box_points(grid, node, yaw):
+    def box_points(grid, node, iz, yaw):
         """The 8 corners, 6 face centers and 4 side-edge midpoints of the box at
-        an xy node and z level 0 with the given yaw, built in its frame and
+        an xy node and z level with the given yaw, built in its frame and
         rotated out, so they lie on its boundary up to rounding."""
         half = np.asarray(grid.dims) / 2.0
         signs = [(sx, sy, sz) for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)]
         signs += [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
         signs += [(1, 1, 0), (1, -1, 0), (-1, 1, 0), (-1, -1, 0)]
         ix, iy = divmod(int(node), len(grid.y_axis))
-        center = np.array([grid.x_axis[ix], grid.y_axis[iy], grid.z_axis[0]])
+        center = np.array([grid.x_axis[ix], grid.y_axis[iy], grid.z_axis[iz]])
         return center + (np.array(signs, dtype=float) * half) @ rot_z(float(yaw)).T
 
     @pytest.mark.parametrize("dims", [(4.0, 2.0, 1.5), (4.6, 1.95, 1.7), (0.41, 0.41, 1.07)])
@@ -657,14 +657,17 @@ class TestNodeBound:
         init = Cuboid3D((14.25, -3.5, -0.75), dims, 0.0)
         grid = enumerate_hypotheses(init, prior(dims=dims, orientation=None, sector=math.pi), SearchConfig())
         nodes = all_nodes(grid)
+        shape = (len(nodes), len(grid.z_axis), len(grid.yaw_axis))
         counted = 0
-        for node in (0, 40, 71):
+        for node, iz in ((0, 0), (40, 2), (71, 4)):
             for yaw in grid.yaw_axis:
-                for p in self.box_points(grid, node, yaw):
-                    kernel = search._coverage(grid, p[None], nodes).reshape(len(nodes), -1).max(axis=1)
+                for p in self.box_points(grid, node, iz, yaw):
+                    kernel = search._coverage(grid, p[None], nodes).reshape(shape)
                     bound = search._node_bound(grid, p[None])
-                    assert np.all(bound >= kernel)
-                    counted += int(kernel[node])
+                    assert bound.shape == shape[:2]
+                    # at every (node, z level) and every yaw
+                    assert np.all(bound[:, :, None] >= kernel)
+                    counted += int(kernel[node, iz].max())
         # a good share of the boundary points round inside their own box
         assert counted > 3 * len(grid.yaw_axis) * 18 // 4
 
@@ -699,23 +702,32 @@ class TestNodeBound:
 
     def test_every_node_survives(self, rig, monkeypatch):
         # truck-sized dims around a tight cluster: every node's disc holds
-        # every point, so the bound is 1.0 everywhere and no node is pruned
+        # every point, so the bound is 1.0 at every (node, z level) and
+        # every hypothesis gets an IoU; the IoU rule then leaves coverage
+        # to count at the seed, the grid's centre node, alone
         dims = (6.9, 2.5, 2.8)
         center = np.array([15.0, 1.0, -0.4])
         pts = center + np.random.default_rng(31).uniform(-0.3, 0.3, size=(60, 3))
         p = prior(dims=dims, orientation=None, sector=math.pi)
         fp = fp_from(pts)
         grid = enumerate_hypotheses(Cuboid3D(center, dims, 0.0), p, SearchConfig())
-        assert np.array_equal(search._node_bound(grid, pts), np.ones(81))
+        assert np.array_equal(search._node_bound(grid, pts), np.ones((81, 5)))
+        # the detection of a truck at the cluster, yaw 0.3
+        truck = Cuboid3D(center, dims, 0.3)
+        proj = project_cuboid_to_box(truck, rig.camera_from_lidar("cam_0"), rig.camera("cam_0").intrinsics)
+        det = Detection2D("f", "cam_0", "truck", proj, 0.9)
+        want = naive_select_best(grid, fp, det, rig)
+        ious = record_calls(monkeypatch, "projected_iou")
         counted = record_calls(monkeypatch, "_coverage")
-        det = Detection2D("f", "cam_0", "truck", Box2D(300.0, 150.0, 700.0, 400.0), 0.9)
-        assert_same_hypothesis(select_best(grid, fp, det, rig), naive_select_best(grid, fp, det, rig))
-        assert [len(args[2]) for args in counted] == [1, 81]
+        assert_same_hypothesis(select_best(grid, fp, det, rig), want)
+        assert [len(args[1]) for args in ious] == [100, len(grid)]
+        assert [args[2].tolist() for args in counted] == [[40], [40]]
 
-    def test_winner_reaching_its_node_bound_survives(self, rig):
+    def test_winner_reaching_its_node_bound_survives(self, rig, monkeypatch):
         # points near the corners of one box, and a detection box equal to
-        # its projection: that hypothesis scores exactly 1 + 1, its node's
-        # bound + 1 equals that objective, and no other node reaches it
+        # its projection: that hypothesis scores exactly 1 + 1, it seeds
+        # L = 2, and its (node, z level) bound + 1 and bound + IoU both
+        # equal L; no other pair's bound reaches 1
         box = Cuboid3D((15.0, 0.5, -0.5), (4.0, 2.0, 1.5), 0.0)
         corners = np.array([[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)], dtype=float)
         pts = box.center + 0.95 * corners * np.asarray(box.dims) / 2.0
@@ -725,18 +737,21 @@ class TestNodeBound:
         proj = project_cuboid_to_box(box, rig.camera_from_lidar("cam_0"), rig.camera("cam_0").intrinsics)
         det = Detection2D("f", "cam_0", "car", proj, 0.9)
         ub = search._node_bound(grid, pts)
-        assert ub[at_box // (len(grid.z_axis) * len(grid.yaw_axis))] == 1.0 and (ub == 1.0).sum() == 1
+        assert ub.reshape(-1)[at_box // len(grid.yaw_axis)] == 1.0 and (ub == 1.0).sum() == 1
+        counted = record_calls(monkeypatch, "_coverage")
         candidates, _, _ = evaluate_hypotheses(grid, fp_from(pts), det, rig)
         assert at_box in candidates
+        node = at_box // (len(grid.z_axis) * len(grid.yaw_axis))
+        assert [args[2].tolist() for args in counted] == [[node], [node]]
         best = select_best(grid, fp_from(pts), det, rig)
         assert best.objective == 2.0
         assert_same_hypothesis(best, naive_select_best(grid, fp_from(pts), det, rig))
 
-    def test_weak_seed_node_still_prunes_iou(self, rig, monkeypatch):
+    def test_weak_seed_node_still_prunes_coverage(self, rig, monkeypatch):
         # a ring of points just inside the bound radius of a corner node
         # gives that node the largest bound but a poor best objective, so
-        # no node is pruned; the counted grid then seeds L again, and IoU
-        # goes only to what seeding from the whole grid would keep
+        # every (node, z level) pair gets an IoU; bound + IoU then names
+        # the nodes whose coverage is counted, fewer than half of them
         dims = (0.8, 0.58, 1.03)
         cub, obj_pts, det = synthetic_detection(rig, seed=61, dims=dims, n=100)
         p = prior(dims=dims, orientation=None, sector=math.pi)
@@ -745,13 +760,19 @@ class TestNodeBound:
         angle = np.linspace(0.0, 2.0 * math.pi, 300, endpoint=False)
         ring = corner + 0.97 * math.hypot(*dims[:2]) / 2.0 * np.stack([np.cos(angle), np.sin(angle), 0.0 * angle], 1)
         pts = np.concatenate([obj_pts, ring])
+        cov = naive_evaluate_coverage(grid, pts)
+        iou = projected_iou(grid, np.arange(len(grid)), det, rig)
+        ub = np.repeat(search._node_bound(grid, pts).reshape(-1), len(grid.yaw_axis))
+        ious = record_calls(monkeypatch, "projected_iou")
         counted = record_calls(monkeypatch, "_coverage")
         candidates, _, _ = evaluate_hypotheses(grid, fp_from(pts), det, rig)
-        assert [len(args[2]) for args in counted] == [1, 81]
-        cov = naive_evaluate_coverage(grid, pts)
-        whole = search._attained(grid, np.arange(len(grid)), cov, det, rig)
-        assert np.array_equal(candidates, np.flatnonzero(cov + 1.0 >= whole))
-        assert len(candidates) < len(grid) // 10
+        assert [args[2].tolist() for args in counted][0] == [0]
+        bound = (cov + iou)[: len(grid) // 81].max()
+        assert [len(args[1]) for args in ious] == [len(grid) // 81, len(grid)]
+        want = np.flatnonzero(((ub + 1.0 >= bound) & (ub + iou >= bound)).reshape(81, -1).any(axis=1))
+        assert np.array_equal(counted[1][2], want)
+        assert len(want) < 81 // 2
+        assert np.array_equal(candidates, np.flatnonzero(cov + iou == (cov + iou).max()))
 
     def test_no_foreground_skips_the_bound(self, rig, monkeypatch):
         grid, fp = random_kernel_case(np.random.default_rng(12), SearchConfig(), True)
@@ -772,6 +793,121 @@ class TestNodeBound:
             assert len(grid.yaw_axis) == 3
             assert_same_hypothesis(select_best(grid, fp, det, rig), naive_select_best(grid, fp, det, rig))
         assert len(bounds) == 4
+
+
+def with_twins(grid, rng):
+    """The grid with its x and yaw axes each holding every entry twice, shuffled.
+
+    Every hypothesis then has exact twins, so the best objective is tied
+    on every key, and so is the largest node bound.
+    """
+    x = np.concatenate([grid.x_axis, grid.x_axis])[rng.permutation(2 * len(grid.x_axis))]
+    yaw = np.concatenate([grid.yaw_axis, grid.yaw_axis])[rng.permutation(2 * len(grid.yaw_axis))]
+    return HypothesisGrid(x, grid.y_axis, grid.z_axis, yaw, dims=grid.dims, init=grid.init)
+
+
+def iou_bound_case(kind, rng, rig):
+    """A (grid, frustum, detection) for one kind of the IoU rule's exactness cases."""
+    if kind in ("ties_sector", "ties_full_circle"):
+        grid, fp = random_kernel_case(rng, SearchConfig(), kind == "ties_full_circle")
+        return with_twins(grid, rng), fp, KERNEL_DET
+    if kind == "box_off_image":
+        grid, fp = random_kernel_case(rng, SearchConfig(), bool(rng.random() < 0.5))
+        return grid, fp, Detection2D("f", "cam_0", "car", Box2D(-60.0, -60.0, -10.0, -10.0), 0.9)
+    if kind == "all_behind":
+        # cam_3 looks backwards, so a grid in front of cam_0 is wholly behind it
+        grid, fp = random_kernel_case(rng, SearchConfig(), bool(rng.random() < 0.5))
+        return grid, fp, Detection2D("f", "cam_3", "car", Box2D(100.0, 100.0, 300.0, 300.0), 0.9)
+    if kind == "straddling":
+        # a grid around the lidar origin straddles cam_0's image plane
+        dims = tuple(rng.uniform(0.5, 3.0, size=3))
+        p = prior(dims=dims, orientation=None, sector=math.pi)
+        grid = enumerate_hypotheses(Cuboid3D(rng.uniform(-0.5, 0.5, size=3), dims, 0.0), p, SearchConfig())
+        det = Detection2D("f", "cam_0", "car", Box2D(100.0, 100.0, 600.0, 400.0), 0.9)
+        return grid, fp_from(rng.uniform(-2.0, 2.0, size=(60, 3))), det
+    assert kind == "truck"
+    dims = (6.9, 2.5, 2.8)
+    cub, pts, det = synthetic_detection(rig, seed=int(rng.integers(1000)), dims=dims, n=int(rng.integers(30, 300)))
+    full_circle = bool(rng.random() < 0.5)
+    p = prior(dims=dims, orientation=None if full_circle else cub.yaw, sector=math.pi if full_circle else math.pi / 6)
+    fp = fp_from(pts, rng.random(len(pts)) < 0.9)
+    return enumerate_hypotheses(init_hypothesis(fp, p), p, SearchConfig()), fp, det
+
+
+class TestIouBound:
+    """The (node, z level) bound + IoU rule keeps the exact argmax and no more."""
+
+    @pytest.mark.parametrize("elems", [None, 7, 500])
+    @pytest.mark.parametrize(
+        "kind", ["ties_sector", "ties_full_circle", "box_off_image", "all_behind", "straddling", "truck"]
+    )
+    def test_pruned_matches_naive(self, rig, monkeypatch, kind, elems):
+        if elems is not None:
+            monkeypatch.setattr(search, "_CHUNK_ELEMS", elems)
+        rng = np.random.default_rng([41, len(kind), elems or 0])
+        for _ in range(3):
+            grid, fp, det = iou_bound_case(kind, rng, rig)
+            want = naive_select_best(grid, fp, det, rig)
+            assert_same_hypothesis(select_best(grid, fp, det, rig), want)
+            # the candidates are exactly the hypotheses that tie the best
+            cov = naive_evaluate_coverage(grid, fp.foreground)
+            iou = projected_iou(grid, np.arange(len(grid)), det, rig)
+            candidates, cand_cov, cand_iou = evaluate_hypotheses(grid, fp, det, rig)
+            assert np.array_equal(candidates, np.flatnonzero(cov + iou == want.objective))
+            assert np.array_equal(cand_cov, cov[candidates]) and np.array_equal(cand_iou, iou[candidates])
+            if kind.startswith("ties"):
+                assert len(candidates) >= 4
+            if kind in ("box_off_image", "all_behind"):
+                assert not iou.any()
+
+    @pytest.mark.parametrize("permuted", [False, True])
+    @pytest.mark.parametrize("offset", [(0.75, 0.25), (-0.75, -0.25), (0.0, 0.0)])
+    def test_tied_bound_seeds_nearest_the_centre(self, rig, monkeypatch, offset, permuted):
+        # unit dims put r just above 0.707 m: points at the offset lie
+        # within r of the four nodes around it (every node for the zero
+        # offset with truck dims), and the seed is the one nearest the init
+        dims = (6.9, 2.5, 2.8) if offset == (0.0, 0.0) else (1.0, 1.0, 1.0)
+        init = Cuboid3D((12.0, 0.5, -0.5), dims, 0.0)
+        grid = enumerate_hypotheses(init, prior(dims=dims, orientation=None, sector=math.pi), SearchConfig())
+        if permuted:
+            grid = permuted_axes(grid, np.random.default_rng(19))
+        pts = init.center + np.array([offset[0], offset[1], 0.0]) + np.array([[0.0, 0.0, z] for z in (-0.1, 0.0, 0.1)])
+        ub = search._node_bound(grid, pts).max(axis=1)
+        tied = np.flatnonzero(ub == ub.max())
+        assert len(tied) >= 4
+        ny = len(grid.y_axis)
+
+        def dist2(j):
+            return (grid.x_axis[j // ny] - init.center[0]) ** 2 + (grid.y_axis[j % ny] - init.center[1]) ** 2
+
+        seed = min(tied, key=lambda j: (dist2(j), j))
+        counted = record_calls(monkeypatch, "_coverage")
+        det = Detection2D("f", "cam_0", "car", Box2D(300.0, 150.0, 700.0, 400.0), 0.9)
+        want = naive_select_best(grid, fp_from(pts), det, rig)
+        assert_same_hypothesis(select_best(grid, fp_from(pts), det, rig), want)
+        assert counted[0][2].tolist() == [seed]
+        if offset == (-0.75, -0.25) and not permuted:
+            assert seed != tied[0]
+
+    def test_iou_memory_is_bounded(self, rig):
+        # every row of a full-circle grid at once: the rows go through
+        # geom.project_boxes in blocks, so the peak stays under 1 MB
+        import tracemalloc
+
+        init = Cuboid3D((14.0, 2.0, -0.8), (4.6, 1.95, 1.7), 0.0)
+        grid = enumerate_hypotheses(init, prior(dims=init.dims, orientation=None, sector=math.pi), SearchConfig())
+        assert len(grid) == 8100
+        det = Detection2D("f", "cam_0", "car", Box2D(300.0, 150.0, 700.0, 400.0), 0.9)
+        idx = np.arange(len(grid))
+        projected_iou(grid, idx[:1], det, rig)  # caches the corner table
+        tracemalloc.start()
+        try:
+            iou = projected_iou(grid, idx, det, rig)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert iou.any()
+        assert peak < 1_000_000
 
 
 class TestSelectBest:
