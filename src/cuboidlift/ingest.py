@@ -12,7 +12,8 @@ microseconds):
   translation xyz, relative file path).
 * detections: NDJSON {frame_id, camera_id, class, box:[x1,y1,x2,y2],
   score, mask_rle?}. Masks are run-length encoded over row-major pixel
-  order, counts starting with the run of zeros.
+  order, counts starting with the run of zeros; a missing or null
+  mask_rle means no mask, and any other value must be an RLE object.
 * annotations: NDJSON {frame_id, class, center:[x,y,z], dims:[l,w,h], yaw,
   score, track_id?, velocity?:[vx,vy], s2d?, s3d?}. The optional s2d/s3d
   fields preserve the fusion inputs so scores can be re-fused offline.
@@ -271,6 +272,9 @@ def mask_to_rle(mask: np.ndarray) -> dict:
 
 
 def rle_to_mask(rle: dict) -> np.ndarray:
+    """Decode `mask_to_rle`'s {"size": [h, w], "counts": [...]} object."""
+    if not isinstance(rle, dict):
+        raise FormatError(f"mask_rle must be an RLE object, got {rle!r}")
     h, w = (read_int(v) for v in rle["size"])
     counts = rle["counts"]
     for c in counts:
@@ -279,6 +283,8 @@ def rle_to_mask(rle: dict) -> np.ndarray:
     total = sum(counts)
     if total != h * w:
         raise FormatError(f"RLE counts sum to {total}, expected {h * w}")
+    # only the set runs are written, so a held mask occupies the pages
+    # they fall on: np.zeros leaves the others untouched and unmapped
     flat = np.zeros(h * w, dtype=bool)
     pos = 0
     val = False
@@ -453,7 +459,7 @@ def _detection_from_json(rec: dict, taxonomy: Taxonomy) -> Detection2D:
     label = rec["class"]
     if label not in taxonomy:
         raise ValueError(f"unknown class {label!r}")
-    mask = rle_to_mask(rec["mask_rle"]) if rec.get("mask_rle") else None
+    mask = rle_to_mask(rec["mask_rle"]) if rec.get("mask_rle") is not None else None
     return Detection2D(
         frame_id=str(rec["frame_id"]),
         camera_id=str(rec["camera_id"]),

@@ -20,7 +20,6 @@ from .ingest import Taxonomy
 @dataclass
 class Track:
     track_id: int
-    class_label: str
     members: list  # [(frame_idx, ann_idx)] ordered by frame
 
 
@@ -37,7 +36,7 @@ def associate(frames: list, tax: Taxonomy) -> list:
     for fi, anns in enumerate(frames):
         if fi == 0:
             for ai, a in enumerate(anns):
-                t = Track(track_id=len(tracks), class_label=a.class_label, members=[(fi, ai)])
+                t = Track(track_id=len(tracks), members=[(fi, ai)])
                 tracks.append(t)
                 open_track_of[(fi, ai)] = t
             continue
@@ -71,7 +70,7 @@ def associate(frames: list, tax: Taxonomy) -> list:
         for ci, ca in enumerate(anns):
             if ci in matched_cur:
                 continue
-            t = Track(track_id=len(tracks), class_label=ca.class_label, members=[(fi, ci)])
+            t = Track(track_id=len(tracks), members=[(fi, ci)])
             tracks.append(t)
             next_open[(fi, ci)] = t
         open_track_of = next_open

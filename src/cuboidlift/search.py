@@ -5,22 +5,24 @@ around an initial guess (dimensions stay fixed at the prior's), scores
 every pose by point coverage plus projected-box IoU against the 2D
 detection, and returns the argmax under a total, deterministic tie-break.
 The grid is its x, y, z and yaw axes (`HypothesisGrid`, flat order x
-outer to yaw inner): coverage is counted per yaw for a set of (x, y)
-nodes and every z level at once, as one matmul of an xy and a z
-containment factor (see `_coverage`); projected IoU is computed only for
-the hypotheses that can still win (see `evaluate_hypotheses`).
+outer to yaw inner). Both kernels take ascending flat hypothesis indices:
+coverage is counted per yaw for the (x, y) nodes they name and every z
+level at once, as one matmul of an xy and a z containment factor (see
+`_coverage`), and projected IoU row by row (see `projected_iou`). Each
+runs only on the hypotheses that can still win (see
+`evaluate_hypotheses`).
 
-Each grid first bounds the coverage of every (x, y node, z level) pair
-over all its yaws (see `_node_bound`). The bound is a superset test: a
-point inside a box of dims (l, w, h) centred on a node lies within
-hypot(l, w) / 2 of the node in xy whatever the box's yaw, so counting the
-points within that radius (plus a margin for the rounding of the
-rotations) and inside the box's z slab never undercounts any hypothesis
-of the pair. The node with the largest bound (the one nearest the init on
-a tie) seeds an objective L that some hypothesis reaches; IoU goes only to
-the pairs whose bound + 1 reaches L, and coverage only to the nodes that
-hold a hypothesis whose bound + its own IoU reaches L. Every hypothesis
-pruned on the way scores strictly below L, so none could win or tie.
+The init's xy node, the grid's middle one, is evaluated in full first:
+its best objective L is one that some hypothesis reaches. Each grid then
+bounds the coverage of every (x, y node, z level) pair over all its yaws
+(see `_node_bound`). The bound is a superset test: a point inside a box
+of dims (l, w, h) centred on a node lies within hypot(l, w) / 2 of the
+node in xy whatever the box's yaw, so counting the points within that
+radius (plus a margin for the rounding of the rotations) and inside the
+box's z slab never undercounts any hypothesis of the pair. IoU goes only
+to the pairs whose bound + 1 reaches L, and coverage only to the
+hypotheses whose bound + their own IoU reaches L. Every hypothesis pruned
+on the way scores strictly below L, so none could win or tie.
 
 Offsets are exact integer multiples of the step, so the initial pose is
 always on the grid and halving the steps yields a superset grid.
@@ -212,21 +214,10 @@ def projected_iou(
     extr, intr = rig.camera_from_lidar(det.camera_id), rig.camera(det.camera_id).intrinsics
     iou = np.empty(len(idx))
     for s in range(0, len(idx), _IOU_BLOCK):
-        block = idx[s : s + _IOU_BLOCK]
-        centers, _ = grid.pose(block)
-        corners = grid.corner_table[:, np.unravel_index(block, grid.shape)[3]] + centers
-        iou[s : s + len(block)] = iou_2d(project_boxes(corners, extr, intr)[0], det.box)
+        a, b, c, d = np.unravel_index(idx[s : s + _IOU_BLOCK], grid.shape)
+        corners = grid.corner_table[:, d] + np.stack([grid.x_axis[a], grid.y_axis[b], grid.z_axis[c]], axis=-1)
+        iou[s : s + len(a)] = iou_2d(project_boxes(corners, extr, intr)[0], det.box)
     return iou
-
-
-def _node_hypotheses(grid: HypothesisGrid, nodes: np.ndarray) -> np.ndarray:
-    """Flat indices of every hypothesis at xy nodes `nodes`, node by node.
-
-    xy node j is (x_axis[j // len(y_axis)], y_axis[j % len(y_axis)]); its
-    hypotheses are contiguous in the flat order, z levels then yaws.
-    """
-    per_node = len(grid.z_axis) * len(grid.yaw_axis)
-    return (np.asarray(nodes)[:, None] * per_node + np.arange(per_node)).reshape(-1)
 
 
 def _inside_z(grid: HypothesisGrid, fg: np.ndarray) -> np.ndarray:
@@ -235,11 +226,12 @@ def _inside_z(grid: HypothesisGrid, fg: np.ndarray) -> np.ndarray:
     return (np.abs(fg[:, 2:3] - grid.z_axis[None, :]) <= half_h).astype(np.float64)
 
 
-def _coverage(grid: HypothesisGrid, fg: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """Fraction of `fg` inside every hypothesis at xy nodes `nodes`.
+def _coverage(grid: HypothesisGrid, fg: np.ndarray, hyps: np.ndarray) -> np.ndarray:
+    """Fraction of `fg` inside each of the hypotheses `hyps`.
 
-    Returns the coverage of `_node_hypotheses(grid, nodes)`, in that
-    order; with every node, of the whole grid in its flat order.
+    `hyps` are ascending flat indices, as `projected_iou` takes them; the
+    coverage is returned in that order. Every hypothesis at the xy nodes
+    they name is counted, and the rows of `hyps` are taken.
 
     Yaw rotates about +z, so in a box frame the z test of a point does not
     depend on the box's xy position and the xy test does not depend on its
@@ -250,7 +242,7 @@ def _coverage(grid: HypothesisGrid, fg: np.ndarray, nodes: np.ndarray) -> np.nda
 
     counts the points inside every (node, z level) box at once, one cell
     per hypothesis of the yaw; the (yaws x nodes x z levels) table, its
-    yaw axis moved last, is in the order of `_node_hypotheses`.
+    yaw axis moved last, is in flat order within each node.
 
     This is exact, not an approximation: both factors use the same
     `abs(p - c) <= half` comparisons on the same turned values as a
@@ -258,8 +250,8 @@ def _coverage(grid: HypothesisGrid, fg: np.ndarray, nodes: np.ndarray) -> np.nda
     one-entry grid (`yaw_frame` leaves z unchanged and its xy independent
     of z, so the nodes sit at z = 0 and `inside_z` is built once from the
     input z), and a float64 matmul sums 0/1 values without rounding.
-    Every node is turned and the subset's rows taken, so a node's turned
-    position is the same whichever subset it is counted in.
+    Every node is turned and the subset's rows taken, so a hypothesis's
+    coverage is the same whichever subset it is counted in.
 
     No containment block exceeds _CHUNK_ELEMS: a block holds as many
     whole yaws (all nodes by all points) as fit, which keeps few-node
@@ -268,9 +260,16 @@ def _coverage(grid: HypothesisGrid, fg: np.ndarray, nodes: np.ndarray) -> np.nda
     The blocks are computed in buffers allocated once per call, never
     shared between calls.
     """
-    m, n, nyaw = len(fg), len(nodes), len(grid.yaw_axis)
-    if m == 0 or n * len(grid.z_axis) * nyaw == 0:
-        return np.zeros(n * len(grid.z_axis) * nyaw)
+    hyps = np.asarray(hyps, dtype=np.intp)
+    m, nyaw, per_node = len(fg), len(grid.yaw_axis), len(grid.z_axis) * len(grid.yaw_axis)
+    if m == 0 or len(hyps) == 0:
+        return np.zeros(len(hyps))
+    # hyps ascend, so each node's hypotheses are one run
+    node = hyps // per_node
+    starts = np.ones(len(node), dtype=bool)
+    np.not_equal(node[1:], node[:-1], out=starts[1:])
+    nodes = node[starts]
+    n = len(nodes)
     half = np.asarray(grid.dims) / 2.0
     gx, gy = np.meshgrid(grid.x_axis, grid.y_axis, indexing="ij")
     nodes_xy = np.stack([gx.reshape(-1), gy.reshape(-1), np.zeros(gx.size)], axis=1)
@@ -302,7 +301,8 @@ def _coverage(grid: HypothesisGrid, fg: np.ndarray, nodes: np.ndarray) -> np.nda
             np.logical_and(bx, by, out=bx)
             np.copyto(d, bx)
             counts[y0 : y0 + b] += (d.reshape(b * n, w) @ inside_z[s : s + w]).reshape(b, n, -1)
-    return np.moveaxis(counts, 0, -1).reshape(-1) / float(m)
+    rows = (np.cumsum(starts) - 1) * per_node + hyps % per_node
+    return np.moveaxis(counts, 0, -1).reshape(-1)[rows] / float(m)
 
 
 def _node_bound(grid: HypothesisGrid, fg: np.ndarray) -> np.ndarray:
@@ -345,17 +345,6 @@ def _node_bound(grid: HypothesisGrid, fg: np.ndarray) -> np.ndarray:
     return counts / float(m)
 
 
-def _seed_node(grid: HypothesisGrid, ub: np.ndarray) -> np.ndarray:
-    """The xy node (as a one-entry array) with the largest bound `ub`.
-
-    Of tied nodes, the one nearest the grid's centre, the init's xy, and
-    then the first: a tie at the top is usually a wide box whose bound is
-    1.0 at every node, and the nodes near the init hold the best poses.
-    """
-    x, y = np.meshgrid(grid.x_axis - grid.init.center[0], grid.y_axis - grid.init.center[1], indexing="ij")
-    return np.lexsort((x.reshape(-1) ** 2 + y.reshape(-1) ** 2, -ub))[:1]
-
-
 def evaluate_hypotheses(
     grid: HypothesisGrid, fp: FrustumPoints, det: Detection2D, rig: SensorRig
 ):
@@ -371,39 +360,34 @@ def evaluate_hypotheses(
     hypotheses. IoU is at most 1 (the intersection never exceeds the
     union, and division rounds correctly), and float addition is
     monotone, so fl(cov + iou) <= fl(ub + iou) <= fl(ub + 1).
-    1. The seed node, the one with the largest bound (`_seed_node`),
-       gets exact coverage and IoU; its best objective L (`bound`) is
-       one that some hypothesis reaches.
+    1. The grid's middle xy node, the init's on an enumerated grid, gets
+       exact coverage and IoU at all its z levels and yaws; their best
+       objective L (`bound`) is one that some hypothesis reaches.
     2. IoU is computed for the hypotheses of the (node, z) pairs with
        fl(ub + 1) >= L; every other one scores strictly below L.
-    3. Coverage is counted only at the nodes that hold a hypothesis with
+    3. Coverage is counted only for the hypotheses with
        fl(ub + iou) >= L, its own IoU; every other one is strictly below
        L too.
     What is left holds every hypothesis that reaches L, the seed's best
     among them, so the grid's best objective and every hypothesis that
-    ties it. Which node seeds L changes only how many survive, never the
-    winner.
+    ties it. Any seed keeps this exact; the seed changes only how many
+    hypotheses survive, never the winner.
     """
     fg = fp.foreground
     if len(fg) == 0 or len(grid) == 0:
         every = np.arange(len(grid))
         return every, np.zeros(len(grid)), projected_iou(grid, every, det, rig)
-    nyaw, per_node = len(grid.yaw_axis), len(grid.z_axis) * len(grid.yaw_axis)
-    ub = _node_bound(grid, fg)
-    seed = _seed_node(grid, ub.max(axis=1))
-    bound = (_coverage(grid, fg, seed) + projected_iou(grid, _node_hypotheses(grid, seed), det, rig)).max()
+    nx, ny, nz, nyaw = grid.shape
+    seed = ((nx // 2) * ny + ny // 2) * nz * nyaw + np.arange(nz * nyaw)
+    bound = (_coverage(grid, fg, seed) + projected_iou(grid, seed, det, rig)).max()
     # flat index // yaws is the (node, z level) pair, ub's flat index
-    pairs = np.flatnonzero(ub.reshape(-1) + 1.0 >= bound)
+    ub = _node_bound(grid, fg).reshape(-1)
+    pairs = np.flatnonzero(ub + 1.0 >= bound)
     hyps = (pairs[:, None] * nyaw + np.arange(nyaw)).reshape(-1)
     iou = projected_iou(grid, hyps, det, rig)
-    live = np.repeat(ub.reshape(-1)[pairs], nyaw) + iou >= bound
+    live = np.repeat(ub[pairs], nyaw) + iou >= bound
     hyps, iou = hyps[live], iou[live]
-    # hyps ascend, so each node's live hypotheses are one run
-    node = hyps // per_node
-    starts = np.ones(len(node), dtype=bool)
-    np.not_equal(node[1:], node[:-1], out=starts[1:])
-    run = np.cumsum(starts) - 1
-    coverage = _coverage(grid, fg, node[starts])[run * per_node + hyps % per_node]
+    coverage = _coverage(grid, fg, hyps)
     objective = coverage + iou
     keep = objective >= objective.max()
     return hyps[keep], coverage[keep], iou[keep]

@@ -523,17 +523,14 @@ class ObjectRecovery:
     class_label: str
     center_error: float
     yaw_error: float
-    dim_error: float
 
 
 @dataclass
 class RecoveryReport:
     objects: list  # ObjectRecovery, one per GT object per frame (inf if missed)
     recall: dict  # threshold -> recall
-    precision: dict  # threshold -> precision
     n_gt: int
     n_pred: int
-    skipped_detections: int
 
     def max_center_error(self) -> float:
         return max((o.center_error for o in self.objects), default=0.0)
@@ -593,7 +590,7 @@ def verify_roundtrip(spec: SceneSpec, config, priors: str = "oracle") -> Recover
     elif priors != "class_average":
         raise ValueError(f"unknown prior mode {priors!r}")
 
-    frames, summary = annotate_scene(
+    frames, _ = annotate_scene(
         synth.scene,
         synth.detections,
         config,
@@ -618,37 +615,29 @@ def verify_roundtrip(spec: SceneSpec, config, priors: str = "oracle") -> Recover
                     best_d = d
                     best = p
             if best is None:
-                objects.append(ObjectRecovery(frame_id, g.class_label, math.inf, math.inf, math.inf))
+                objects.append(ObjectRecovery(frame_id, g.class_label, math.inf, math.inf))
             else:
-                dim_err = max(abs(a - b) for a, b in zip(best.cuboid.dims, g.cuboid.dims))
                 objects.append(
                     ObjectRecovery(
                         frame_id,
                         g.class_label,
                         float(np.linalg.norm(best.cuboid.center - g.cuboid.center)),
                         yaw_diff(best.cuboid.yaw, g.cuboid.yaw),
-                        dim_err,
                     )
                 )
 
     recall = {}
-    precision = {}
     classes = gt_classes(gts)
     for t in DIST_THRESHOLDS:
         tp = 0
-        npred = 0
         for cls in classes:
             m = match_predictions(preds, gts, cls, t)
             tp += sum(1 for r in m.rows if r[1])
-            npred += len(m.rows)
         recall[t] = tp / len(gts) if gts else 0.0
-        precision[t] = tp / npred if npred else 0.0
 
     return RecoveryReport(
         objects=objects,
         recall=recall,
-        precision=precision,
         n_gt=len(gts),
         n_pred=len(preds),
-        skipped_detections=summary["skipped_detections"],
     )

@@ -177,6 +177,31 @@ class TestDetectionsIO:
         with pytest.raises(FormatError, match=r"dets\.ndjson:2: RLE count -1"):
             load_detections(p, tiny_taxonomy)
 
+    @pytest.mark.parametrize(
+        "value, why",
+        [
+            ({}, "missing field 'size'"),
+            ({"counts": [4]}, "missing field 'size'"),
+            ([], "mask_rle must be an RLE object"),
+            (0, "mask_rle must be an RLE object"),
+            ("", "mask_rle must be an RLE object"),
+            (False, "mask_rle must be an RLE object"),
+        ],
+    )
+    def test_mask_rle_that_is_not_an_rle_object_cites_line(self, tmp_path, tiny_taxonomy, value, why):
+        # these used to load as "no mask"
+        rec = {"frame_id": "f", "camera_id": "c", "class": "car", "box": [0, 0, 1, 1], "score": 0.5}
+        p = tmp_path / "dets.ndjson"
+        p.write_text("\n".join(json.dumps(r) for r in (rec, dict(rec, mask_rle=value))) + "\n")
+        with pytest.raises(FormatError, match=r"dets\.ndjson:2: " + why):
+            load_detections(p, tiny_taxonomy)
+
+    def test_missing_or_null_mask_rle_is_no_mask(self, tmp_path, tiny_taxonomy):
+        rec = {"frame_id": "f", "camera_id": "c", "class": "car", "box": [0, 0, 1, 1], "score": 0.5}
+        p = tmp_path / "dets.ndjson"
+        p.write_text("\n".join(json.dumps(r) for r in (rec, dict(rec, mask_rle=None))) + "\n")
+        assert [d.mask for d in load_detections(p, tiny_taxonomy)] == [None, None]
+
     def test_mask_roundtrip(self, tmp_path, tiny_taxonomy):
         rng = np.random.default_rng(9)
         mask = rng.uniform(size=(12, 16)) > 0.7

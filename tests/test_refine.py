@@ -156,7 +156,7 @@ class TestVelocity:
         timestamps = [i * dt_us for i in range(len(centers))]
         from cuboidlift.refine import Track
 
-        track = Track(track_id=0, class_label="car", members=[(i, 0) for i in range(len(centers))])
+        track = Track(track_id=0, members=[(i, 0) for i in range(len(centers))])
         return track, frames, timestamps
 
     def test_static_track(self):

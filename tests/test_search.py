@@ -350,15 +350,11 @@ def random_kernel_case(rng, cfg, full_circle):
 KERNEL_DET = Detection2D("f", "cam_0", "car", Box2D(200.0, 150.0, 900.0, 600.0), 0.9)
 
 
-def all_nodes(grid):
-    return np.arange(len(grid.x_axis) * len(grid.y_axis))
-
-
 def assert_coverage_matches_oracle(grid, fp, rig, det=KERNEL_DET):
     """The all-node kernel on the whole grid, then the coverages the pruned
     path hands back at its candidates, each against the naive oracle."""
     want = naive_evaluate_coverage(grid, fp.foreground)
-    cov = search._coverage(grid, fp.foreground, all_nodes(grid))
+    cov = search._coverage(grid, fp.foreground, np.arange(len(grid)))
     assert cov.dtype == np.float64
     assert np.array_equal(cov, want)
     candidates, cand_cov, _ = evaluate_hypotheses(grid, fp, det, rig)
@@ -382,7 +378,7 @@ class TestCoverageKernel:
         init = Cuboid3D((10.0, 2.0, -0.5), (4.0, 2.0, 1.5), 0.0)
         grid = enumerate_hypotheses(init, prior(dims=init.dims, orientation=0.0), cfg)
         pts = init.center + np.array([[2.0, 0, 0], [0, -1.0, 0], [0, 0, 0.75]])
-        cov = search._coverage(grid, pts, all_nodes(grid))
+        cov = search._coverage(grid, pts, np.arange(len(grid)))
         centers, yaws = grid_poses(grid)
         at_init = (centers == init.center).all(axis=1) & (yaws == 0.0)
         assert cov[at_init].tolist() == [1.0]
@@ -391,7 +387,7 @@ class TestCoverageKernel:
     def test_empty_foreground_is_zero(self, rig):
         grid, fp = random_kernel_case(np.random.default_rng(3), SearchConfig(), True)
         empty = fp_from(fp.points, np.zeros(len(fp.points), dtype=bool))
-        assert np.array_equal(search._coverage(grid, empty.foreground, all_nodes(grid)), np.zeros(len(grid)))
+        assert np.array_equal(search._coverage(grid, empty.foreground, np.arange(len(grid))), np.zeros(len(grid)))
         candidates, cov, _ = evaluate_hypotheses(grid, empty, KERNEL_DET, rig)
         assert np.array_equal(candidates, np.arange(len(grid)))
         assert cov.dtype == np.float64
@@ -407,7 +403,7 @@ class TestCoverageKernel:
             assert len(grid) == 0 and grid_poses(grid)[0].shape == (0, 3)
             candidates, cov, iou = evaluate_hypotheses(grid, fp, KERNEL_DET, rig)
             assert candidates.shape == cov.shape == iou.shape == (0,)
-            assert search._coverage(grid, fp.foreground, all_nodes(grid)).shape == (0,)
+            assert search._coverage(grid, fp.foreground, np.arange(len(grid))).shape == (0,)
 
     @staticmethod
     def signed_zero_case(rng):
@@ -454,6 +450,20 @@ class TestCoverageKernel:
         for cfg, full_circle in ((SearchConfig(), False), (KERNEL_CONFIGS["fine_step"], True)):
             grid, fp = random_kernel_case(rng, cfg, full_circle)
             assert_coverage_matches_oracle(grid, fp, rig)
+
+    @pytest.mark.parametrize("elems", [None, 1, 7, 500])
+    def test_subset_rows_match_full_grid(self, monkeypatch, elems):
+        # the pruned argmax counts coverage on ascending subsets of a grid,
+        # so a row's value must not depend on which other rows are counted
+        rng = np.random.default_rng([43, elems or 0])
+        cases = [random_kernel_case(rng, SearchConfig(), full_circle) for full_circle in (False, True, True)]
+        full = [search._coverage(grid, fp.foreground, np.arange(len(grid))) for grid, fp in cases]
+        if elems is not None:
+            monkeypatch.setattr(search, "_CHUNK_ELEMS", elems)
+        for (grid, fp), want in zip(cases, full):
+            for size in (0, 1, 3, 40, len(grid) // 2, len(grid)):
+                idx = np.sort(rng.choice(len(grid), size=size, replace=False))
+                assert np.array_equal(search._coverage(grid, fp.foreground, idx), want[idx])
 
 
 class TestProjectedIou:
@@ -636,6 +646,18 @@ def record_calls(monkeypatch, name):
     return calls
 
 
+def counted_nodes(args):
+    """The xy nodes of the hypotheses of one recorded `_coverage` call."""
+    grid, _, hyps = args
+    return np.unique(hyps // (len(grid.z_axis) * len(grid.yaw_axis)))
+
+
+def init_node_hypotheses(grid):
+    """Flat indices of every hypothesis at the init's xy, found from the poses."""
+    centers, _ = grid_poses(grid)
+    return np.flatnonzero((centers[:, :2] == grid.init.center[:2]).all(axis=1))
+
+
 class TestNodeBound:
     """Each grid bounds its (node, z level) pairs and counts coverage only where a hypothesis can win."""
 
@@ -656,13 +678,13 @@ class TestNodeBound:
     def test_counts_every_boundary_point_the_kernel_counts(self, dims):
         init = Cuboid3D((14.25, -3.5, -0.75), dims, 0.0)
         grid = enumerate_hypotheses(init, prior(dims=dims, orientation=None, sector=math.pi), SearchConfig())
-        nodes = all_nodes(grid)
-        shape = (len(nodes), len(grid.z_axis), len(grid.yaw_axis))
+        hyps = np.arange(len(grid))
+        shape = (len(grid.x_axis) * len(grid.y_axis), len(grid.z_axis), len(grid.yaw_axis))
         counted = 0
         for node, iz in ((0, 0), (40, 2), (71, 4)):
             for yaw in grid.yaw_axis:
                 for p in self.box_points(grid, node, iz, yaw):
-                    kernel = search._coverage(grid, p[None], nodes).reshape(shape)
+                    kernel = search._coverage(grid, p[None], hyps).reshape(shape)
                     bound = search._node_bound(grid, p[None])
                     assert bound.shape == shape[:2]
                     # at every (node, z level) and every yaw
@@ -698,7 +720,7 @@ class TestNodeBound:
             assert_same_hypothesis(select_best(grid, fp, det, rig), naive_select_best(grid, fp, det, rig))
         assert len(bounds) == 8
         # some grids were pruned to fewer nodes than the whole grid
-        assert any(len(args[2]) < 81 for args in counted)
+        assert any(len(counted_nodes(args)) < 81 for args in counted)
 
     def test_every_node_survives(self, rig, monkeypatch):
         # truck-sized dims around a tight cluster: every node's disc holds
@@ -721,7 +743,7 @@ class TestNodeBound:
         counted = record_calls(monkeypatch, "_coverage")
         assert_same_hypothesis(select_best(grid, fp, det, rig), want)
         assert [len(args[1]) for args in ious] == [100, len(grid)]
-        assert [args[2].tolist() for args in counted] == [[40], [40]]
+        assert [counted_nodes(args).tolist() for args in counted] == [[40], [40]]
 
     def test_winner_reaching_its_node_bound_survives(self, rig, monkeypatch):
         # points near the corners of one box, and a detection box equal to
@@ -742,23 +764,24 @@ class TestNodeBound:
         candidates, _, _ = evaluate_hypotheses(grid, fp_from(pts), det, rig)
         assert at_box in candidates
         node = at_box // (len(grid.z_axis) * len(grid.yaw_axis))
-        assert [args[2].tolist() for args in counted] == [[node], [node]]
+        assert [counted_nodes(args).tolist() for args in counted] == [[node], [node]]
         best = select_best(grid, fp_from(pts), det, rig)
         assert best.objective == 2.0
         assert_same_hypothesis(best, naive_select_best(grid, fp_from(pts), det, rig))
 
     def test_weak_seed_node_still_prunes_coverage(self, rig, monkeypatch):
-        # a ring of points just inside the bound radius of a corner node
-        # gives that node the largest bound but a poor best objective, so
-        # every (node, z level) pair gets an IoU; bound + IoU then names
-        # the nodes whose coverage is counted, fewer than half of them
+        # the object sits at a corner node of the grid and a ring of points
+        # lies just inside the bound radius of the init node, the seed: its
+        # best objective is poor, so every (node, z level) pair gets an
+        # IoU; bound + IoU then names the hypotheses whose coverage is
+        # counted, at fewer than half of the nodes
         dims = (0.8, 0.58, 1.03)
         cub, obj_pts, det = synthetic_detection(rig, seed=61, dims=dims, n=100)
         p = prior(dims=dims, orientation=None, sector=math.pi)
-        grid = enumerate_hypotheses(cub, p, SearchConfig())
-        corner = np.array([grid.x_axis[0], grid.y_axis[0], cub.center[2]])
+        grid = enumerate_hypotheses(Cuboid3D(cub.center + np.array([2.0, 2.0, 0.0]), dims, 0.0), p, SearchConfig())
+        assert (grid.x_axis[0], grid.y_axis[0]) == (cub.center[0], cub.center[1])
         angle = np.linspace(0.0, 2.0 * math.pi, 300, endpoint=False)
-        ring = corner + 0.97 * math.hypot(*dims[:2]) / 2.0 * np.stack([np.cos(angle), np.sin(angle), 0.0 * angle], 1)
+        ring = grid.init.center + 0.97 * math.hypot(*dims[:2]) / 2.0 * np.stack([np.cos(angle), np.sin(angle), 0.0 * angle], 1)
         pts = np.concatenate([obj_pts, ring])
         cov = naive_evaluate_coverage(grid, pts)
         iou = projected_iou(grid, np.arange(len(grid)), det, rig)
@@ -766,12 +789,14 @@ class TestNodeBound:
         ious = record_calls(monkeypatch, "projected_iou")
         counted = record_calls(monkeypatch, "_coverage")
         candidates, _, _ = evaluate_hypotheses(grid, fp_from(pts), det, rig)
-        assert [args[2].tolist() for args in counted][0] == [0]
-        bound = (cov + iou)[: len(grid) // 81].max()
+        seed = init_node_hypotheses(grid)
+        assert np.array_equal(counted[0][2], seed) and np.array_equal(ious[0][1], seed)
+        bound = (cov + iou)[seed].max()
+        assert bound < 0.5 * (cov + iou).max()
         assert [len(args[1]) for args in ious] == [len(grid) // 81, len(grid)]
-        want = np.flatnonzero(((ub + 1.0 >= bound) & (ub + iou >= bound)).reshape(81, -1).any(axis=1))
+        want = np.flatnonzero((ub + 1.0 >= bound) & (ub + iou >= bound))
         assert np.array_equal(counted[1][2], want)
-        assert len(want) < 81 // 2
+        assert len(counted_nodes(counted[1])) < 81 // 2
         assert np.array_equal(candidates, np.flatnonzero(cov + iou == (cov + iou).max()))
 
     def test_no_foreground_skips_the_bound(self, rig, monkeypatch):
@@ -799,7 +824,7 @@ def with_twins(grid, rng):
     """The grid with its x and yaw axes each holding every entry twice, shuffled.
 
     Every hypothesis then has exact twins, so the best objective is tied
-    on every key, and so is the largest node bound.
+    on every key.
     """
     x = np.concatenate([grid.x_axis, grid.x_axis])[rng.permutation(2 * len(grid.x_axis))]
     yaw = np.concatenate([grid.yaw_axis, grid.yaw_axis])[rng.permutation(2 * len(grid.yaw_axis))]
@@ -860,34 +885,24 @@ class TestIouBound:
             if kind in ("box_off_image", "all_behind"):
                 assert not iou.any()
 
-    @pytest.mark.parametrize("permuted", [False, True])
-    @pytest.mark.parametrize("offset", [(0.75, 0.25), (-0.75, -0.25), (0.0, 0.0)])
-    def test_tied_bound_seeds_nearest_the_centre(self, rig, monkeypatch, offset, permuted):
-        # unit dims put r just above 0.707 m: points at the offset lie
-        # within r of the four nodes around it (every node for the zero
-        # offset with truck dims), and the seed is the one nearest the init
-        dims = (6.9, 2.5, 2.8) if offset == (0.0, 0.0) else (1.0, 1.0, 1.0)
-        init = Cuboid3D((12.0, 0.5, -0.5), dims, 0.0)
-        grid = enumerate_hypotheses(init, prior(dims=dims, orientation=None, sector=math.pi), SearchConfig())
-        if permuted:
-            grid = permuted_axes(grid, np.random.default_rng(19))
-        pts = init.center + np.array([offset[0], offset[1], 0.0]) + np.array([[0.0, 0.0, z] for z in (-0.1, 0.0, 0.1)])
-        ub = search._node_bound(grid, pts).max(axis=1)
-        tied = np.flatnonzero(ub == ub.max())
-        assert len(tied) >= 4
-        ny = len(grid.y_axis)
-
-        def dist2(j):
-            return (grid.x_axis[j // ny] - init.center[0]) ** 2 + (grid.y_axis[j % ny] - init.center[1]) ** 2
-
-        seed = min(tied, key=lambda j: (dist2(j), j))
+    @pytest.mark.parametrize("full_circle", [False, True], ids=["sector", "full_circle"])
+    def test_seed_is_the_init_node(self, rig, monkeypatch, full_circle):
+        # both kernels are called twice per grid, first on every hypothesis
+        # at the init's xy, whatever the bounds of the other nodes
+        ious = record_calls(monkeypatch, "projected_iou")
         counted = record_calls(monkeypatch, "_coverage")
-        det = Detection2D("f", "cam_0", "car", Box2D(300.0, 150.0, 700.0, 400.0), 0.9)
-        want = naive_select_best(grid, fp_from(pts), det, rig)
-        assert_same_hypothesis(select_best(grid, fp_from(pts), det, rig), want)
-        assert counted[0][2].tolist() == [seed]
-        if offset == (-0.75, -0.25) and not permuted:
-            assert seed != tied[0]
+        for seed in range(4):
+            cub, pts, det = synthetic_detection(rig, seed=500 + seed)
+            p = prior(dims=cub.dims, orientation=None if full_circle else cub.yaw, sector=math.pi if full_circle else math.pi / 6)
+            fp = fp_from(pts)
+            grid = enumerate_hypotheses(init_hypothesis(fp, p), p, SearchConfig())
+            want = naive_select_best(grid, fp, det, rig)
+            del ious[:], counted[:]
+            assert_same_hypothesis(select_best(grid, fp, det, rig), want)
+            at_init = init_node_hypotheses(grid)
+            assert len(at_init) == len(grid.z_axis) * len(grid.yaw_axis)
+            assert len(ious) == len(counted) == 2
+            assert np.array_equal(ious[0][1], at_init) and np.array_equal(counted[0][2], at_init)
 
     def test_iou_memory_is_bounded(self, rig):
         # every row of a full-circle grid at once: the rows go through
@@ -928,7 +943,7 @@ class TestSelectBest:
         best = select_best(grid, fp, det, rig)
         centers, yaws = grid_poses(grid)
         init_idx = int(np.nonzero((centers == init.center).all(axis=1) & (yaws == wrap_angle(init.yaw)))[0][0])
-        cov = search._coverage(grid, fp.foreground, all_nodes(grid))
+        cov = search._coverage(grid, fp.foreground, np.arange(len(grid)))
         iou = projected_iou(grid, np.arange(len(grid)), det, rig)
         assert best.objective >= cov[init_idx] + iou[init_idx]
 
@@ -962,7 +977,7 @@ class TestSelectBest:
         p = prior(dims=cub.dims, orientation=cub.yaw)
         fp = fp_from(pts)
         grid = enumerate_hypotheses(init_hypothesis(fp, p), p, SearchConfig())
-        cov = search._coverage(grid, fp.foreground, all_nodes(grid))
+        cov = search._coverage(grid, fp.foreground, np.arange(len(grid)))
         iou = projected_iou(grid, np.arange(len(grid)), det, rig)
         assert np.all((cov >= 0) & (cov <= 1))
         assert np.all((iou >= 0) & (iou <= 1))
