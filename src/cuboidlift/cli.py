@@ -34,7 +34,9 @@ def _load_config_arg(path) -> PipelineConfig:
         return PipelineConfig()
     try:
         return load_config(path)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as e:
+    except KeyError as e:
+        _fail(f"config: missing field {e}")
+    except (OSError, ValueError) as e:
         _fail(f"config: {e}")
 
 
@@ -232,13 +234,15 @@ def aggregate_only(scene_path, frame_id, class_label, past, future, config_path,
     index = {sw.frame_id: i for i, sw in enumerate(scene.sweeps)}
     if frame_id not in index:
         _fail(f"unknown frame {frame_id!r}")
+    if class_label is None:
+        window = (past or 0, future or 0)
+    elif class_label in config.taxonomy:
+        window = config.taxonomy.get(class_label).aggregation
+    else:
+        _fail(f"unknown class {class_label!r}")
     try:
-        if class_label is not None:
-            window = config.taxonomy.get(class_label).aggregation
-        else:
-            window = (past or 0, future or 0)
         pts = aggregate_sweeps(scene.sweeps, index[frame_id], window)
-    except (KeyError, ValueError) as e:
+    except ValueError as e:
         _fail(str(e))
     full = np.zeros((len(pts), 4), dtype=np.float32)
     full[:, :3] = pts

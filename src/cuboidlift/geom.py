@@ -281,17 +281,28 @@ def yaw_frame(points: np.ndarray, yaw: float) -> np.ndarray:
     return np.asarray(points, dtype=float).reshape(-1, 3) @ rot_z(-yaw).T
 
 
+def turn_xy(x, y, yaws):
+    """Point coordinates x and y in axes turned by each of `yaws` about +z.
+
+    Returns the turned x and y, each (yaws, points). They are elementwise
+    products and sums of rot_z(-yaw)'s entries, one rounding each, so a
+    point turns to the same bits whatever else shares the call; a BLAS
+    product may round a one-row and a many-row product differently.
+    """
+    r = np.array([rot_z(-yaw) for yaw in np.atleast_1d(yaws)])[:, :2, :2, None]
+    return r[:, 0, 0] * x + r[:, 0, 1] * y, r[:, 1, 0] * x + r[:, 1, 1] * y
+
+
 def cuboid_local(points: np.ndarray, c: Cuboid3D) -> np.ndarray:
     """(N, 3) points expressed in the cuboid's yaw-aligned local frame.
 
     Points and center are turned apart and then subtracted, the arithmetic
-    of the search's coverage kernel: containment counted on these offsets
-    equals the kernel's count on a grid of this one box, bit for bit. On a
-    grid of many nodes it can differ for a point within rounding of a
-    face, because the BLAS product may round a one-row and a many-row
-    product differently.
+    of the search's coverage kernel: the points by `yaw_frame`, the center
+    by `turn_xy`. Containment counted on these offsets equals the kernel's
+    count for this box on any grid that holds it, bit for bit.
     """
-    return yaw_frame(points, c.yaw) - yaw_frame(c.center, c.yaw)
+    x, y = turn_xy(c.center[0], c.center[1], c.yaw)
+    return yaw_frame(points, c.yaw) - np.array([x.item(), y.item(), c.center[2]])
 
 
 def inside_local(local: np.ndarray, dims) -> np.ndarray:

@@ -3,11 +3,13 @@
 Per frame and detection the pipeline aggregates sweeps with the class's
 window, selects frustum points, routes to a prior, runs the hypothesis
 search, scores the winner and finally refines scores over tracks built
-across the whole sequence. Each aggregated window is projected once per
-camera and freed before the next is built; a detection's frustum is a box
-cut of its camera's view. Detections are processed independently, so
-detection-level threading cannot change the output: results land in a
-slot per detection index and every reduction is order-free.
+across the whole sequence. Detections that need the same window (sweep,
+class aggregation) form a group, and each group runs whole: its window
+is aggregated, projected once per camera and freed, its detections cut
+their frustums out of their camera's view, and the views go when the
+group is done. Groups are independent, so threading over groups cannot
+change the output: results land in a slot per detection index and every
+reduction is order-free.
 """
 
 from __future__ import annotations
@@ -83,23 +85,30 @@ def annotate_scene(
     `prior_provider` overrides the routing stage entirely (used by the
     synthetic round-trip); otherwise detections route through the expert
     record index with class-average fallback. `threads` 0 means one worker
-    per CPU, at most 8.
+    per CPU, at most 8; workers take whole window groups, so a scene with
+    one group runs on one thread.
     """
     t_start = time.perf_counter()
     if threads <= 0:
         threads = min(8, os.cpu_count() or 1)
 
+    # one pass checks every detection and groups it by (sweep index,
+    # (past, future)) window, then by camera, in first-seen order
     frame_index = {sw.frame_id: i for i, sw in enumerate(scene.sweeps)}
-    for det in detections:
+    groups = {}
+    for i, det in enumerate(detections):
         if det.frame_id not in frame_index:
             raise ValueError(f"detection references unknown frame {det.frame_id!r}")
-        if det.mask is not None:
-            intr = scene.rig.camera(det.camera_id).intrinsics
-            if det.mask.shape != (intr.height, intr.width):
-                raise ValueError(
-                    f"mask shape {det.mask.shape} does not match camera "
-                    f"{det.camera_id} image size {(intr.height, intr.width)}"
-                )
+        if det.camera_id not in scene.rig.cameras:
+            raise ValueError(f"detection references unknown camera id {det.camera_id!r}")
+        intr = scene.rig.cameras[det.camera_id].intrinsics
+        if det.mask is not None and det.mask.shape != (intr.height, intr.width):
+            raise ValueError(
+                f"mask shape {det.mask.shape} does not match camera "
+                f"{det.camera_id} image size {(intr.height, intr.width)}"
+            )
+        key = (frame_index[det.frame_id], config.taxonomy.get(det.class_label).aggregation)
+        groups.setdefault(key, {}).setdefault(det.camera_id, []).append(i)
 
     def prior_for(det: Detection2D) -> SemanticPrior:
         if prior_provider is not None:
@@ -114,45 +123,35 @@ def annotate_scene(
             sector_half_width=config.sector_half_width,
         )
 
-    jobs = []  # (detection, sweep index)
-    windows = {}  # (sweep index, (past, future)) -> camera id -> job indices, first-seen order
-    for i, det in enumerate(detections):
-        si = frame_index[det.frame_id]
-        aggregation = config.taxonomy.get(det.class_label).aggregation
-        jobs.append((det, si))
-        windows.setdefault((si, aggregation), {}).setdefault(det.camera_id, []).append(i)
+    annotations = [None] * len(detections)
 
-    # project each window once per camera, keeping only what some box of
-    # that camera can select, then drop the window: one is alive at a time
-    views = [None] * len(jobs)
-    for (si, aggregation), cameras in windows.items():
+    def run(group) -> None:
+        # project the window once per camera, keeping only what some box of
+        # that camera can select, and drop it before any detection runs;
+        # the group's views go when it returns
+        (si, aggregation), cameras = group
         window = aggregate_sweeps(scene.sweeps, si, aggregation)
-        for camera_id, members in cameras.items():
-            view = project_view(window, scene.rig, camera_id, [jobs[i][0].box for i in members])
-            for i in members:
-                views[i] = view
+        views = [
+            (project_view(window, scene.rig, camera_id, [detections[i].box for i in members]), members)
+            for camera_id, members in cameras.items()
+        ]
         del window
+        for view, members in views:
+            for i in members:
+                det = detections[i]
+                annotations[i] = _process_detection(det, si, view, scene, config, prior_for(det))
 
-    annotations = [None] * len(jobs)
-
-    def run(i: int) -> None:
-        det, si = jobs[i]
-        annotations[i] = _process_detection(det, si, views[i], scene, config, prior_for(det))
-
-    if threads > 1 and len(jobs) > 1:
+    if threads > 1 and len(groups) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, range(len(jobs))))
+            list(pool.map(run, groups.items()))
     else:
-        for i in range(len(jobs)):
-            run(i)
+        for group in groups.items():
+            run(group)
 
     frames = [[] for _ in scene.sweeps]
-    skipped = 0
-    for (_, si), annotation in zip(jobs, annotations):
-        if annotation is None:
-            skipped += 1
-        else:
-            frames[si].append(annotation)
+    for det, annotation in zip(detections, annotations):
+        if annotation is not None:
+            frames[frame_index[det.frame_id]].append(annotation)
 
     frames, tracks = track_and_refine(
         frames, [sw.timestamp for sw in scene.sweeps], config.taxonomy
@@ -162,7 +161,7 @@ def annotate_scene(
         "frames": len(scene.sweeps),
         "detections": len(detections),
         "annotations": sum(len(f) for f in frames),
-        "skipped_detections": skipped,
+        "skipped_detections": annotations.count(None),
         "tracks": len(tracks),
         "wall_time_s": time.perf_counter() - t_start,
     }

@@ -31,17 +31,9 @@ def associate(frames: list, tax: Taxonomy) -> list:
     (frame index, then index within the frame).
     """
     tracks = []
-    open_track_of = {}  # (frame_idx, ann_idx) -> Track, for the previous frame
-
+    open_tracks = []  # the previous frame's tracks, by annotation index
     for fi, anns in enumerate(frames):
-        if fi == 0:
-            for ai, a in enumerate(anns):
-                t = Track(track_id=len(tracks), members=[(fi, ai)])
-                tracks.append(t)
-                open_track_of[(fi, ai)] = t
-            continue
-
-        prev = frames[fi - 1]
+        prev = frames[fi - 1] if fi else []
         # candidate pairs sorted by distance; index tie-break keeps it deterministic
         pairs = []
         for pi, pa in enumerate(prev):
@@ -55,25 +47,18 @@ def associate(frames: list, tax: Taxonomy) -> list:
         pairs.sort()
 
         matched_prev = set()
-        matched_cur = set()
-        next_open = {}
+        next_open = [None] * len(anns)
         for d, pi, ci in pairs:
-            if pi in matched_prev or ci in matched_cur:
+            if pi in matched_prev or next_open[ci] is not None:
                 continue
             matched_prev.add(pi)
-            matched_cur.add(ci)
-            t = open_track_of.get((fi - 1, pi))
+            open_tracks[pi].members.append((fi, ci))
+            next_open[ci] = open_tracks[pi]
+        for ci, t in enumerate(next_open):
             if t is None:
-                continue
-            t.members.append((fi, ci))
-            next_open[(fi, ci)] = t
-        for ci, ca in enumerate(anns):
-            if ci in matched_cur:
-                continue
-            t = Track(track_id=len(tracks), members=[(fi, ci)])
-            tracks.append(t)
-            next_open[(fi, ci)] = t
-        open_track_of = next_open
+                next_open[ci] = Track(track_id=len(tracks), members=[(fi, ci)])
+                tracks.append(next_open[ci])
+        open_tracks = next_open
 
     return tracks
 

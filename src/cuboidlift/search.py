@@ -41,6 +41,7 @@ from .geom import (
     corner_offsets,
     iou_2d,
     project_boxes,
+    turn_xy,
     wrap_angle,
     yaw_frame,
 )
@@ -235,8 +236,8 @@ def _coverage(grid: HypothesisGrid, fg: np.ndarray, hyps: np.ndarray) -> np.ndar
 
     Yaw rotates about +z, so in a box frame the z test of a point does not
     depend on the box's xy position and the xy test does not depend on its
-    z. Per entry of the yaw axis, the points and the nodes are turned
-    into the box frame by `geom.yaw_frame` and
+    z. Per entry of the yaw axis, the points are turned into the box frame
+    by `geom.yaw_frame`, the counted nodes by `geom.turn_xy`, and
 
         counts = inside_xy (nodes x points) @ inside_z (points x z levels)
 
@@ -245,13 +246,13 @@ def _coverage(grid: HypothesisGrid, fg: np.ndarray, hyps: np.ndarray) -> np.ndar
     yaw axis moved last, is in flat order within each node.
 
     This is exact, not an approximation: both factors use the same
-    `abs(p - c) <= half` comparisons on the same turned values as a
-    per-hypothesis test, `inside_local(cuboid_local(fg, box), dims)` on a
-    one-entry grid (`yaw_frame` leaves z unchanged and its xy independent
-    of z, so the nodes sit at z = 0 and `inside_z` is built once from the
-    input z), and a float64 matmul sums 0/1 values without rounding.
-    Every node is turned and the subset's rows taken, so a hypothesis's
-    coverage is the same whichever subset it is counted in.
+    `abs(p - c) <= half` comparisons on the same turned values as the
+    per-hypothesis test `inside_local(cuboid_local(fg, box), dims)`
+    (`yaw_frame` leaves z unchanged and its xy independent of z, so
+    `inside_z` is built once from the input z), and a float64 matmul sums
+    0/1 values without rounding. `turn_xy` turns a node to the same bits
+    in any subset, so a hypothesis's coverage is the same whichever
+    subset it is counted in.
 
     No containment block exceeds _CHUNK_ELEMS: a block holds as many
     whole yaws (all nodes by all points) as fit, which keeps few-node
@@ -271,13 +272,13 @@ def _coverage(grid: HypothesisGrid, fg: np.ndarray, hyps: np.ndarray) -> np.ndar
     nodes = node[starts]
     n = len(nodes)
     half = np.asarray(grid.dims) / 2.0
-    gx, gy = np.meshgrid(grid.x_axis, grid.y_axis, indexing="ij")
-    nodes_xy = np.stack([gx.reshape(-1), gy.reshape(-1), np.zeros(gx.size)], axis=1)
+    ny = len(grid.y_axis)
+    # the counted nodes' turned x and y, (2, yaws, nodes, 1), every yaw at once
+    centres = np.stack(turn_xy(grid.x_axis[nodes // ny], grid.y_axis[nodes % ny], grid.yaw_axis))[..., None]
     inside_z = _inside_z(grid, fg)
     batch = max(1, min(nyaw, _CHUNK_ELEMS // (n * m)))
     chunk = max(1, _CHUNK_ELEMS // (batch * n))
     rot = np.empty((2, batch, m))
-    crot = np.empty((2, batch, n, 1))
     block = np.empty(batch * n * min(chunk, m))
     in_x = np.empty(len(block), dtype=bool)
     in_y = np.empty(len(block), dtype=bool)
@@ -286,9 +287,8 @@ def _coverage(grid: HypothesisGrid, fg: np.ndarray, hyps: np.ndarray) -> np.ndar
         b = min(batch, nyaw - y0)
         for k, yaw in enumerate(grid.yaw_axis[y0 : y0 + b]):
             rot[:, k] = yaw_frame(fg, yaw)[:, :2].T
-            crot[:, k, :, 0] = yaw_frame(nodes_xy, yaw)[nodes, :2].T
         px, py = rot[:, :b]
-        cx, cy = crot[:, :b]
+        cx, cy = centres[:, y0 : y0 + b]
         for s in range(0, m, chunk):
             w = min(chunk, m - s)
             d = block[: b * n * w].reshape(b, n, w)

@@ -201,6 +201,19 @@ class TestAnnotateVerb:
         assert "mask" in err["error"]["message"]
         assert not out.exists()
 
+    def test_unknown_camera_is_plain_pipeline_error(self, runner, scene_dir, tmp_path):
+        from cuboidlift.ingest import load_detections, write_detections
+        from cuboidlift.config import default_taxonomy
+
+        dets = load_detections(scene_dir / "detections.ndjson", default_taxonomy())
+        bad_path = tmp_path / "bad_dets.ndjson"
+        write_detections(dets[:-1] + [replace(dets[-1], camera_id="cam_9")], bad_path)
+        out = tmp_path / "pred.ndjson"
+        args = ["annotate", "--scene", str(scene_dir / "scene.json"), "--detections", str(bad_path), "--out", str(out)]
+        err = last_error(runner.invoke(main, args))
+        assert err == {"kind": "pipeline_error", "message": "detection references unknown camera id 'cam_9'"}
+        assert not out.exists()
+
     def test_no_detections_empty_output(self, runner, scene_dir, tmp_path):
         empty = tmp_path / "none.ndjson"
         empty.write_text("")
@@ -366,6 +379,15 @@ class TestAggregateOnlyVerb:
             ],
         )
         assert res.exit_code == 1
+
+    def test_unknown_class_is_plain_input_error(self, runner, scene_dir, tmp_path):
+        args = [
+            "aggregate-only", "--scene", str(scene_dir / "scene.json"), "--frame", "000001",
+            "--class", "nope", "--out", str(tmp_path / "agg.bin"),
+        ]
+        err = last_error(runner.invoke(main, args))
+        assert err == {"kind": "input_error", "message": "unknown class 'nope'"}
+        assert not (tmp_path / "agg.bin").exists()
 
     @pytest.mark.parametrize(
         "window", [["--past", "3"], ["--future", "0"], ["--past", "1", "--future", "1"]]
@@ -651,6 +673,13 @@ class TestConfig:
         gt = str(scene_dir / "gt.ndjson")
         err = last_error(runner.invoke(main, ["eval", "--pred", gt, "--gt", gt, "--config", str(bad)]))
         assert err == {"kind": "input_error", "message": message}
+
+    def test_cli_missing_class_field_is_named(self, runner, scene_dir, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"taxonomy": {"classes": [{"avg_dims": [4, 2, 1]}]}}))
+        gt = str(scene_dir / "gt.ndjson")
+        err = last_error(runner.invoke(main, ["eval", "--pred", gt, "--gt", gt, "--config", str(bad)]))
+        assert err == {"kind": "input_error", "message": "config: missing field 'name'"}
 
     def test_negative_threads_rejected(self, runner, scene_dir, tmp_path):
         out = tmp_path / "pred.ndjson"

@@ -2,9 +2,10 @@
 
 The inputs come from the benchmark's own seeded generator
 (`perfbench/workloads.generate`), so they are the files the benchmark
-runs. Every exact change to the search, the scoring or the writers must
-leave these digests as they are; one that changes output on purpose
-updates them and says why.
+runs. Each input is annotated at one thread and at two, with the same
+expected bytes. Every exact change to the search, the scoring, the
+threading or the writers must leave these digests as they are; one that
+changes output on purpose updates them and says why.
 """
 
 import hashlib
@@ -39,7 +40,8 @@ def test_annotate_output_is_pinned(tmp_path, workload, seed):
     scene = ingest.load_scene(tmp_path / "scene.json", stride=config.sweep_stride)
     detections = ingest.load_detections(tmp_path / "detections.ndjson", config.taxonomy)
     expert = prior.load_expert_records(tmp_path / "expert.ndjson")
-    frames, _ = pipeline.annotate_scene(scene, detections, config, expert_index=expert, threads=1)
-    out = tmp_path / "pred.ndjson"
-    ingest.write_annotations([a for frame in frames for a in frame], out)
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == OUTPUT_SHA256[workload, seed]
+    for threads in (1, 2):
+        frames, _ = pipeline.annotate_scene(scene, detections, config, expert_index=expert, threads=threads)
+        out = tmp_path / f"pred-{threads}.ndjson"
+        ingest.write_annotations([a for frame in frames for a in frame], out)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == OUTPUT_SHA256[workload, seed], threads

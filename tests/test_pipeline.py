@@ -63,6 +63,35 @@ def test_one_window_alive_at_a_time(inputs, tmp_path, monkeypatch):
     assert all(ref() is None for ref in windows)
 
 
+def test_one_window_group_of_views_alive_at_a_time(inputs, tmp_path, monkeypatch):
+    # views are numbered by the window they were projected from; a window
+    # group's views must all be freed before the next group's window is built
+    groups = 0
+    views = []  # (group number, weak reference to the view)
+    peak = 0
+    aggregate, project = pipeline.aggregate_sweeps, pipeline.project_view
+
+    def numbering(*args, **kwargs):
+        nonlocal groups
+        groups += 1
+        return aggregate(*args, **kwargs)
+
+    def counting(*args, **kwargs):
+        nonlocal peak
+        view = project(*args, **kwargs)
+        views.append((groups, weakref.ref(view)))
+        peak = max(peak, len({g for g, ref in views if ref() is not None}))
+        return view
+
+    monkeypatch.setattr(pipeline, "aggregate_sweeps", numbering)
+    monkeypatch.setattr(pipeline, "project_view", counting)
+    annotate(inputs, tmp_path / "pred.ndjson")
+    assert groups > 3
+    assert len(views) > groups  # some group projects into more than one camera
+    assert peak == 1
+    assert all(ref() is None for _, ref in views)
+
+
 def test_benchmark_tracer_contract(inputs, tmp_path, monkeypatch):
     module_spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PY)
     spans = importlib.util.module_from_spec(module_spec)

@@ -105,31 +105,58 @@ class TestCoverageRatio:
             pts = rng.uniform(-8, 8, size=(60, 3))
             assert kernel_coverage(pts, c) == naive_coverage(pts, c)
 
-    def test_box_frame_ties_kernel_on_faces_edges_corners(self):
-        # points built on a box's corners, edges and faces in its own frame
-        # lie within rounding of its boundary once moved to the world, where
-        # the order of turning and subtracting decides some of them;
-        # `cuboid_local` must decide every one as the kernel does
-        rng = np.random.default_rng(29)
+    @staticmethod
+    def boundary_points(rng, c):
+        """Points built on a box's corners, edges and faces in its own frame."""
         n_corner, n_edge, n_face = 8, 24, 24
+        signs = rng.choice([-1.0, 1.0], size=(n_corner + n_edge + n_face, 3))
+        free = rng.uniform(-1.0, 1.0, size=signs.shape)
+        # an edge point has one free coordinate, a face point two
+        axis = rng.integers(0, 3, size=n_edge + n_face)
+        on = signs.copy()
+        on[n_corner + np.arange(n_edge), axis[:n_edge]] = free[n_corner : n_corner + n_edge, 0]
+        face = n_corner + n_edge + np.arange(n_face)
+        on[face] = free[face]
+        on[face, axis[n_edge:]] = signs[face, 0]
+        return (on * np.asarray(c.dims) / 2.0) @ rot_z(c.yaw).T + c.center
+
+    def test_box_frame_ties_kernel_on_faces_edges_corners(self):
+        # boundary points lie within rounding of the box's faces once moved
+        # to the world, where the order of turning and subtracting decides
+        # some of them; `cuboid_local` must decide every one as the kernel does
+        rng = np.random.default_rng(29)
         some_outside = 0
         for _ in range(1000):
             c = random_cuboid(rng, span=40.0, dim_range=(0.3, 7.0))
-            signs = rng.choice([-1.0, 1.0], size=(n_corner + n_edge + n_face, 3))
-            free = rng.uniform(-1.0, 1.0, size=signs.shape)
-            # an edge point has one free coordinate, a face point two
-            axis = rng.integers(0, 3, size=n_edge + n_face)
-            on = signs.copy()
-            on[n_corner + np.arange(n_edge), axis[:n_edge]] = free[n_corner : n_corner + n_edge, 0]
-            face = n_corner + n_edge + np.arange(n_face)
-            on[face] = free[face]
-            on[face, axis[n_edge:]] = signs[face, 0]
-            pts = (on * np.asarray(c.dims) / 2.0) @ rot_z(c.yaw).T + c.center
+            pts = self.boundary_points(rng, c)
             inside = inside_local(cuboid_local(pts, c), c.dims)
             assert inside.sum() / len(pts) == kernel_coverage(pts, c)
             some_outside += inside.sum() != len(pts)
         # the boundary cases are really exercised: some points fall outside
         assert some_outside > 100
+
+    def test_box_frame_ties_kernel_on_many_node_grids(self):
+        # the same on a 9 x 9 node grid, where the kernel turns many nodes
+        # in one call: each node must round as a lone box centre does
+        rng = np.random.default_rng(31)
+        disagree = some_outside = 0
+        for _ in range(300):
+            c = random_cuboid(rng, span=40.0, dim_range=(0.3, 7.0))
+            step = rng.uniform(0.05, 1.0)
+            offsets = np.arange(-4, 5) * step
+            yaws = wrap_angle(c.yaw + np.arange(-2, 3) * rng.uniform(0.05, 0.6))
+            grid = HypothesisGrid(
+                c.center[0] + offsets, c.center[1] + offsets, c.center[2] + offsets[3:6], yaws,
+                dims=c.dims, init=c,
+            )
+            h = int(rng.integers(len(grid)))
+            box = grid.cuboid(h)
+            pts = self.boundary_points(rng, box)
+            inside = inside_local(cuboid_local(pts, box), box.dims)
+            disagree += inside.sum() / len(pts) != search._coverage(grid, pts, np.arange(len(grid)))[h]
+            some_outside += inside.sum() != len(pts)
+        assert disagree == 0
+        assert some_outside > 30
 
 
 class TestInitHypothesis:
