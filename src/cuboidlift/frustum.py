@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .geom import Box2D, project_points, round_half_away
-from .ingest import Detection2D, SensorRig
+from .ingest import Detection2D, SensorRig, rle_lookup
 
 
 @dataclass(frozen=True)
@@ -107,21 +107,17 @@ def extract_frustum(view: CameraView, det: Detection2D) -> FrustumPoints:
     )
 
 
-def filter_foreground(fp: FrustumPoints, mask: Optional[np.ndarray]) -> FrustumPoints:
-    """Flag points whose projected pixel is set in the mask.
+def filter_foreground(fp: FrustumPoints, mask: Optional[dict]) -> FrustumPoints:
+    """Flag points whose projected pixel is set in the RLE mask.
 
     Pixels are rounded half away from zero and clipped to the image bounds.
     No mask means everything stays foreground (the pipeline must run
     without a segmentation stage).
     """
-    if mask is None:
+    if mask is None or len(fp.points) == 0:
         return fp
-    h, w = mask.shape
-    if len(fp.points) == 0:
-        return fp
-    cols = round_half_away(fp.pixels[:, 0]).astype(int)
-    rows = round_half_away(fp.pixels[:, 1]).astype(int)
-    cols = np.clip(cols, 0, w - 1)
-    rows = np.clip(rows, 0, h - 1)
-    flags = fp.foreground_flags & np.asarray(mask, dtype=bool)[rows, cols]
+    h, w = mask["size"]
+    cols = np.clip(round_half_away(fp.pixels[:, 0]).astype(int), 0, w - 1)
+    rows = np.clip(round_half_away(fp.pixels[:, 1]).astype(int), 0, h - 1)
+    flags = fp.foreground_flags & rle_lookup(mask, rows * w + cols)
     return FrustumPoints(points=fp.points, foreground_flags=flags, pixels=fp.pixels)

@@ -12,8 +12,8 @@ microseconds):
   translation xyz, relative file path).
 * detections: NDJSON {frame_id, camera_id, class, box:[x1,y1,x2,y2],
   score, mask_rle?}. Masks are run-length encoded over row-major pixel
-  order, counts starting with the run of zeros; a missing or null
-  mask_rle means no mask, and any other value must be an RLE object.
+  order, counts starting with the run of zeros, and held as those runs;
+  a missing or null mask_rle means no mask; anything else must be an RLE object.
 * annotations: NDJSON {frame_id, class, center:[x,y,z], dims:[l,w,h], yaw,
   score, track_id?, velocity?:[vx,vy], s2d?, s3d?}. The optional s2d/s3d
   fields preserve the fusion inputs so scores can be re-fused offline.
@@ -66,7 +66,7 @@ class Detection2D:
     class_label: str
     box: Box2D
     score: float
-    mask: Optional[np.ndarray] = None  # (height, width) bool
+    mask: Optional[dict] = None  # RLE {"size": [height, width], "counts": [...]}
 
     def __post_init__(self):
         if not (0.0 <= self.score <= 1.0):
@@ -271,29 +271,35 @@ def mask_to_rle(mask: np.ndarray) -> dict:
     return {"size": [h, w], "counts": counts}
 
 
-def rle_to_mask(rle: dict) -> np.ndarray:
-    """Decode `mask_to_rle`'s {"size": [h, w], "counts": [...]} object."""
-    if not isinstance(rle, dict):
-        raise FormatError(f"mask_rle must be an RLE object, got {rle!r}")
-    h, w = (read_int(v) for v in rle["size"])
-    counts = rle["counts"]
+def rle_lookup(rle: dict, index: np.ndarray) -> np.ndarray:
+    """Whether each row-major pixel `index` (row * width + col) is set.
+
+    Runs alternate from the run of zeros, so the pixel lies in the run
+    numbered by how many run ends are at or before it, and is set when
+    that number is odd. A zero-length run adds an end equal to the one
+    before it, which never changes that parity at a real pixel.
+    """
+    ends = np.cumsum(rle["counts"], dtype=np.int64)
+    return (np.searchsorted(ends, index, side="right") & 1).astype(bool)
+
+
+def _rle_from_json(value) -> dict:
+    """Check a `mask_rle` object and return it as `mask_to_rle` writes it."""
+    if not isinstance(value, dict):
+        raise ValueError(f"mask_rle must be an RLE object, got {value!r}")
+    h, w = read_ints(value["size"], 2)
+    if h < 0 or w < 0:
+        raise ValueError(f"RLE size {[h, w]} is negative")
+    counts = value["counts"]
+    if not isinstance(counts, list):
+        raise ValueError(f"RLE counts must be a list, got {counts!r}")
     for c in counts:
-        if isinstance(c, bool) or not isinstance(c, (int, np.integer)) or c < 0:
-            raise FormatError(f"RLE count {c!r} is not a non-negative integer")
+        if not isinstance(c, int) or isinstance(c, bool) or c < 0:
+            raise ValueError(f"RLE count {c!r} is not a non-negative integer")
     total = sum(counts)
     if total != h * w:
-        raise FormatError(f"RLE counts sum to {total}, expected {h * w}")
-    # only the set runs are written, so a held mask occupies the pages
-    # they fall on: np.zeros leaves the others untouched and unmapped
-    flat = np.zeros(h * w, dtype=bool)
-    pos = 0
-    val = False
-    for c in counts:
-        if val:
-            flat[pos : pos + c] = True
-        pos += c
-        val = not val
-    return flat.reshape(h, w)
+        raise ValueError(f"RLE counts sum to {total}, expected {h * w}")
+    return {"size": [h, w], "counts": counts}
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +465,7 @@ def _detection_from_json(rec: dict, taxonomy: Taxonomy) -> Detection2D:
     label = rec["class"]
     if label not in taxonomy:
         raise ValueError(f"unknown class {label!r}")
-    mask = rle_to_mask(rec["mask_rle"]) if rec.get("mask_rle") is not None else None
+    mask = _rle_from_json(rec["mask_rle"]) if rec.get("mask_rle") is not None else None
     return Detection2D(
         frame_id=str(rec["frame_id"]),
         camera_id=str(rec["camera_id"]),
@@ -479,7 +485,7 @@ def _detection_to_json(d: Detection2D) -> dict:
         "score": d.score,
     }
     if d.mask is not None:
-        rec["mask_rle"] = mask_to_rle(d.mask)
+        rec["mask_rle"] = d.mask
     return rec
 
 

@@ -224,17 +224,16 @@ def gt_classes(items: list) -> list:
     return sorted({g.class_label for g in items})
 
 
-def _ap_table(preds: list, gts: list, thresholds, tp_threshold=None) -> tuple:
+def _ap_table(preds: list, gts: list) -> tuple:
     """AP per GT class and threshold, and each class's matches by threshold.
 
-    `tp_threshold` joins the matched thresholds; it is usually one of the
-    AP thresholds, and each (class, threshold) pair is matched once.
+    `TP_ERROR_THRESHOLD` is one of the AP thresholds, so its matches are
+    among these.
     """
     class_ap, matches = {}, {}
-    extra = () if tp_threshold is None else (tp_threshold,)
     for cls in gt_classes(gts):
-        m = {t: match_predictions(preds, gts, cls, t) for t in dict.fromkeys((*thresholds, *extra))}
-        class_ap[cls] = {t: average_precision(m[t]) for t in thresholds}
+        m = {t: match_predictions(preds, gts, cls, t) for t in DIST_THRESHOLDS}
+        class_ap[cls] = {t: average_precision(m[t]) for t in DIST_THRESHOLDS}
         matches[cls] = m
     return class_ap, matches
 
@@ -244,16 +243,14 @@ def _mean_ap(class_ap: dict) -> float:
     return float(np.mean(aps)) if aps else 0.0
 
 
-def map3d(preds: list, gts: list, thresholds=DIST_THRESHOLDS) -> float:
+def map3d(preds: list, gts: list) -> float:
     """Mean over GT classes and thresholds of the clipped AP."""
-    return _mean_ap(_ap_table(preds, gts, thresholds)[0])
+    return _mean_ap(_ap_table(preds, gts)[0])
 
 
 def evaluate_detections(
     preds: list,
     gts: list,
-    thresholds=DIST_THRESHOLDS,
-    tp_threshold: float = TP_ERROR_THRESHOLD,
     stratify: bool = False,
     origins: Optional[dict] = None,
 ) -> MetricsReport:
@@ -263,8 +260,8 @@ def evaluate_detections(
     ground plane from `origins[frame_id]`, the (x, y) world position of
     each frame's lidar, or from the world origin when `origins` is None.
     """
-    class_ap, matches = _ap_table(preds, gts, thresholds, tp_threshold)
-    class_err = {cls: tp_errors(m[tp_threshold], preds, gts) for cls, m in matches.items()}
+    class_ap, matches = _ap_table(preds, gts)
+    class_err = {cls: tp_errors(m[TP_ERROR_THRESHOLD], preds, gts) for cls, m in matches.items()}
     classes = list(class_ap)
     mean_ap = _mean_ap(class_ap)
 
@@ -291,7 +288,7 @@ def evaluate_detections(
         for lo, hi in DISTANCE_BANDS:
             sub_gts = [g for g in gts if lo <= _band_dist(g, origins) < hi]
             sub_preds = [p for p in preds if lo <= _band_dist(p, origins) < hi]
-            stratified[f"{lo:g}-{hi:g}"] = map3d(sub_preds, sub_gts, thresholds)
+            stratified[f"{lo:g}-{hi:g}"] = map3d(sub_preds, sub_gts)
 
     return MetricsReport(
         class_ap=class_ap,

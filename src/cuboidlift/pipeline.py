@@ -102,10 +102,10 @@ def annotate_scene(
         if det.camera_id not in scene.rig.cameras:
             raise ValueError(f"detection references unknown camera id {det.camera_id!r}")
         intr = scene.rig.cameras[det.camera_id].intrinsics
-        if det.mask is not None and det.mask.shape != (intr.height, intr.width):
+        if det.mask is not None and det.mask["size"] != [intr.height, intr.width]:
             raise ValueError(
-                f"mask shape {det.mask.shape} does not match camera "
-                f"{det.camera_id} image size {(intr.height, intr.width)}"
+                f"mask size {det.mask['size']} does not match camera "
+                f"{det.camera_id} image size {[intr.height, intr.width]}"
             )
         key = (frame_index[det.frame_id], config.taxonomy.get(det.class_label).aggregation)
         groups.setdefault(key, {}).setdefault(det.camera_id, []).append(i)

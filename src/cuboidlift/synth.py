@@ -39,6 +39,7 @@ from .ingest import (
     SensorRig,
     SweepFrame,
     Taxonomy,
+    mask_to_rle,
 )
 from .prior import FACES, ExpertRecord, SemanticPrior
 
@@ -307,14 +308,13 @@ def generate_scene(spec: SceneSpec) -> SyntheticScene:
                 u, v, front = project_points(
                     cam_from_world.apply(per_object_world[oi]), cam.intrinsics
                 )
-                mask = _rasterize_mask(u[front], v[front], cam.intrinsics, MASK_DILATION_PX)
                 det = Detection2D(
                     frame_id=frame_id,
                     camera_id=cam.camera_id,
                     class_label=obj.class_label,
                     box=box,
                     score=1.0,
-                    mask=mask,
+                    mask=mask_to_rle(_rasterize_mask(u[front], v[front], cam.intrinsics, MASK_DILATION_PX)),
                 )
                 detections.append(det)
                 det_object_ids.append(oi)

@@ -129,6 +129,17 @@ def naive_frustum_mask(points, det, rig) -> np.ndarray:
     return np.array(out, dtype=bool)
 
 
+def naive_rle_decode(rle) -> np.ndarray:
+    """Expand an RLE mask run by run into its (height, width) bool array."""
+    h, w = rle["size"]
+    flat = []
+    value = False
+    for c in rle["counts"]:
+        flat.extend([value] * c)
+        value = not value
+    return np.array(flat, dtype=bool).reshape(h, w)
+
+
 def grid_poses(grid):
     """Centers (H, 3) and yaws (H,) of every hypothesis of `grid`, in flat order."""
     return grid.pose(np.arange(len(grid)))

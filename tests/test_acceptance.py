@@ -329,7 +329,7 @@ class TestCriterion7CodecRoundtrips:
         dets = ingest.load_detections(det_path, taxonomy)
         for a, b in zip(built.detections, dets):
             assert a.box == b.box and a.score == b.score
-            assert np.array_equal(a.mask, b.mask)
+            assert a.mask == b.mask
         ann_path = tmp_path / "a.ndjson"
         ingest.write_annotations(built.gt_flat, ann_path)
         anns = ingest.load_annotations(ann_path)

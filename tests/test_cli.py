@@ -178,12 +178,12 @@ class TestAnnotateVerb:
     def test_mismatched_mask_dims_rejected(self, runner, scene_dir, tmp_path):
         import numpy as np
 
-        from cuboidlift.ingest import load_detections, write_detections
+        from cuboidlift.ingest import load_detections, mask_to_rle, write_detections
         from cuboidlift.config import default_taxonomy
         from dataclasses import replace
 
         dets = load_detections(scene_dir / "detections.ndjson", default_taxonomy())
-        bad = [replace(dets[0], mask=np.ones((7, 9), dtype=bool))] + dets[1:]
+        bad = [replace(dets[0], mask=mask_to_rle(np.ones((7, 9), dtype=bool)))] + dets[1:]
         bad_path = tmp_path / "bad_dets.ndjson"
         write_detections(bad, bad_path)
         out = tmp_path / "pred.ndjson"
@@ -213,6 +213,25 @@ class TestAnnotateVerb:
         err = last_error(runner.invoke(main, args))
         assert err == {"kind": "pipeline_error", "message": "detection references unknown camera id 'cam_9'"}
         assert not out.exists()
+
+    def test_repeated_detection_line_gives_one_more_annotation(self, runner, scene_dir, tmp_path):
+        # repeated lines are kept: each yields its own annotation, and the
+        # copies share one expert record (2D eval scores the copy as an FP)
+        lines = (scene_dir / "detections.ndjson").read_text().splitlines(keepends=True)
+        repeated = tmp_path / "repeated.ndjson"
+        repeated.write_text("".join(lines[:1] + lines))
+        summaries = []
+        for dets in (scene_dir / "detections.ndjson", repeated):
+            args = [
+                "annotate", "--scene", str(scene_dir / "scene.json"), "--detections", str(dets),
+                "--expert", str(scene_dir / "expert.ndjson"), "--out", str(tmp_path / "pred.ndjson"),
+            ]
+            res = runner.invoke(main, args)
+            assert res.exit_code == 0, res.output
+            summaries.append(json.loads(res.output.strip().splitlines()[-1]))
+        once, twice = summaries
+        assert twice["detections"] == once["detections"] + 1 == len(lines) + 1
+        assert twice["annotations"] == once["annotations"] + 1
 
     def test_no_detections_empty_output(self, runner, scene_dir, tmp_path):
         empty = tmp_path / "none.ndjson"

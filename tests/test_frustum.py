@@ -3,7 +3,7 @@ import pytest
 
 from cuboidlift.frustum import FrustumPoints, extract_frustum, filter_foreground, project_view
 from cuboidlift.geom import Box2D
-from cuboidlift.ingest import Detection2D, SensorRig
+from cuboidlift.ingest import Detection2D, SensorRig, mask_to_rle
 from cuboidlift.synth import DEFAULT_LIDAR_EXTRINSICS, default_cameras
 from conftest import naive_frustum_mask
 
@@ -148,18 +148,18 @@ class TestFilterForeground:
 
     def test_all_ones_mask(self, rig):
         fp = self._fp(rig)
-        out = filter_foreground(fp, np.ones((450, 800), dtype=bool))
+        out = filter_foreground(fp, mask_to_rle(np.ones((450, 800), dtype=bool)))
         assert out.foreground_flags.all()
 
     def test_all_zeros_mask(self, rig):
         fp = self._fp(rig)
-        out = filter_foreground(fp, np.zeros((450, 800), dtype=bool))
+        out = filter_foreground(fp, mask_to_rle(np.zeros((450, 800), dtype=bool)))
         assert not out.foreground_flags.any()
 
     def test_checkerboard_matches_pixel_oracle(self, rig):
         fp = self._fp(rig)
         mask = (np.indices((450, 800)).sum(axis=0) % 2).astype(bool)
-        out = filter_foreground(fp, mask)
+        out = filter_foreground(fp, mask_to_rle(mask))
         for i, (u, v) in enumerate(fp.pixels):
             col = int(np.floor(u + 0.5)) if u >= 0 else int(np.ceil(u - 0.5))
             row = int(np.floor(v + 0.5)) if v >= 0 else int(np.ceil(v - 0.5))
@@ -171,7 +171,7 @@ class TestFilterForeground:
         fp = self._fp(rig)
         rng = np.random.default_rng(13)
         mask = rng.uniform(size=(450, 800)) > 0.5
-        out = filter_foreground(fp, mask)
+        out = filter_foreground(fp, mask_to_rle(mask))
         assert np.array_equal(out.points, fp.points)
         assert out.foreground_flags.sum() <= len(fp.points)
 
@@ -191,7 +191,7 @@ class TestFilterForeground:
         mask[0, 10] = True  # rows are v, cols are u
         mask[0, 11] = True
         mask[0, 0] = True
-        out = filter_foreground(fp, mask)
+        out = filter_foreground(fp, mask_to_rle(mask))
         assert out.foreground_flags.tolist() == [True, True, True]
 
 

@@ -16,13 +16,13 @@ from cuboidlift.ingest import (
     load_detections,
     load_sweep_points,
     mask_to_rle,
-    rle_to_mask,
+    rle_lookup,
     write_annotations,
     write_detections,
     write_sweep_points,
 )
 from cuboidlift.prior import load_expert_records
-from conftest import BROKEN_MANIFESTS
+from conftest import BROKEN_MANIFESTS, naive_rle_decode
 
 
 @pytest.fixture
@@ -80,6 +80,16 @@ class TestSweepIO:
         assert pts[0, 3] == np.float32(0.5)
 
 
+def random_rle(seed) -> dict:
+    """Runs of random length, zero-length ones included, summing to h * w."""
+    rng = np.random.default_rng(seed)
+    h, w = (int(v) for v in rng.integers(1, 40, size=2))
+    counts = []
+    while sum(counts) < h * w:
+        counts.append(min(int(rng.integers(0, 12)), h * w - sum(counts)))
+    return {"size": [h, w], "counts": counts}
+
+
 class TestRle:
     def test_counts_start_with_zero_run(self):
         mask = np.zeros((2, 3), dtype=bool)
@@ -98,17 +108,59 @@ class TestRle:
     )
     def test_roundtrip(self, build):
         mask = build()
-        assert np.array_equal(rle_to_mask(mask_to_rle(mask)), mask)
+        assert np.array_equal(naive_rle_decode(mask_to_rle(mask)), mask)
 
-    def test_bad_total_rejected(self):
+    @pytest.mark.parametrize(
+        "rle",
+        [
+            {"size": [3, 4], "counts": [0, 2, 10]},  # leading set pixel
+            {"size": [3, 4], "counts": [11, 1]},  # set last pixel
+            {"size": [3, 4], "counts": [2, 0, 3, 4, 0, 0, 3]},  # zero-length interior runs
+            {"size": [3, 4], "counts": [12]},  # all zeros
+            {"size": [0, 5], "counts": []},
+            *(random_rle(seed) for seed in range(6)),
+        ],
+    )
+    def test_lookup_matches_naive_decode(self, rle):
+        want = naive_rle_decode(rle).reshape(-1)
+        assert np.array_equal(rle_lookup(rle, np.arange(want.size)), want)
+
+    @staticmethod
+    def load_mask(tmp_path, taxonomy, rle):
+        rec = {"frame_id": "f", "camera_id": "c", "class": "car", "box": [0, 0, 1, 1], "score": 0.5}
+        p = tmp_path / "dets.ndjson"
+        p.write_text(json.dumps(dict(rec, mask_rle=rle)) + "\n")
+        return load_detections(p, taxonomy)[0].mask
+
+    def test_bad_total_rejected(self, tmp_path, tiny_taxonomy):
         with pytest.raises(FormatError):
-            rle_to_mask({"size": [2, 2], "counts": [3]})
+            self.load_mask(tmp_path, tiny_taxonomy, {"size": [2, 2], "counts": [3]})
 
     @pytest.mark.parametrize("counts", [[-1, 5], [2, -1, 3], [1.5, 2.5], [True, 3]])
-    def test_bad_count_rejected(self, counts):
+    def test_bad_count_rejected(self, tmp_path, tiny_taxonomy, counts):
         # [-1, 5] sums to 4 and used to decode silently
         with pytest.raises(FormatError, match="RLE count"):
-            rle_to_mask({"size": [2, 2], "counts": counts})
+            self.load_mask(tmp_path, tiny_taxonomy, {"size": [2, 2], "counts": counts})
+
+    @pytest.mark.parametrize(
+        "rle, why",
+        [
+            # a negative size used to fail inside numpy's reshape
+            ({"size": [-2, -2], "counts": [4]}, r"RLE size \[-2, -2\] is negative"),
+            ({"size": [0, -1], "counts": []}, r"RLE size \[0, -1\] is negative"),
+            # a third entry used to fail on tuple unpacking
+            ({"size": [2, 2, 1], "counts": [4]}, "expected a list of 2 integers"),
+            ({"size": [2.0, 2], "counts": [4]}, "expected an integer"),
+            ({"size": "22", "counts": [4]}, "expected a list of 2 integers"),
+            # a dict or string used to be iterated key by key or char by char
+            ({"size": [2, 2], "counts": {"4": 4}}, "RLE counts must be a list"),
+            ({"size": [2, 2], "counts": "4"}, "RLE counts must be a list"),
+            ({"size": [2, 2]}, "missing field 'counts'"),
+        ],
+    )
+    def test_bad_header_cites_line(self, tmp_path, tiny_taxonomy, rle, why):
+        with pytest.raises(FormatError, match=r"dets\.ndjson:1: " + why):
+            self.load_mask(tmp_path, tiny_taxonomy, rle)
 
 
 class TestDetectionsIO:
@@ -204,12 +256,12 @@ class TestDetectionsIO:
 
     def test_mask_roundtrip(self, tmp_path, tiny_taxonomy):
         rng = np.random.default_rng(9)
-        mask = rng.uniform(size=(12, 16)) > 0.7
+        mask = mask_to_rle(rng.uniform(size=(12, 16)) > 0.7)
         det = Detection2D("f", "c", "car", ingest.Box2D(0, 0, 5, 5), 0.5, mask=mask)
         p = tmp_path / "dets.ndjson"
         write_detections([det], p)
         back = load_detections(p, tiny_taxonomy)
-        assert np.array_equal(back[0].mask, mask)
+        assert back[0].mask == mask
 
 
 def random_annotation(rng, frame="000000"):

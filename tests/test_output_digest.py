@@ -2,8 +2,10 @@
 
 The inputs come from the benchmark's own seeded generator
 (`perfbench/workloads.generate`), so they are the files the benchmark
-runs. Each input is annotated at one thread and at two, with the same
-expected bytes. Every exact change to the search, the scoring, the
+runs; the generated detections file is pinned too, so a change in how
+masks are built or encoded cannot move the benchmark's inputs. Each
+input is annotated at one thread and at two, with the same expected
+bytes. Every exact change to the search, the scoring, the
 threading or the writers must leave these digests as they are; one that
 changes output on purpose updates them and says why.
 """
@@ -32,10 +34,24 @@ OUTPUT_SHA256 = {
     ("sequence_mixed", 4): "21ba3fa0d90b33ad6619ae0627252b8d807b2f96dea260d5a94be1e1ccbf42d3",
 }
 
+# sha256 of the generated detections.ndjson for the same seeds
+DETECTIONS_SHA256 = {
+    ("dense_expert", 1): "567d71e34faef15893d2f432483eb4e78489babdb10ab19cea9972094c825bab",
+    ("dense_expert", 2): "99baa8cdd7b021f3579898a5ba39f774cfbe72b469126123fd849ab6053533fe",
+    ("dense_expert", 3): "2ff43cded107e1f113cc74d4e8446d82e2680e2deeea03d6a45392ea5359175d",
+    ("dense_expert", 4): "3488879603a8fb107094560332b49d52863be623285fa8cbf27a27cf335e2b3d",
+    ("sequence_mixed", 1): "78cace1bfb1ffb050767d7877fc032f4f4d75f4a67f6ddaeab197dbd267c1dc0",
+    ("sequence_mixed", 2): "8d8f4654419c3665ae4c91edf85827e8c5f30282d7ae2ce9ceb3b72f5544c34d",
+    ("sequence_mixed", 3): "fda3b941863960d69b603d42cd37927673d3ea3aad843671ffcb5ac772fa9288",
+    ("sequence_mixed", 4): "a45d3f9fc71caa07d99e64df2abd891ab17ee38a3247afebf5b0c98558a988c9",
+}
+
 
 @pytest.mark.parametrize("workload, seed", sorted(OUTPUT_SHA256))
 def test_annotate_output_is_pinned(tmp_path, workload, seed):
     workloads.generate(workload, seed, str(tmp_path))
+    det_bytes = (tmp_path / "detections.ndjson").read_bytes()
+    assert hashlib.sha256(det_bytes).hexdigest() == DETECTIONS_SHA256[workload, seed]
     config = PipelineConfig()
     scene = ingest.load_scene(tmp_path / "scene.json", stride=config.sweep_stride)
     detections = ingest.load_detections(tmp_path / "detections.ndjson", config.taxonomy)

@@ -2,6 +2,7 @@ import importlib.util
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import pytest
 
 from cuboidlift import frustum, geom, ingest, pipeline, prior
 from cuboidlift.config import PipelineConfig
+from cuboidlift.search import SearchConfig
 from cuboidlift.synth import generate_scene, random_scene_spec
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -90,6 +92,41 @@ def test_one_window_group_of_views_alive_at_a_time(inputs, tmp_path, monkeypatch
     assert len(views) > groups  # some group projects into more than one camera
     assert peak == 1
     assert all(ref() is None for _, ref in views)
+
+
+# what the 40-sweep run may hold beyond the 10-sweep one: the 30 extra
+# sweeps and the per-detection records, about 1.2 MB measured; the 150 extra
+# detections' full-image masks alone would be 54 MB
+LENGTH_ALLOWANCE_BYTES = 4_000_000
+
+
+def test_memory_does_not_grow_with_held_masks(tmp_path, taxonomy):
+    # two static scenes with the same objects, at 10 and at 40 sweeps; a
+    # one-node search keeps the traced run short without changing what is held
+    config = PipelineConfig(search=SearchConfig(xy_range=0.0, z_range=0.0))
+    peaks = []
+    for n_sweeps in (10, 40):
+        out = tmp_path / str(n_sweeps)
+        spec = random_scene_spec(
+            seed=7, taxonomy=taxonomy, n_objects=3, n_sweeps=n_sweeps,
+            classes=["car", "adult", "stroller"], points_per_object=(200, 260),
+        )
+        built = generate_scene(spec)
+        ingest.write_scene(built.scene, out)
+        ingest.write_detections(built.detections, out / "detections.ndjson")
+        assert all(d.mask is not None for d in built.detections)
+        del built
+        tracemalloc.start()
+        try:
+            scene = ingest.load_scene(out / "scene.json", stride=config.sweep_stride)
+            detections = ingest.load_detections(out / "detections.ndjson", config.taxonomy)
+            frames, _ = pipeline.annotate_scene(scene, detections, config, threads=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert sum(map(len, frames)) == len(detections) == 5 * n_sweeps
+        del scene, detections, frames
+    assert peaks[1] - peaks[0] < LENGTH_ALLOWANCE_BYTES, peaks
 
 
 def test_benchmark_tracer_contract(inputs, tmp_path, monkeypatch):

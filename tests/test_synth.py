@@ -18,7 +18,7 @@ from cuboidlift.synth import (
     straight_ego_trajectory,
     verify_roundtrip,
 )
-from conftest import criterion_scene_spec
+from conftest import criterion_scene_spec, naive_rle_decode
 
 
 def simple_spec(objects, seed=0, n_sweeps=1, noise=0.0, walls=(), ego_speed=0.0, inset=0.0):
@@ -51,7 +51,7 @@ class TestDeterminism:
         assert len(a.detections) == len(b.detections)
         for da, db in zip(a.detections, b.detections):
             assert da.box == db.box
-            assert np.array_equal(da.mask, db.mask)
+            assert da.mask == db.mask
 
     def test_different_seed_differs(self, taxonomy):
         a = generate_scene(criterion_scene_spec(3, taxonomy, 0.0, (100, 150), 0.0))
@@ -162,8 +162,9 @@ class TestOracleBoxes:
         built = generate_scene(criterion_scene_spec(6, taxonomy, 0.0, (100, 150), 0.0))
         for det in built.detections[:5]:
             assert det.mask is not None
-            assert det.mask.shape == (450, 800)
-            assert det.mask.any()
+            mask = naive_rle_decode(det.mask)
+            assert mask.shape == (450, 800)
+            assert mask.any()
 
 
 class TestWalls:
