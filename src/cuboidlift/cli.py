@@ -270,6 +270,9 @@ def track_only(pred_path, scene_path, config_path, out_path):
     scene = _load(ingest.load_scene, scene_path, stride=config.sweep_stride)
 
     _require_frames(anns, {sw.frame_id for sw in scene.sweeps})
+    unknown = list(dict.fromkeys(a.class_label for a in anns if a.class_label not in config.taxonomy))
+    if unknown:
+        _fail(f"annotations use classes missing from the taxonomy: {unknown}")
     by_frame = {}
     for a in anns:
         by_frame.setdefault(a.frame_id, []).append(a)

@@ -272,22 +272,13 @@ def bev_distance(a: Cuboid3D, b: Cuboid3D) -> float:
     return math.hypot(d[0], d[1])
 
 
-def yaw_frame(points: np.ndarray, yaw: float) -> np.ndarray:
-    """(N, 3) points, or one point as (1, 3), in axes turned by `yaw` about +z.
-
-    rot_z's zero entries leave z unchanged and make x and y independent
-    of z, bit for bit.
-    """
-    return np.asarray(points, dtype=float).reshape(-1, 3) @ rot_z(-yaw).T
-
-
 def turn_xy(x, y, yaws):
     """Point coordinates x and y in axes turned by each of `yaws` about +z.
 
     Returns the turned x and y, each (yaws, points). They are elementwise
     products and sums of rot_z(-yaw)'s entries, one rounding each, so a
-    point turns to the same bits whatever else shares the call; a BLAS
-    product may round a one-row and a many-row product differently.
+    point turns to the same bits whatever else shares the call and on
+    every BLAS kernel.
     """
     r = np.array([rot_z(-yaw) for yaw in np.atleast_1d(yaws)])[:, :2, :2, None]
     return r[:, 0, 0] * x + r[:, 0, 1] * y, r[:, 1, 0] * x + r[:, 1, 1] * y
@@ -296,13 +287,15 @@ def turn_xy(x, y, yaws):
 def cuboid_local(points: np.ndarray, c: Cuboid3D) -> np.ndarray:
     """(N, 3) points expressed in the cuboid's yaw-aligned local frame.
 
-    Points and center are turned apart and then subtracted, the arithmetic
-    of the search's coverage kernel: the points by `yaw_frame`, the center
-    by `turn_xy`. Containment counted on these offsets equals the kernel's
-    count for this box on any grid that holds it, bit for bit.
+    Points and center are turned apart by `turn_xy` and then subtracted,
+    z as it is: the arithmetic of the search's coverage kernel, so
+    containment counted on these offsets equals the kernel's count for
+    this box on any grid that holds it, bit for bit.
     """
-    x, y = turn_xy(c.center[0], c.center[1], c.yaw)
-    return yaw_frame(points, c.yaw) - np.array([x.item(), y.item(), c.center[2]])
+    p = np.asarray(points, dtype=float).reshape(-1, 3)
+    (px,), (py,) = turn_xy(p[:, 0], p[:, 1], c.yaw)
+    (cx,), (cy,) = turn_xy(c.center[0], c.center[1], c.yaw)
+    return np.stack([px - cx, py - cy, p[:, 2] - c.center[2]], axis=1)
 
 
 def inside_local(local: np.ndarray, dims) -> np.ndarray:

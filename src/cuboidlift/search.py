@@ -43,7 +43,6 @@ from .geom import (
     project_boxes,
     turn_xy,
     wrap_angle,
-    yaw_frame,
 )
 from .ingest import Detection2D, SensorRig
 from .frustum import FrustumPoints
@@ -236,8 +235,8 @@ def _coverage(grid: HypothesisGrid, fg: np.ndarray, hyps: np.ndarray) -> np.ndar
 
     Yaw rotates about +z, so in a box frame the z test of a point does not
     depend on the box's xy position and the xy test does not depend on its
-    z. Per entry of the yaw axis, the points are turned into the box frame
-    by `geom.yaw_frame`, the counted nodes by `geom.turn_xy`, and
+    z. Per entry of the yaw axis, the points and the counted nodes are
+    turned into the box frame by `geom.turn_xy`, and
 
         counts = inside_xy (nodes x points) @ inside_z (points x z levels)
 
@@ -248,11 +247,10 @@ def _coverage(grid: HypothesisGrid, fg: np.ndarray, hyps: np.ndarray) -> np.ndar
     This is exact, not an approximation: both factors use the same
     `abs(p - c) <= half` comparisons on the same turned values as the
     per-hypothesis test `inside_local(cuboid_local(fg, box), dims)`
-    (`yaw_frame` leaves z unchanged and its xy independent of z, so
-    `inside_z` is built once from the input z), and a float64 matmul sums
-    0/1 values without rounding. `turn_xy` turns a node to the same bits
-    in any subset, so a hypothesis's coverage is the same whichever
-    subset it is counted in.
+    (z is not turned, so `inside_z` is built once from the input z), and
+    a float64 matmul sums 0/1 values without rounding. `turn_xy` turns a
+    point or node to the same bits in any subset, so a hypothesis's
+    coverage is the same whichever subset it is counted in.
 
     No containment block exceeds _CHUNK_ELEMS: a block holds as many
     whole yaws (all nodes by all points) as fit, which keeps few-node
@@ -278,16 +276,13 @@ def _coverage(grid: HypothesisGrid, fg: np.ndarray, hyps: np.ndarray) -> np.ndar
     inside_z = _inside_z(grid, fg)
     batch = max(1, min(nyaw, _CHUNK_ELEMS // (n * m)))
     chunk = max(1, _CHUNK_ELEMS // (batch * n))
-    rot = np.empty((2, batch, m))
     block = np.empty(batch * n * min(chunk, m))
     in_x = np.empty(len(block), dtype=bool)
     in_y = np.empty(len(block), dtype=bool)
     counts = np.zeros((nyaw, n, len(grid.z_axis)))
     for y0 in range(0, nyaw, batch):
         b = min(batch, nyaw - y0)
-        for k, yaw in enumerate(grid.yaw_axis[y0 : y0 + b]):
-            rot[:, k] = yaw_frame(fg, yaw)[:, :2].T
-        px, py = rot[:, :b]
+        px, py = turn_xy(fg[:, 0], fg[:, 1], grid.yaw_axis[y0 : y0 + b])
         cx, cy = centres[:, y0 : y0 + b]
         for s in range(0, m, chunk):
             w = min(chunk, m - s)

@@ -432,6 +432,10 @@ def random_scene_spec(
     and the pose is well determined; end-on views of long objects leave
     the depth axis under-constrained.
     """
+    if n_sweeps < 1:
+        raise ValueError(f"n_sweeps must be at least 1, got {n_sweeps}")
+    if n_objects < 0:
+        raise ValueError(f"n_objects must not be negative, got {n_objects}")
     if classes is None:
         classes = taxonomy.names
     if not isinstance(classes, (list, tuple)) or not all(isinstance(c, str) and c in taxonomy for c in classes):

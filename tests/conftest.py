@@ -6,6 +6,10 @@ matching are plain Python loops.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -315,3 +319,44 @@ BROKEN_MANIFESTS = {
     "bool_timestamp": _set(("sweeps", 0, "timestamp"), True),
     "missing_cameras": lambda doc: {k: v for k, v in doc.items() if k != "cameras"},
 }
+
+
+# the OpenBLAS kernels a BLAS-independence check runs under; None is the
+# one OpenBLAS picks for the CPU, the others are forced by OPENBLAS_CORETYPE
+# (Sandybridge and Nehalem have no FMA, so their products round apart)
+BLAS_KERNELS = (None, "Haswell", "Sandybridge", "Nehalem")
+
+# digest of a raw BLAS product: its bits tell whether the kernel switched
+_BLAS_PROBE = (
+    "import hashlib\n"
+    "import numpy as np\n"
+    "_rng = np.random.default_rng(3)\n"
+    "_p = _rng.uniform(-50.0, 50.0, (1000, 3)) @ _rng.standard_normal((3, 3)).T\n"
+    "print(hashlib.sha256(_p.tobytes()).hexdigest())\n"
+)
+
+
+def run_under_blas_kernels(snippet: str) -> dict:
+    """The stdout of `snippet` run by a fresh interpreter under each of BLAS_KERNELS.
+
+    Returns {kernel: stdout}. OPENBLAS_CORETYPE is set, or for the default
+    kernel removed, in the children's environment only. Each child first
+    digests a raw `P @ R.T`; if the default kernel and Sandybridge give it
+    the same bits, this OpenBLAS build cannot switch kernels, a check
+    across them would be vacuous, and the calling test is skipped.
+    """
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probes, outs = {}, {}
+    for kernel in BLAS_KERNELS:
+        env = base if kernel is None else dict(base, OPENBLAS_CORETYPE=kernel)
+        res = subprocess.run(
+            [sys.executable, "-c", _BLAS_PROBE + snippet], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert res.returncode == 0, f"OPENBLAS_CORETYPE={kernel}: {res.stderr}"
+        probes[kernel], _, outs[kernel] = res.stdout.partition("\n")
+    if probes[None] == probes["Sandybridge"]:
+        pytest.skip("a raw P @ R.T has the same bits under the default OpenBLAS kernel and Sandybridge: "
+                    "this build cannot switch kernels")
+    return outs

@@ -91,12 +91,16 @@ class TestSynthVerb:
             (b'{"ego_speed": [2.0]}', "spec_error"),
             (b'{"points_per_object": [150.5, 250]}', "spec_error"),
             (b'{"points_per_object": [150, 250, 300]}', "spec_error"),
+            (b'{"n_sweeps": 0}', "spec_error"),
+            (b'{"n_sweeps": -2}', "spec_error"),
+            (b'{"n_objects": -1}', "spec_error"),
         ],
         ids=[
             "list", "non_utf8", "null_count", "string_classes", "unknown_class", "nested_classes",
             "bool_seed_fractional_counts", "bool_seed", "fractional_seed", "fractional_objects",
             "fractional_sweeps", "string_sweeps", "string_sigma", "nan_sigma", "bool_fraction",
-            "list_speed", "fractional_points", "three_points",
+            "list_speed", "fractional_points", "three_points", "zero_sweeps", "negative_sweeps",
+            "negative_objects",
         ],
     )
     def test_malformed_spec_structured_error(self, runner, tmp_path, spec, kind):
@@ -489,6 +493,20 @@ class TestTrackOnlyVerb:
             res = runner.invoke(main, args + ["--out", str(out)])
             assert res.exit_code == 0, res.output
             assert out.read_bytes() == pred.read_bytes()
+
+    def test_unknown_class_is_input_error(self, runner, scene_dir, tmp_path):
+        pred = tmp_path / "pred.ndjson"
+        run_annotate(runner, scene_dir, pred)
+        lines = pred.read_text().splitlines(True)
+        doc = json.loads(lines[0])
+        doc["class"] = "lorry"
+        pred.write_text(json.dumps(doc) + "\n" + "".join(lines[1:]))
+        out = tmp_path / "t.ndjson"
+        args = ["track-only", "--pred", str(pred), "--scene", str(scene_dir / "scene.json")]
+        err = last_error(runner.invoke(main, args + ["--out", str(out)]))
+        assert err["kind"] == "input_error"
+        assert "'lorry'" in err["message"]
+        assert not out.exists()
 
     def test_scene_required(self, runner, scene_dir, tmp_path):
         pred = tmp_path / "pred.ndjson"

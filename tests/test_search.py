@@ -48,6 +48,7 @@ from conftest import (
     naive_evaluate_coverage,
     naive_select_best,
     random_cuboid,
+    run_under_blas_kernels,
 )
 
 
@@ -157,6 +158,55 @@ class TestCoverageRatio:
             some_outside += inside.sum() != len(pts)
         assert disagree == 0
         assert some_outside > 30
+
+    def test_point_result_ignores_other_rows(self):
+        # a point's box-frame offsets, and so whether it is inside, must not
+        # depend on the other points of the call: a lone point and the same
+        # point in a batch turn to the same bits, and the kernel counts a
+        # lone point as the batch decides it
+        rng = np.random.default_rng(29)
+        for _ in range(100):
+            c = random_cuboid(rng, span=40.0, dim_range=(0.3, 7.0))
+            pts = self.boundary_points(rng, c)
+            batch = cuboid_local(pts, c)
+            lone = np.concatenate([cuboid_local(p[None], c) for p in pts])
+            assert batch.tobytes() == lone.tobytes()
+            inside = inside_local(batch, c.dims)
+            assert [kernel_coverage(p, c) for p in pts] == inside.astype(float).tolist()
+
+    def test_box_frame_same_on_every_blas_kernel(self, tmp_path):
+        # boundary points are decided within rounding of the faces, so a
+        # turn into the box frame that rounded differently on another
+        # OpenBLAS kernel would move some of these digests
+        rng = np.random.default_rng(41)
+        boxes = [random_cuboid(rng, span=40.0, dim_range=(0.3, 7.0)) for _ in range(300)]
+        cases = tmp_path / "cases.npz"
+        np.savez(
+            cases,
+            pts=np.stack([self.boundary_points(rng, c) for c in boxes]),
+            box=np.array([[*c.center, *c.dims, c.yaw] for c in boxes]),
+        )
+        snippet = (
+            "import hashlib\n"
+            "import numpy as np\n"
+            "from cuboidlift.geom import Cuboid3D, cuboid_local, inside_local\n"
+            "from cuboidlift.score import occupancy_rate\n"
+            "from cuboidlift.search import HypothesisGrid, _coverage\n"
+            f"cases = np.load({str(cases)!r})\n"
+            "h = {k: hashlib.sha256() for k in ('cuboid_local', 'inside_local', 'coverage', 'occupancy')}\n"
+            "for pts, (x, y, z, l, w, ht, yaw) in zip(cases['pts'], cases['box']):\n"
+            "    c = Cuboid3D((x, y, z), (l, w, ht), yaw)\n"
+            "    local = cuboid_local(pts, c)\n"
+            "    h['cuboid_local'].update(local.tobytes())\n"
+            "    h['inside_local'].update(inside_local(local, c.dims).tobytes())\n"
+            "    grid = HypothesisGrid([x], [y], [z], [c.yaw], dims=c.dims, init=c)\n"
+            "    h['coverage'].update(_coverage(grid, pts, np.array([0])).tobytes())\n"
+            "    h['occupancy'].update(np.float64(occupancy_rate(c, pts, 7)).tobytes())\n"
+            "for k, d in h.items():\n"
+            "    print(k, d.hexdigest())\n"
+        )
+        outs = run_under_blas_kernels(snippet)
+        assert len(set(outs.values())) == 1, outs
 
 
 class TestInitHypothesis:
