@@ -49,14 +49,16 @@ def _load(loader, *args, **kwargs):
 
 
 def _atomic_write(path, write_fn) -> None:
+    """Write through a temp path and rename; a failed write is an input_error."""
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         write_fn(tmp)
         os.replace(tmp, path)
-    except BaseException:
+    except OSError as e:
+        _fail(f"cannot write {path}: {e.strerror or e}")
+    finally:
         if os.path.exists(tmp):
             os.remove(tmp)
-        raise
 
 
 @click.group()
@@ -70,12 +72,11 @@ def main():
 @click.option("--expert", "expert_path", type=click.Path(), default=None)
 @click.option("--config", "config_path", type=click.Path(), default=None)
 @click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--threads", type=int, default=0, help="worker threads, 0 = auto")
-@click.option("--seed", type=int, default=None)
-def annotate(scene_path, det_path, expert_path, config_path, out_path, threads, seed):
+@click.option("--threads", type=int, default=1, help="worker threads, each taking whole window groups")
+def annotate(scene_path, det_path, expert_path, config_path, out_path, threads):
     """Generate scored 3D cuboid annotations for a scene."""
-    if threads < 0:
-        _fail(f"--threads must be >= 0, got {threads}")
+    if threads < 1:
+        _fail(f"--threads must be >= 1, got {threads}")
     config = _load_config_arg(config_path)
     scene = _load(ingest.load_scene, scene_path, stride=config.sweep_stride)
     detections = _load(ingest.load_detections, det_path, config.taxonomy)
@@ -90,8 +91,6 @@ def annotate(scene_path, det_path, expert_path, config_path, out_path, threads, 
 
     flat = [a for frame in frames for a in frame]
     _atomic_write(out_path, lambda p: ingest.write_annotations(flat, p))
-    if seed is not None:
-        summary["seed"] = seed
     click.echo(json.dumps(summary))
 
 
@@ -136,8 +135,7 @@ def eval_cmd(pred_path, gt_path, config_path, stratify, scene_path, pred2d_path,
 @main.command()
 @click.option("--spec", "spec_path", required=True, type=click.Path())
 @click.option("--out", "out_dir", required=True, type=click.Path())
-@click.option("--seed", type=int, default=None, help="overrides the spec seed")
-def synth(spec_path, out_dir, seed):
+def synth(spec_path, out_dir):
     """Generate a synthetic scene in the pipeline's own file formats."""
     from .prior import write_expert_records
     from .synth import generate_scene, random_scene_spec
@@ -170,10 +168,9 @@ def synth(spec_path, out_dir, seed):
                 args[key] = read(doc[key])
             except ValueError as e:
                 _fail(f"spec: {key}: {e}", kind="spec_error")
-    spec_seed = args.pop("seed", 0)
     try:
         spec = random_scene_spec(
-            seed=seed if seed is not None else spec_seed,
+            seed=args.pop("seed", 0),
             taxonomy=default_taxonomy(),
             n_objects=args.pop("n_objects", 8),
             classes=doc.get("classes"),
@@ -183,11 +180,14 @@ def synth(spec_path, out_dir, seed):
     except (TypeError, ValueError) as e:
         _fail(str(e), kind="spec_error")
 
-    os.makedirs(out_dir, exist_ok=True)
-    ingest.write_scene(built.scene, out_dir)
-    ingest.write_detections(built.detections, os.path.join(out_dir, "detections.ndjson"))
-    write_expert_records(built.expert_records, os.path.join(out_dir, "expert.ndjson"))
-    ingest.write_annotations(built.gt_flat, os.path.join(out_dir, "gt.ndjson"))
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        ingest.write_scene(built.scene, out_dir)
+        ingest.write_detections(built.detections, os.path.join(out_dir, "detections.ndjson"))
+        write_expert_records(built.expert_records, os.path.join(out_dir, "expert.ndjson"))
+        ingest.write_annotations(built.gt_flat, os.path.join(out_dir, "gt.ndjson"))
+    except OSError as e:
+        _fail(f"cannot write {out_dir}: {e.strerror or e}")
     click.echo(
         json.dumps(
             {

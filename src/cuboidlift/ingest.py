@@ -313,11 +313,13 @@ def load_sweep_points(path, stride: int = 5) -> np.ndarray:
     """
     if stride not in (4, 5):
         raise ValueError("stride must be 4 or 5")
-    raw = np.fromfile(path, dtype="<f4")
-    if raw.size % stride != 0:
-        raise FormatError(
-            f"{path}: byte length not divisible by record stride {stride}"
-        )
+    with open(path, "rb") as f:
+        # fromfile drops a trailing partial float, so check the byte length
+        if os.fstat(f.fileno()).st_size % (4 * stride) != 0:
+            raise FormatError(
+                f"{path}: byte length not divisible by record stride {stride}"
+            )
+        raw = np.fromfile(f, dtype="<f4")
     pts = raw.reshape(-1, stride)[:, :4]
     if pts.size and not np.isfinite(pts[:, :3]).all():
         raise FormatError(f"{path}: non-finite coordinates")
@@ -411,7 +413,7 @@ def _scene_from_json(doc: dict, base: str, stride: int) -> Scene:
     return Scene(rig=rig, sweeps=sweeps)
 
 
-def write_scene(scene: Scene, out_dir, stride: int = 5, manifest_name="scene.json") -> str:
+def write_scene(scene: Scene, out_dir, stride: int = 5) -> str:
     """Write manifest + sweep binaries under out_dir; returns the manifest path."""
     os.makedirs(os.path.join(out_dir, "sweeps"), exist_ok=True)
     entries = []
@@ -445,7 +447,7 @@ def write_scene(scene: Scene, out_dir, stride: int = 5, manifest_name="scene.jso
         "lidar": _pose_to_json(scene.rig.lidar_extrinsics),
         "sweeps": entries,
     }
-    manifest = os.path.join(out_dir, manifest_name)
+    manifest = os.path.join(out_dir, "scene.json")
     with open(manifest, "w") as f:
         json.dump(doc, f, indent=1, allow_nan=False)
         f.write("\n")

@@ -14,7 +14,6 @@ reduction is order-free.
 
 from __future__ import annotations
 
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Optional
@@ -78,19 +77,17 @@ def annotate_scene(
     config: PipelineConfig,
     expert_index: Optional[dict] = None,
     prior_provider: Optional[Callable] = None,
-    threads: int = 0,
+    threads: int = 1,
 ):
     """Run the full pipeline; returns (per-frame annotation lists, summary).
 
     `prior_provider` overrides the routing stage entirely (used by the
     synthetic round-trip); otherwise detections route through the expert
-    record index with class-average fallback. `threads` 0 means one worker
-    per CPU, at most 8; workers take whole window groups, so a scene with
-    one group runs on one thread.
+    record index with class-average fallback. `threads` above 1 runs the
+    window groups on that many workers; each takes whole groups, so a
+    scene with one group runs on one thread.
     """
     t_start = time.perf_counter()
-    if threads <= 0:
-        threads = min(8, os.cpu_count() or 1)
 
     # one pass checks every detection and groups it by (sweep index,
     # (past, future)) window, then by camera, in first-seen order

@@ -84,12 +84,15 @@ def expert_key(det: Detection2D) -> tuple:
 
 
 def _record_from_json(rec: dict) -> ExpertRecord:
+    faces = rec["visible_faces"]
+    if not isinstance(faces, list) or not all(isinstance(f, str) for f in faces):
+        raise ValueError(f"visible_faces: expected a list of face names, got {faces!r}")
     return ExpertRecord(
         frame_id=str(rec["frame_id"]),
         camera_id=str(rec["camera_id"]),
         box=read_numbers(rec["box"], 4),
         dims=read_numbers(rec["dims"], 3),
-        visible_faces=tuple(rec["visible_faces"]),
+        visible_faces=tuple(faces),
         image_region=rec.get("image_region", "center"),
     )
 

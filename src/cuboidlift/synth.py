@@ -449,11 +449,22 @@ def random_scene_spec(
         i = min(len(poses) - 1, int(round(frac * (len(poses) - 1))))
         sensors_xy.append(poses[i].translation[:2])
 
+    floor = n_objects if min_objects is None else min_objects
     objects = []
     rects = []
     intervals = []  # one list of (center, half) per checked time
-    attempts = 0
-    while len(objects) < n_objects and attempts < 20000:
+    attempts = restarts = 0
+    while len(objects) < n_objects:
+        if attempts == 20000:
+            if len(objects) >= floor:
+                break
+            # the objects placed first can leave no room for the rest:
+            # start over, at most 10 times, drawing on from the same generator
+            if restarts == 10:
+                raise ValueError("could not place requested number of objects")
+            objects, rects, intervals = [], [], []
+            attempts = 0
+            restarts += 1
         attempts += 1
         cls = classes[int(rng.integers(0, len(classes)))]
         dims = taxonomy.get(cls).avg_dims
@@ -490,9 +501,6 @@ def random_scene_spec(
             objects.append(obj)
             rects.extend(candidate_rects)
             intervals.extend(candidate_intervals)
-    floor = n_objects if min_objects is None else min_objects
-    if len(objects) < floor:
-        raise ValueError("could not place requested number of objects")
 
     return SceneSpec(
         seed=seed,

@@ -1,8 +1,10 @@
 import json
 import math
 import os
+import re
 import shutil
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -109,6 +111,15 @@ class TestSynthVerb:
         res = runner.invoke(main, ["synth", "--spec", str(p), "--out", str(tmp_path / "o")])
         assert last_error(res)["kind"] == kind
 
+    def test_out_naming_a_file_is_input_error(self, runner, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"seed": 1, "n_objects": 1}))
+        out = tmp_path / "taken"
+        out.write_text("")
+        err = last_error(runner.invoke(main, ["synth", "--spec", str(spec), "--out", str(out)]))
+        assert err["kind"] == "input_error"
+        assert str(out) in err["message"]
+
 
 class TestAnnotateVerb:
     def test_end_to_end_summary(self, runner, scene_dir, tmp_path):
@@ -178,6 +189,17 @@ class TestAnnotateVerb:
         err = json.loads(res.output.strip().splitlines()[-1])
         assert err["error"]["kind"] == "input_error"
         assert not out.exists()
+
+    @pytest.mark.parametrize("out_name", ["no_such_dir/p.ndjson", "a_dir"])
+    def test_unwritable_out_is_input_error(self, runner, scene_dir, tmp_path, out_name):
+        # a_dir exists, so the temp file is written and then cannot be renamed
+        (tmp_path / "a_dir").mkdir()
+        out = tmp_path / out_name
+        err = last_error(run_annotate(runner, scene_dir, out))
+        assert err["kind"] == "input_error"
+        assert str(out) in err["message"]
+        assert sorted(os.listdir(tmp_path)) == ["a_dir"]
+        assert os.listdir(tmp_path / "a_dir") == []
 
     def test_mismatched_mask_dims_rejected(self, runner, scene_dir, tmp_path):
         import numpy as np
@@ -547,12 +569,26 @@ class TestLoadErrors:
 @pytest.mark.parametrize(
     "verb, flag",
     [(v, f) for v in ("eval", "tune-alpha", "aggregate-only", "track-only") for f in ("--seed", "--threads")]
-    + [("tune-alpha", "--config"), ("synth", "--threads")],
+    + [("tune-alpha", "--config"), ("synth", "--threads"), ("annotate", "--seed"), ("synth", "--seed")],
 )
 def test_removed_flag_is_usage_error(runner, verb, flag):
     res = runner.invoke(main, [verb, flag, "1"])
     assert res.exit_code == 2
     assert "No such option" in res.output and flag in res.output
+
+
+def test_readme_option_table_matches_cli():
+    # every verb has a row, and each row names exactly that verb's options
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text().split("Every option of every verb", 1)[1]
+    rows = {}
+    for line in text.splitlines():
+        if line.startswith("| `"):
+            verb, options = line.strip("|").split("|")
+            rows[verb.strip().strip("`")] = set(re.findall(r"`(--[a-z0-9-]+)`", options))
+        elif rows:
+            break
+    assert rows == {name: {o for p in cmd.params for o in p.opts} for name, cmd in main.commands.items()}
 
 
 def _car_class(**entry) -> dict:
@@ -720,7 +756,8 @@ class TestConfig:
 
     def test_negative_threads_rejected(self, runner, scene_dir, tmp_path):
         out = tmp_path / "pred.ndjson"
-        res = run_annotate(runner, scene_dir, out, threads=-1)
-        assert res.exit_code == 1
-        assert json.loads(res.output.strip().splitlines()[-1])["error"]["kind"] == "input_error"
-        assert not out.exists()
+        for threads in (-1, 0):
+            res = run_annotate(runner, scene_dir, out, threads=threads)
+            assert res.exit_code == 1
+            assert json.loads(res.output.strip().splitlines()[-1])["error"]["kind"] == "input_error"
+            assert not out.exists()

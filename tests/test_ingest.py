@@ -66,6 +66,14 @@ class TestSweepIO:
             load_sweep_points(p, stride=5)
         assert "ragged.bin" in str(err.value)
 
+    @pytest.mark.parametrize("extra", [1, 2, 3])
+    def test_trailing_bytes_rejected(self, tmp_path, extra):
+        # whole floats, but not whole records: np.fromfile alone would drop them
+        p = tmp_path / "tail.bin"
+        p.write_bytes(np.ones(15, dtype="<f4").tobytes() + b"\x00" * extra)
+        with pytest.raises(FormatError, match="not divisible by record stride 5"):
+            load_sweep_points(p, stride=5)
+
     def test_rejects_nonfinite(self, tmp_path):
         p = tmp_path / "nan.bin"
         np.array([[1, np.nan, 0, 0]], dtype="<f4").tofile(p)

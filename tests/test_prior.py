@@ -170,6 +170,18 @@ class TestExpertRecordsIO:
             load_expert_records(p)
         assert ":1:" in str(err.value)
 
+    @pytest.mark.parametrize("faces", [{"front": 1}, "back", None])
+    def test_visible_faces_must_be_a_list(self, tmp_path, faces):
+        rec = {"frame_id": "f0", "camera_id": "cam_0", "box": [0, 0, 10, 10], "dims": [4, 2, 1.5],
+               "visible_faces": faces}
+        p = tmp_path / "expert.ndjson"
+        p.write_text(json.dumps(rec) + "\n")
+        from cuboidlift.ingest import FormatError
+
+        with pytest.raises(FormatError) as err:
+            load_expert_records(p)
+        assert str(err.value).startswith(f"{p}:1: visible_faces: expected a list of face names")
+
     def test_duplicate_key_cites_lineno(self, tmp_path):
         # line 3 differs from line 1 only below the key's rounding precision
         recs = [

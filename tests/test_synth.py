@@ -254,6 +254,10 @@ class TestPlacementsPinned:
         7: "408b567dd986a8cfcdb6c9bda4b182dfe4a8214cb1f6a35b52e9e02af0ebaf25",
     }
     # the spec of perfbench's dense_expert workload
+    DENSE_EXPERT_ARGS = dict(
+        n_objects=20, classes=["car"], n_sweeps=1, noise_sigma=0.0, points_per_object=(4800, 5200),
+        surface_inset=1e-2, range_m=(14.0, 48.0), angular_margin=0.015,
+    )
     DENSE_EXPERT = {
         1: "511d5ad66279bda15a100a2bbb83811d28a166bffd9040defbf46ce806571180",
         5: "99b284ce4e54948731d0d0785dc7915f2640e19e7c75b80567099925a6d722be",
@@ -271,12 +275,13 @@ class TestPlacementsPinned:
 
     @pytest.mark.parametrize("seed", sorted(DENSE_EXPERT))
     def test_dense_expert_specs(self, taxonomy, seed):
-        spec = random_scene_spec(
-            seed=seed, taxonomy=taxonomy, n_objects=20, classes=["car"], n_sweeps=1,
-            noise_sigma=0.0, points_per_object=(4800, 5200), surface_inset=1e-2,
-            range_m=(14.0, 48.0), angular_margin=0.015,
-        )
+        spec = random_scene_spec(seed=seed, taxonomy=taxonomy, **self.DENSE_EXPERT_ARGS)
         assert placement_digest(spec) == self.DENSE_EXPERT[seed]
+
+    def test_jammed_placement_starts_over(self, taxonomy):
+        # at seed 156 the first 20,000 attempts leave no room for 20 cars
+        spec = random_scene_spec(seed=156, taxonomy=taxonomy, **self.DENSE_EXPERT_ARGS)
+        assert len(spec.objects) == 20
 
     @pytest.mark.parametrize("seed", sorted(SEQUENCE))
     def test_multi_sweep_specs(self, taxonomy, seed):
