@@ -2,15 +2,18 @@
 
 Machine-readable payloads (summaries, reports, errors) go to stdout as
 JSON; human-readable tables go to stderr. Exit code 0 means
-every input was processed. Output files are written through a temp path
-and renamed, so failed runs leave no partial outputs.
+every input was processed. Output files are written through temp paths,
+made before any input is read, and renamed once complete, so failed runs
+leave no partial outputs.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import sys
+import tempfile
 
 import click
 import numpy as np
@@ -48,17 +51,42 @@ def _load(loader, *args, **kwargs):
         _fail(str(e))
 
 
-def _atomic_write(path, write_fn) -> None:
-    """Write through a temp path and rename; a failed write is an input_error."""
+@contextlib.contextmanager
+def _atomic_output(path):
+    """Yield a temp path beside `path`; rename it over `path` after the block.
+
+    `path` is checked and the temp file made before the block runs, so an
+    unwritable path is an input_error before any work, as is a failed
+    write or rename. No failure leaves the temp file behind.
+    """
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
-        write_fn(tmp)
+        if os.path.isdir(path):
+            raise IsADirectoryError("Is a directory")
+        open(tmp, "wb").close()
+        yield tmp
         os.replace(tmp, path)
     except OSError as e:
         _fail(f"cannot write {path}: {e.strerror or e}")
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+
+
+def _publish(stage, out_dir) -> None:
+    """Move every file under `stage` to the same place under `out_dir`.
+
+    Each target is checked, and its directory made, before the first move:
+    a target that is a directory fails with no file moved.
+    """
+    sources = [os.path.join(root, name) for root, _, names in os.walk(stage) for name in names]
+    moves = [(src, os.path.join(out_dir, os.path.relpath(src, stage))) for src in sources]
+    for _, target in moves:
+        if os.path.isdir(target):
+            raise IsADirectoryError(f"{target} is a directory")
+        os.makedirs(os.path.dirname(target), exist_ok=True)
+    for src, target in moves:
+        os.replace(src, target)
 
 
 @click.group()
@@ -77,20 +105,18 @@ def annotate(scene_path, det_path, expert_path, config_path, out_path, threads):
     """Generate scored 3D cuboid annotations for a scene."""
     if threads < 1:
         _fail(f"--threads must be >= 1, got {threads}")
-    config = _load_config_arg(config_path)
-    scene = _load(ingest.load_scene, scene_path, stride=config.sweep_stride)
-    detections = _load(ingest.load_detections, det_path, config.taxonomy)
-    expert_index = _load(load_expert_records, expert_path) if expert_path else None
-
-    try:
-        frames, summary = annotate_scene(
-            scene, detections, config, expert_index=expert_index, threads=threads
-        )
-    except (ValueError, KeyError) as e:
-        _fail(str(e), kind="pipeline_error")
-
-    flat = [a for frame in frames for a in frame]
-    _atomic_write(out_path, lambda p: ingest.write_annotations(flat, p))
+    with _atomic_output(out_path) as tmp:
+        config = _load_config_arg(config_path)
+        scene = _load(ingest.load_scene, scene_path, stride=config.sweep_stride)
+        detections = _load(ingest.load_detections, det_path, config.taxonomy)
+        expert_index = _load(load_expert_records, expert_path) if expert_path else None
+        try:
+            frames, summary = annotate_scene(
+                scene, detections, config, expert_index=expert_index, threads=threads
+            )
+        except (ValueError, KeyError) as e:
+            _fail(str(e), kind="pipeline_error")
+        ingest.write_annotations([a for frame in frames for a in frame], tmp)
     click.echo(json.dumps(summary))
 
 
@@ -180,12 +206,15 @@ def synth(spec_path, out_dir):
     except (TypeError, ValueError) as e:
         _fail(str(e), kind="spec_error")
 
+    # staged, so that a failed write leaves no partial scene in out_dir
     try:
         os.makedirs(out_dir, exist_ok=True)
-        ingest.write_scene(built.scene, out_dir)
-        ingest.write_detections(built.detections, os.path.join(out_dir, "detections.ndjson"))
-        write_expert_records(built.expert_records, os.path.join(out_dir, "expert.ndjson"))
-        ingest.write_annotations(built.gt_flat, os.path.join(out_dir, "gt.ndjson"))
+        with tempfile.TemporaryDirectory(prefix=".synth-", dir=out_dir) as stage:
+            ingest.write_scene(built.scene, stage)
+            ingest.write_detections(built.detections, os.path.join(stage, "detections.ndjson"))
+            write_expert_records(built.expert_records, os.path.join(stage, "expert.ndjson"))
+            ingest.write_annotations(built.gt_flat, os.path.join(stage, "gt.ndjson"))
+            _publish(stage, out_dir)
     except OSError as e:
         _fail(f"cannot write {out_dir}: {e.strerror or e}")
     click.echo(
@@ -229,27 +258,26 @@ def aggregate_only(scene_path, frame_id, class_label, past, future, config_path,
     """Write the ego-motion-compensated window around one frame."""
     if class_label is not None and (past is not None or future is not None):
         raise click.UsageError("--past/--future cannot be combined with --class")
-    config = _load_config_arg(config_path)
-    scene = _load(ingest.load_scene, scene_path, stride=config.sweep_stride)
-    index = {sw.frame_id: i for i, sw in enumerate(scene.sweeps)}
-    if frame_id not in index:
-        _fail(f"unknown frame {frame_id!r}")
-    if class_label is None:
-        window = (past or 0, future or 0)
-    elif class_label in config.taxonomy:
-        window = config.taxonomy.get(class_label).aggregation
-    else:
-        _fail(f"unknown class {class_label!r}")
-    try:
-        pts = aggregate_sweeps(scene.sweeps, index[frame_id], window)
-    except ValueError as e:
-        _fail(str(e))
-    full = np.zeros((len(pts), 4), dtype=np.float32)
-    full[:, :3] = pts
-    full[:, 3] = 0.5
-    _atomic_write(
-        out_path, lambda p: ingest.write_sweep_points(full, p, stride=config.sweep_stride)
-    )
+    with _atomic_output(out_path) as tmp:
+        config = _load_config_arg(config_path)
+        scene = _load(ingest.load_scene, scene_path, stride=config.sweep_stride)
+        index = {sw.frame_id: i for i, sw in enumerate(scene.sweeps)}
+        if frame_id not in index:
+            _fail(f"unknown frame {frame_id!r}")
+        if class_label is None:
+            window = (past or 0, future or 0)
+        elif class_label in config.taxonomy:
+            window = config.taxonomy.get(class_label).aggregation
+        else:
+            _fail(f"unknown class {class_label!r}")
+        try:
+            pts = aggregate_sweeps(scene.sweeps, index[frame_id], window)
+        except ValueError as e:
+            _fail(str(e))
+        full = np.zeros((len(pts), 4), dtype=np.float32)
+        full[:, :3] = pts
+        full[:, 3] = 0.5
+        ingest.write_sweep_points(full, tmp, stride=config.sweep_stride)
     click.echo(json.dumps({"points": int(len(pts)), "past": window[0], "future": window[1]}))
 
 
@@ -265,22 +293,23 @@ def track_only(pred_path, scene_path, config_path, out_path):
     times the velocities; as in annotate, a sweep without annotations ends
     every track that would cross it.
     """
-    config = _load_config_arg(config_path)
-    anns = _load(ingest.load_annotations, pred_path)
-    scene = _load(ingest.load_scene, scene_path, stride=config.sweep_stride)
+    with _atomic_output(out_path) as tmp:
+        config = _load_config_arg(config_path)
+        anns = _load(ingest.load_annotations, pred_path)
+        scene = _load(ingest.load_scene, scene_path, stride=config.sweep_stride)
 
-    _require_frames(anns, {sw.frame_id for sw in scene.sweeps})
-    unknown = list(dict.fromkeys(a.class_label for a in anns if a.class_label not in config.taxonomy))
-    if unknown:
-        _fail(f"annotations use classes missing from the taxonomy: {unknown}")
-    by_frame = {}
-    for a in anns:
-        by_frame.setdefault(a.frame_id, []).append(a)
-    frames = [by_frame.get(sw.frame_id, []) for sw in scene.sweeps]
-    timestamps = [sw.timestamp for sw in scene.sweeps]
-    frames, tracks = track_and_refine(frames, timestamps, config.taxonomy)
-    flat = [a for frame in frames for a in frame]
-    _atomic_write(out_path, lambda p: ingest.write_annotations(flat, p))
+        _require_frames(anns, {sw.frame_id for sw in scene.sweeps})
+        unknown = list(dict.fromkeys(a.class_label for a in anns if a.class_label not in config.taxonomy))
+        if unknown:
+            _fail(f"annotations use classes missing from the taxonomy: {unknown}")
+        by_frame = {}
+        for a in anns:
+            by_frame.setdefault(a.frame_id, []).append(a)
+        frames = [by_frame.get(sw.frame_id, []) for sw in scene.sweeps]
+        timestamps = [sw.timestamp for sw in scene.sweeps]
+        frames, tracks = track_and_refine(frames, timestamps, config.taxonomy)
+        flat = [a for frame in frames for a in frame]
+        ingest.write_annotations(flat, tmp)
     click.echo(json.dumps({"annotations": len(flat), "tracks": len(tracks)}))
 
 

@@ -268,8 +268,7 @@ def bev_rect(c: Cuboid3D) -> np.ndarray:
 
 def bev_distance(a: Cuboid3D, b: Cuboid3D) -> float:
     """Ground-plane distance between two cuboid centers."""
-    d = a.center[:2] - b.center[:2]
-    return math.hypot(d[0], d[1])
+    return math.hypot(a.center[0] - b.center[0], a.center[1] - b.center[1])
 
 
 def turn_xy(x, y, yaws):

@@ -413,13 +413,13 @@ def _scene_from_json(doc: dict, base: str, stride: int) -> Scene:
     return Scene(rig=rig, sweeps=sweeps)
 
 
-def write_scene(scene: Scene, out_dir, stride: int = 5) -> str:
-    """Write manifest + sweep binaries under out_dir; returns the manifest path."""
+def write_scene(scene: Scene, out_dir) -> str:
+    """Write manifest + stride-5 sweep binaries under out_dir; returns the manifest path."""
     os.makedirs(os.path.join(out_dir, "sweeps"), exist_ok=True)
     entries = []
     for i, sw in enumerate(scene.sweeps):
         rel = os.path.join("sweeps", f"{i:06d}.bin")
-        write_sweep_points(sw.points, os.path.join(out_dir, rel), stride=stride)
+        write_sweep_points(sw.points, os.path.join(out_dir, rel))
         entries.append(
             {
                 "frame_id": sw.frame_id,

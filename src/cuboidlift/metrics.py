@@ -11,14 +11,14 @@ means; classes with ground truth but no true positives contribute error
 
 from __future__ import annotations
 
-import math
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Optional
 
 import numpy as np
 
 from .geom import bev_distance, iou_2d, yaw_diff
+from .refine import greedy_assign
 
 DIST_THRESHOLDS = (0.5, 1.0, 2.0, 4.0)
 TP_ERROR_THRESHOLD = 2.0
@@ -40,36 +40,25 @@ def match_predictions(preds: list, gts: list, class_label: str, threshold_m: flo
 
     A prediction is a TP iff an unmatched same-class GT in its frame lies
     within threshold_m ground-plane distance; it consumes the nearest such
-    GT. Score ties keep input order; equal distances take the lower GT
-    index.
+    GT. `greedy_assign` takes the pairs by score rank (ties keep input
+    order), then distance, then GT index.
     """
     cls_preds = [(i, p) for i, p in enumerate(preds) if p.class_label == class_label]
-    cls_gts = [(j, g) for j, g in enumerate(gts) if g.class_label == class_label]
-
+    cls_preds.sort(key=lambda ip: -ip[1].score)
     gts_by_frame = defaultdict(list)
-    for j, g in cls_gts:
-        gts_by_frame[g.frame_id].append(j)
+    for j, g in enumerate(gts):
+        if g.class_label == class_label:
+            gts_by_frame[g.frame_id].append(j)
 
-    order = sorted(range(len(cls_preds)), key=lambda k: -cls_preds[k][1].score)
-    taken = set()
-    rows = []
-    for k in order:
-        pi, p = cls_preds[k]
-        best_j = None
-        best_d = math.inf
+    pairs = []
+    for rank, (i, p) in enumerate(cls_preds):
         for j in gts_by_frame.get(p.frame_id, ()):
-            if j in taken:
-                continue
             d = bev_distance(p.cuboid, gts[j].cuboid)
-            if d <= threshold_m and d < best_d:
-                best_d = d
-                best_j = j
-        if best_j is not None:
-            taken.add(best_j)
-            rows.append((p.score, True, pi, best_j))
-        else:
-            rows.append((p.score, False, pi, None))
-    return MatchResult(rows=tuple(rows), gt_count=len(cls_gts))
+            if d <= threshold_m:
+                pairs.append((rank, d, j, i, j))
+    match = greedy_assign(pairs)
+    rows = tuple((p.score, i in match, i, match.get(i)) for i, p in cls_preds)
+    return MatchResult(rows=rows, gt_count=sum(map(len, gts_by_frame.values())))
 
 
 def _precision_recall(is_tp: list, gt_count: int) -> tuple:
@@ -337,29 +326,29 @@ def map2d(pred_dets: list, gt_dets: list, iou_threshold: float = 0.5) -> float:
 
     By descending score (ties keep input order), a prediction is a TP iff
     an untaken same-class GT box of its image reaches `iou_threshold`; it
-    takes the one of highest IoU, the lowest index on ties.
+    takes the one of highest IoU, the lowest index on ties (`greedy_assign`
+    over (score rank, -IoU, GT index)).
     """
     aps = []
     for cls in gt_classes(gt_dets):
         gt_by_image = defaultdict(list)
-        for g in gt_dets:
+        for j, g in enumerate(gt_dets):
             if g.class_label == cls:
-                gt_by_image[(g.frame_id, g.camera_id)].append([g.box.x1, g.box.y1, g.box.x2, g.box.y2])
-        boxes = {k: np.array(v) for k, v in gt_by_image.items()}
-        untaken = {k: np.ones(len(v), dtype=bool) for k, v in gt_by_image.items()}
-        is_tp = []
-        for p in sorted((p for p in pred_dets if p.class_label == cls), key=lambda p: -p.score):
+                gt_by_image[(g.frame_id, g.camera_id)].append(j)
+        boxes = {k: np.array([astuple(gt_dets[j].box) for j in js]) for k, js in gt_by_image.items()}
+        cls_preds = [(i, p) for i, p in enumerate(pred_dets) if p.class_label == cls]
+        cls_preds.sort(key=lambda ip: -ip[1].score)
+        pairs = []
+        for rank, (i, p) in enumerate(cls_preds):
             key = (p.frame_id, p.camera_id)
-            free = np.flatnonzero(untaken.get(key, ()))
-            hit = False
-            if len(free):
-                iou = iou_2d(boxes[key][free], p.box)
-                k = int(np.argmax(iou))
-                hit = bool(iou[k] >= iou_threshold)
-                if hit:
-                    untaken[key][free[k]] = False
-            is_tp.append(hit)
-        aps.append(_ap_coco_101(is_tp, sum(len(v) for v in gt_by_image.values())))
+            if key in boxes:
+                iou = iou_2d(boxes[key], p.box)
+                for k in np.flatnonzero(iou >= iou_threshold):
+                    j = gt_by_image[key][k]
+                    pairs.append((rank, -iou[k], j, i, j))
+        match = greedy_assign(pairs)
+        is_tp = [i in match for i, _ in cls_preds]
+        aps.append(_ap_coco_101(is_tp, sum(map(len, gt_by_image.values()))))
     if not aps:
         return 0.0
     return float(np.mean(aps))

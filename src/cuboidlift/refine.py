@@ -2,9 +2,11 @@
 
 Greedy frame-to-frame association: same-class cuboids in consecutive
 frames match by ascending BEV center distance, within the class's match
-radius, each cuboid at most once. A missed frame terminates the track (no
-gap bridging). Every annotation ends up in exactly one track; members of
-a track then share the arithmetic mean of their original scores.
+radius, each cuboid at most once (`greedy_assign`; equal distances take
+the lower previous-frame, then current-frame index). A missed frame
+terminates the track (no gap bridging). Every annotation ends up in
+exactly one track; members of a track then share the arithmetic mean of
+their original scores.
 """
 
 from __future__ import annotations
@@ -15,6 +17,21 @@ import numpy as np
 
 from .geom import bev_distance
 from .ingest import Taxonomy
+
+
+def greedy_assign(pairs) -> dict:
+    """Take pairs in ascending order, each side at most once.
+
+    Each pair is a tuple `(*sort_key, left, right)`. Walking them sorted,
+    a pair is taken when neither its left nor its right side is taken
+    yet. Returns {left: right} over the taken pairs.
+    """
+    taken, right_taken = {}, set()
+    for *_, left, right in sorted(pairs):
+        if left not in taken and right not in right_taken:
+            taken[left] = right
+            right_taken.add(right)
+    return taken
 
 
 @dataclass
@@ -34,7 +51,6 @@ def associate(frames: list, tax: Taxonomy) -> list:
     open_tracks = []  # the previous frame's tracks, by annotation index
     for fi, anns in enumerate(frames):
         prev = frames[fi - 1] if fi else []
-        # candidate pairs sorted by distance; index tie-break keeps it deterministic
         pairs = []
         for pi, pa in enumerate(prev):
             radius = tax.get(pa.class_label).match_radius
@@ -44,14 +60,9 @@ def associate(frames: list, tax: Taxonomy) -> list:
                 d = bev_distance(pa.cuboid, ca.cuboid)
                 if d <= radius:
                     pairs.append((d, pi, ci))
-        pairs.sort()
 
-        matched_prev = set()
         next_open = [None] * len(anns)
-        for d, pi, ci in pairs:
-            if pi in matched_prev or next_open[ci] is not None:
-                continue
-            matched_prev.add(pi)
+        for pi, ci in greedy_assign(pairs).items():
             open_tracks[pi].members.append((fi, ci))
             next_open[ci] = open_tracks[pi]
         for ci, t in enumerate(next_open):

@@ -228,6 +228,46 @@ def naive_match(preds, gts, class_label, threshold):
     return rows, len(cls_gts)
 
 
+def naive_associate(frames, taxonomy):
+    """Tracks as member lists by repeated minimum, plain loops over all pairs.
+
+    Per frame, among the free same-class pairs within the class's match
+    radius, the one of least (distance, previous index, current index)
+    joins its current annotation to the previous one's track, until no
+    pair is left; every current annotation left over starts a track.
+    """
+    tracks = []
+    prev_track = []  # track index of each previous-frame annotation
+    for fi, anns in enumerate(frames):
+        prev = frames[fi - 1] if fi else []
+        cur_track = [None] * len(anns)
+        used_prev = set()
+        while True:
+            best = None
+            for pi, pa in enumerate(prev):
+                for ci, ca in enumerate(anns):
+                    if pi in used_prev or cur_track[ci] is not None or ca.class_label != pa.class_label:
+                        continue
+                    d = math.hypot(
+                        pa.cuboid.center[0] - ca.cuboid.center[0],
+                        pa.cuboid.center[1] - ca.cuboid.center[1],
+                    )
+                    if d <= taxonomy.get(pa.class_label).match_radius and (best is None or (d, pi, ci) < best):
+                        best = (d, pi, ci)
+            if best is None:
+                break
+            _, pi, ci = best
+            used_prev.add(pi)
+            cur_track[ci] = prev_track[pi]
+            tracks[prev_track[pi]].append((fi, ci))
+        for ci in range(len(anns)):
+            if cur_track[ci] is None:
+                cur_track[ci] = len(tracks)
+                tracks.append([(fi, ci)])
+        prev_track = cur_track
+    return tracks
+
+
 def naive_iou_2d(a: Box2D, b: Box2D) -> float:
     """Per-pair scalar IoU; 0 when the union is empty."""
     ix = max(0.0, min(a.x2, b.x2) - max(a.x1, b.x1))

@@ -120,6 +120,26 @@ class TestSynthVerb:
         assert err["kind"] == "input_error"
         assert str(out) in err["message"]
 
+    def test_failed_write_leaves_out_as_it_was(self, runner, tmp_path):
+        out = tmp_path / "out"
+        (out / "gt.ndjson").mkdir(parents=True)
+        spec = out / "spec.json"
+        spec.write_text(json.dumps({"seed": 1, "n_objects": 2, "n_sweeps": 2}))
+        before = sorted(str(p.relative_to(out)) for p in out.rglob("*"))
+        err = last_error(runner.invoke(main, ["synth", "--spec", str(spec), "--out", str(out)]))
+        assert err["kind"] == "input_error"
+        assert str(out) in err["message"]
+        assert sorted(str(p.relative_to(out)) for p in out.rglob("*")) == before
+        assert os.listdir(out / "gt.ndjson") == []
+
+    def test_rewrite_into_a_written_out(self, runner, scene_dir, tmp_path):
+        out = shutil.copytree(scene_dir, tmp_path / "again")
+        synth_scene(runner, out, n_sweeps=3)
+        for p in Path(scene_dir).rglob("*"):
+            if p.is_file():
+                assert (out / p.relative_to(scene_dir)).read_bytes() == p.read_bytes(), p
+        assert sorted(os.listdir(out)) == sorted(os.listdir(scene_dir))
+
 
 class TestAnnotateVerb:
     def test_end_to_end_summary(self, runner, scene_dir, tmp_path):
@@ -192,7 +212,7 @@ class TestAnnotateVerb:
 
     @pytest.mark.parametrize("out_name", ["no_such_dir/p.ndjson", "a_dir"])
     def test_unwritable_out_is_input_error(self, runner, scene_dir, tmp_path, out_name):
-        # a_dir exists, so the temp file is written and then cannot be renamed
+        # a_dir exists, so no file can take its name
         (tmp_path / "a_dir").mkdir()
         out = tmp_path / out_name
         err = last_error(run_annotate(runner, scene_dir, out))
@@ -200,6 +220,21 @@ class TestAnnotateVerb:
         assert str(out) in err["message"]
         assert sorted(os.listdir(tmp_path)) == ["a_dir"]
         assert os.listdir(tmp_path / "a_dir") == []
+
+    @pytest.mark.parametrize("out_name", ["no_such_dir/p.ndjson", "a_dir"])
+    def test_unwritable_out_fails_before_any_work(self, runner, scene_dir, tmp_path, monkeypatch, out_name):
+        (tmp_path / "a_dir").mkdir()
+        calls = []
+
+        def annotate_scene(*args, **kwargs):
+            calls.append(args)
+            raise ValueError("annotate_scene ran")
+
+        monkeypatch.setattr("cuboidlift.cli.annotate_scene", annotate_scene)
+        res = run_annotate(runner, scene_dir, tmp_path / out_name)
+        assert calls == []
+        assert last_error(res)["kind"] == "input_error"
+        assert os.listdir(tmp_path) == ["a_dir"]
 
     def test_mismatched_mask_dims_rejected(self, runner, scene_dir, tmp_path):
         import numpy as np

@@ -92,6 +92,25 @@ class TestMatchPredictions:
                     assert got.gt_count == npos
                     assert list(got.rows) == rows
 
+    def test_against_naive_oracle_with_ties(self):
+        # centres on a 0.5 m lattice give equal distances, and some exactly
+        # at a threshold; quarter-step scores give equal scores
+        rng = np.random.default_rng(17)
+
+        def lattice_ann(score=0.5):
+            x, y = rng.integers(-4, 5, 2) * 0.5
+            return ann(str(rng.integers(2)), x, y, cls=["car", "adult"][rng.integers(2)], score=score)
+
+        for _ in range(100):
+            gts = [lattice_ann() for _ in range(int(rng.integers(0, 8)))]
+            preds = [lattice_ann(float(rng.integers(0, 5)) / 4) for _ in range(int(rng.integers(0, 10)))]
+            for cls in ("car", "adult"):
+                for t in DIST_THRESHOLDS:
+                    got = match_predictions(preds, gts, cls, t)
+                    rows, npos = naive_match(preds, gts, cls, t)
+                    assert got.gt_count == npos
+                    assert list(got.rows) == rows
+
 
 class TestAveragePrecision:
     def test_perfect_single_detection(self):

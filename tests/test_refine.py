@@ -8,8 +8,10 @@ from cuboidlift.refine import (
     assign_track_ids,
     associate,
     estimate_velocity,
+    greedy_assign,
     refine_scores,
 )
+from conftest import naive_associate
 
 
 def ann(frame, x, y, cls="car", score=0.5):
@@ -19,6 +21,16 @@ def ann(frame, x, y, cls="car", score=0.5):
         class_label=cls,
         score=score,
     )
+
+
+class TestGreedyAssign:
+    def test_takes_pairs_in_order_each_side_once(self):
+        pairs = [(2.0, "a", 1), (1.0, "b", 1), (3.0, "a", 2), (0.5, "c", 3), (0.7, "c", 4)]
+        assert greedy_assign(pairs) == {"c": 3, "b": 1, "a": 2}
+
+    def test_ties_fall_to_the_later_tuple_fields(self):
+        assert greedy_assign([(1.0, 1, 1), (1.0, 0, 1), (1.0, 1, 0), (1.0, 0, 0)]) == {0: 0, 1: 1}
+        assert greedy_assign([]) == {}
 
 
 class TestAssociate:
@@ -69,6 +81,20 @@ class TestAssociate:
             object_ids = {ai for fi, ai in t.members}
             assert len(object_ids) == 1  # per-frame index encodes identity here
             assert len(t.members) == n_frames
+
+    def test_against_naive_oracle_with_ties(self, taxonomy):
+        # centres on a 0.5 m lattice give equal distances, so which pair
+        # is taken is decided by the previous, then the current index
+        rng = np.random.default_rng(23)
+        for _ in range(100):
+            frames = [
+                [
+                    ann(str(f), *(rng.integers(-3, 4, 2) * 0.5), cls=["car", "adult"][rng.integers(2)])
+                    for _ in range(int(rng.integers(0, 7)))
+                ]
+                for f in range(int(rng.integers(1, 5)))
+            ]
+            assert [t.members for t in associate(frames, taxonomy)] == naive_associate(frames, taxonomy)
 
     def test_time_reversal_same_partition(self, taxonomy):
         rng = np.random.default_rng(7)
