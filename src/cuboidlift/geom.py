@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -153,12 +154,29 @@ class RigidTransform:
     def from_quat(quat_wxyz, translation) -> "RigidTransform":
         return RigidTransform(quat_to_rotmat(quat_wxyz), np.asarray(translation, dtype=float))
 
+    @cached_property
+    def _rotation_t(self) -> np.ndarray:
+        """rotation.T as a C-contiguous copy, the right operand of `apply`."""
+        return np.ascontiguousarray(self.rotation.T)
+
     def apply(self, points: np.ndarray) -> np.ndarray:
-        """Transform one (3,) point or an (N, 3) array."""
+        """Transform one (3,) point or an (N, 3) array.
+
+        Two or more rows multiply a C-contiguous copy of rotation.T and
+        add the translation in place, which gives the bits of
+        `p @ rotation.T + translation` on every BLAS kernel at less cost.
+        A single point, as a (3,) or a one-row (1, 3) array, keeps that
+        form: a one-row product through the copy rounds differently on
+        some kernels.
+        """
         p = np.asarray(points, dtype=float)
         if p.ndim == 1:
             return self.rotation @ p + self.translation
-        return p @ self.rotation.T + self.translation
+        if len(p) < 2:
+            return p @ self.rotation.T + self.translation
+        out = p @ self._rotation_t
+        out += self.translation
+        return out
 
     def compose(self, other: "RigidTransform") -> "RigidTransform":
         """self after other: (self @ other).apply(p) == self.apply(other.apply(p))."""
@@ -279,7 +297,7 @@ def turn_xy(x, y, yaws):
     point turns to the same bits whatever else shares the call and on
     every BLAS kernel.
     """
-    r = np.array([rot_z(-yaw) for yaw in np.atleast_1d(yaws)])[:, :2, :2, None]
+    r = np.array([rot_z(-yaw) for yaw in np.atleast_1d(yaws)]).reshape(-1, 3, 3)[:, :2, :2, None]
     return r[:, 0, 0] * x + r[:, 0, 1] * y, r[:, 1, 0] * x + r[:, 1, 1] * y
 
 
@@ -311,18 +329,28 @@ def project_boxes(corners: np.ndarray, extr: RigidTransform, intr: CameraIntrins
     front of the camera have no box and zeros in `boxes`. Corner-major
     input makes the min/max over the 8 corners a pass over contiguous
     rows of H; min and max are exact, so the order they run in changes
-    no bit.
+    no bit. When every corner is in front of the camera, the reductions
+    see the projected values as they are, without the NaN masking that
+    drops the others: they see the same values either way.
     """
     u, v, front = project_points(extr.apply(corners.reshape(-1, 3)), intr)
     front = front.reshape(corners.shape[:2])
-    # the fmin/fmax reductions skip the NaN-masked corners, and unlike
-    # np.nanmin they do not warn about rows that are all NaN
-    u = np.where(front, u.reshape(front.shape), np.nan)
-    v = np.where(front, v.reshape(front.shape), np.nan)
+    u, v = u.reshape(front.shape), v.reshape(front.shape)
+    every = front.all()
+    if not every:
+        # the fmin/fmax reductions skip the NaN-masked corners, and unlike
+        # np.nanmin they do not warn about rows that are all NaN
+        u = np.where(front, u, np.nan)
+        v = np.where(front, v, np.nan)
     boxes = np.stack([np.fmin.reduce(u), np.fmin.reduce(v), np.fmax.reduce(u), np.fmax.reduce(v)], 1)
-    has_box = front.any(axis=0)
-    boxes[~has_box] = 0.0
-    np.clip(boxes, 0.0, [intr.width, intr.height] * 2, out=boxes)
+    if every:
+        has_box = np.ones(front.shape[1], dtype=bool)
+    else:
+        has_box = front.any(axis=0)
+        boxes[~has_box] = 0.0
+    # np.clip's bounds, in place: np.maximum then np.minimum give its bits
+    np.maximum(boxes, 0.0, out=boxes)
+    np.minimum(boxes, [intr.width, intr.height] * 2, out=boxes)
     return boxes, has_box
 
 

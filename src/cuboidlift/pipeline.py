@@ -15,14 +15,15 @@ reduction is order-free.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 from .aggregate import aggregate_sweeps
 from .config import PipelineConfig
-from .frustum import CameraView, extract_frustum, filter_foreground, project_view
+from .frustum import CameraView, FrustumPoints, extract_frustum, filter_foreground, project_view
 from .geom import transform_cuboid
-from .ingest import Detection2D, Scene, ScoredAnnotation, Taxonomy
+from .ingest import Detection2D, Scene, ScoredAnnotation, SensorRig, Taxonomy
 from .prior import SemanticPrior, expert_key, route
 from .refine import apply_velocities, assign_track_ids, associate, refine_scores
 from .score import fuse_score, occupancy_rate
@@ -41,6 +42,23 @@ def track_and_refine(frames: list, timestamps: list, taxonomy: Taxonomy):
     return assign_track_ids(tracks, frames), tracks
 
 
+# why a detection was skipped, in the order of the summary's counts
+SKIP_REASONS = ("box_outside_image", "empty_frustum", "mask_removed_all")
+
+
+def _skip_reason(det: Detection2D, fp: FrustumPoints, rig: SensorRig) -> str:
+    """Why no foreground point anchors the search of `det`, one of SKIP_REASONS.
+
+    A box with no positive-area overlap with its camera's image is
+    `box_outside_image`, whatever points its frustum holds; otherwise the
+    frustum held no point at all, or the mask removed every one.
+    """
+    box, intr = det.box, rig.camera(det.camera_id).intrinsics
+    if min(box.x2, intr.width) <= max(box.x1, 0.0) or min(box.y2, intr.height) <= max(box.y1, 0.0):
+        return "box_outside_image"
+    return "empty_frustum" if len(fp.points) == 0 else "mask_removed_all"
+
+
 def _process_detection(
     det: Detection2D,
     sweep_idx: int,
@@ -48,14 +66,14 @@ def _process_detection(
     scene: Scene,
     config: PipelineConfig,
     prior: SemanticPrior,
-) -> Optional[ScoredAnnotation]:
-    """Lift one detection; None when no foreground point anchors the search."""
+) -> Union[ScoredAnnotation, str]:
+    """Lift one detection; the skip reason when no foreground point anchors the search."""
     fp = extract_frustum(view, det)
     fp = filter_foreground(fp, det.mask)
     try:
         init = init_hypothesis(fp, prior)
     except EmptyFrustumError:
-        return None
+        return _skip_reason(det, fp, scene.rig)
     grid = enumerate_hypotheses(init, prior, config.search)
     best = select_best(grid, fp, det, scene.rig)
     s3d = occupancy_rate(best.cuboid, fp.foreground, config.scoring.grid_k)
@@ -80,6 +98,9 @@ def annotate_scene(
     threads: int = 1,
 ):
     """Run the full pipeline; returns (per-frame annotation lists, summary).
+
+    The summary counts the detections skipped for want of a foreground
+    point, in total and by reason (`SKIP_REASONS`, see `_skip_reason`).
 
     `prior_provider` overrides the routing stage entirely (used by the
     synthetic round-trip); otherwise detections route through the expert
@@ -120,6 +141,7 @@ def annotate_scene(
             sector_half_width=config.sector_half_width,
         )
 
+    # per detection index, its annotation or the reason it was skipped
     annotations = [None] * len(detections)
 
     def run(group) -> None:
@@ -146,8 +168,11 @@ def annotate_scene(
             run(group)
 
     frames = [[] for _ in scene.sweeps]
+    skipped = Counter()
     for det, annotation in zip(detections, annotations):
-        if annotation is not None:
+        if isinstance(annotation, str):
+            skipped[annotation] += 1
+        else:
             frames[frame_index[det.frame_id]].append(annotation)
 
     frames, tracks = track_and_refine(
@@ -158,7 +183,8 @@ def annotate_scene(
         "frames": len(scene.sweeps),
         "detections": len(detections),
         "annotations": sum(len(f) for f in frames),
-        "skipped_detections": annotations.count(None),
+        "skipped_detections": sum(skipped.values()),
+        "skipped_by_reason": {reason: skipped[reason] for reason in SKIP_REASONS},
         "tracks": len(tracks),
         "wall_time_s": time.perf_counter() - t_start,
     }

@@ -10,10 +10,16 @@ coverage is counted per yaw for the (x, y) nodes they name and every z
 level at once, as one matmul of an xy and a z containment factor (see
 `_coverage`), and projected IoU row by row (see `projected_iou`). Each
 runs only on the hypotheses that can still win (see
-`evaluate_hypotheses`).
+`evaluate_hypotheses`). The factors are 0/1 float32, and no sum counts
+more than _CHUNK_ELEMS = 65,536 < 2^24 ones, so every count is exact in
+any summation order. A grid builds its z factor and its foreground
+turned into every yaw's box frame (2 x yaws x points float64) once, for
+all its kernel calls, and holds them only while it is evaluated.
 
-The init's xy node, the grid's middle one, is evaluated in full first:
-its best objective L is one that some hypothesis reaches. Each grid then
+The init's xy node, the grid's middle one, the seed, is evaluated in
+full first, once: its best objective L is one that some hypothesis
+reaches, and its hypotheses are left out of the pruned calls that follow
+and merged back before the ties are taken. Each grid then
 bounds the coverage of every (x, y node, z level) pair over all its yaws
 (see `_node_bound`). The bound is a superset test: a point inside a box
 of dims (l, w, h) centred on a node lies within hypot(l, w) / 2 of the
@@ -50,7 +56,9 @@ from .prior import SemanticPrior
 
 # cap on the elements of one (xy node x point) containment block; the
 # points axis is chunked so a block's float64 temporaries (512 KB each)
-# stay cache-sized however many points a frustum holds
+# stay cache-sized however many points a frustum holds, and so that no
+# float32 sum of a block's 0/1 products reaches 2^24, where float32 stops
+# counting exactly
 _CHUNK_ELEMS = 65_536
 
 # cap on the hypotheses of one `projected_iou` block, so that its corner
@@ -213,30 +221,36 @@ def projected_iou(
     idx = np.asarray(idx, dtype=np.intp)
     extr, intr = rig.camera_from_lidar(det.camera_id), rig.camera(det.camera_id).intrinsics
     iou = np.empty(len(idx))
+    centres = np.empty((min(len(idx), _IOU_BLOCK), 3))
     for s in range(0, len(idx), _IOU_BLOCK):
         a, b, c, d = np.unravel_index(idx[s : s + _IOU_BLOCK], grid.shape)
-        corners = grid.corner_table[:, d] + np.stack([grid.x_axis[a], grid.y_axis[b], grid.z_axis[c]], axis=-1)
-        iou[s : s + len(a)] = iou_2d(project_boxes(corners, extr, intr)[0], det.box)
+        centre = centres[: len(a)]
+        centre[:, 0], centre[:, 1], centre[:, 2] = grid.x_axis[a], grid.y_axis[b], grid.z_axis[c]
+        iou[s : s + len(a)] = iou_2d(project_boxes(grid.corner_table[:, d] + centre, extr, intr)[0], det.box)
     return iou
 
 
 def _inside_z(grid: HypothesisGrid, fg: np.ndarray) -> np.ndarray:
-    """(points x z levels) 0/1 float64: the z test of every box, any yaw."""
+    """(points x z levels) 0/1 float32: the z test of every box, any yaw."""
     half_h = grid.dims[2] / 2.0
-    return (np.abs(fg[:, 2:3] - grid.z_axis[None, :]) <= half_h).astype(np.float64)
+    return (np.abs(fg[:, 2:3] - grid.z_axis[None, :]) <= half_h).astype(np.float32)
 
 
-def _coverage(grid: HypothesisGrid, fg: np.ndarray, hyps: np.ndarray) -> np.ndarray:
-    """Fraction of `fg` inside each of the hypotheses `hyps`.
+def _coverage(grid: HypothesisGrid, turned, inside_z: np.ndarray, hyps: np.ndarray) -> np.ndarray:
+    """Fraction of the foreground inside each of the hypotheses `hyps`.
 
-    `hyps` are ascending flat indices, as `projected_iou` takes them; the
-    coverage is returned in that order. Every hypothesis at the xy nodes
-    they name is counted, and the rows of `hyps` are taken.
+    `turned` is the foreground's x and y turned into every yaw's box
+    frame, `turn_xy(fg[:, 0], fg[:, 1], grid.yaw_axis)`, and `inside_z`
+    is `_inside_z(grid, fg)`: both are built once per grid by
+    `evaluate_hypotheses` and shared by its calls. `hyps` are ascending
+    flat indices, as `projected_iou` takes them; the coverage is returned
+    in that order. Every hypothesis at the xy nodes they name is counted,
+    and the rows of `hyps` are taken.
 
     Yaw rotates about +z, so in a box frame the z test of a point does not
     depend on the box's xy position and the xy test does not depend on its
-    z. Per entry of the yaw axis, the points and the counted nodes are
-    turned into the box frame by `geom.turn_xy`, and
+    z. Per entry of the yaw axis, the counted nodes are turned into the
+    box frame by `geom.turn_xy` too, and
 
         counts = inside_xy (nodes x points) @ inside_z (points x z levels)
 
@@ -245,12 +259,15 @@ def _coverage(grid: HypothesisGrid, fg: np.ndarray, hyps: np.ndarray) -> np.ndar
     yaw axis moved last, is in flat order within each node.
 
     This is exact, not an approximation: both factors use the same
-    `abs(p - c) <= half` comparisons on the same turned values as the
-    per-hypothesis test `inside_local(cuboid_local(fg, box), dims)`
-    (z is not turned, so `inside_z` is built once from the input z), and
-    a float64 matmul sums 0/1 values without rounding. `turn_xy` turns a
-    point or node to the same bits in any subset, so a hypothesis's
-    coverage is the same whichever subset it is counted in.
+    `abs(p - c) <= half` comparisons, in float64, on the same turned
+    values as the per-hypothesis test `inside_local(cuboid_local(fg, box),
+    dims)` (z is not turned, so `inside_z` is built from the input z).
+    The matmul multiplies 0/1 float32 factors, and each of its sums counts
+    at most _CHUNK_ELEMS = 65,536 < 2^24 ones, which float32 represents
+    exactly, so it is exact in any summation order; the partial counts
+    add up in float64. `turn_xy` is elementwise, so a point or node turns
+    to the same bits in any subset, and a hypothesis's coverage is the
+    same whichever subset it is counted in.
 
     No containment block exceeds _CHUNK_ELEMS: a block holds as many
     whole yaws (all nodes by all points) as fit, which keeps few-node
@@ -260,7 +277,7 @@ def _coverage(grid: HypothesisGrid, fg: np.ndarray, hyps: np.ndarray) -> np.ndar
     shared between calls.
     """
     hyps = np.asarray(hyps, dtype=np.intp)
-    m, nyaw, per_node = len(fg), len(grid.yaw_axis), len(grid.z_axis) * len(grid.yaw_axis)
+    m, nyaw, per_node = len(inside_z), len(grid.yaw_axis), len(grid.z_axis) * len(grid.yaw_axis)
     if m == 0 or len(hyps) == 0:
         return np.zeros(len(hyps))
     # hyps ascend, so each node's hypotheses are one run
@@ -271,58 +288,60 @@ def _coverage(grid: HypothesisGrid, fg: np.ndarray, hyps: np.ndarray) -> np.ndar
     n = len(nodes)
     half = np.asarray(grid.dims) / 2.0
     ny = len(grid.y_axis)
-    # the counted nodes' turned x and y, (2, yaws, nodes, 1), every yaw at once
-    centres = np.stack(turn_xy(grid.x_axis[nodes // ny], grid.y_axis[nodes % ny], grid.yaw_axis))[..., None]
-    inside_z = _inside_z(grid, fg)
+    px, py = turned
+    # the counted nodes' turned x and y, (yaws, nodes, 1) each, every yaw at once
+    cx, cy = turn_xy(grid.x_axis[nodes // ny], grid.y_axis[nodes % ny], grid.yaw_axis)
+    cx, cy = cx[..., None], cy[..., None]
     batch = max(1, min(nyaw, _CHUNK_ELEMS // (n * m)))
     chunk = max(1, _CHUNK_ELEMS // (batch * n))
     block = np.empty(batch * n * min(chunk, m))
+    flags32 = np.empty(len(block), dtype=np.float32)
     in_x = np.empty(len(block), dtype=bool)
     in_y = np.empty(len(block), dtype=bool)
     counts = np.zeros((nyaw, n, len(grid.z_axis)))
     for y0 in range(0, nyaw, batch):
         b = min(batch, nyaw - y0)
-        px, py = turn_xy(fg[:, 0], fg[:, 1], grid.yaw_axis[y0 : y0 + b])
-        cx, cy = centres[:, y0 : y0 + b]
         for s in range(0, m, chunk):
             w = min(chunk, m - s)
             d = block[: b * n * w].reshape(b, n, w)
             bx = in_x[: b * n * w].reshape(b, n, w)
             by = in_y[: b * n * w].reshape(b, n, w)
-            np.subtract(px[:, None, s : s + w], cx, out=d)
+            np.subtract(px[y0 : y0 + b, None, s : s + w], cx[y0 : y0 + b], out=d)
             np.less_equal(np.abs(d, out=d), half[0], out=bx)
-            np.subtract(py[:, None, s : s + w], cy, out=d)
+            np.subtract(py[y0 : y0 + b, None, s : s + w], cy[y0 : y0 + b], out=d)
             np.less_equal(np.abs(d, out=d), half[1], out=by)
             np.logical_and(bx, by, out=bx)
-            np.copyto(d, bx)
-            counts[y0 : y0 + b] += (d.reshape(b * n, w) @ inside_z[s : s + w]).reshape(b, n, -1)
+            o = flags32[: b * n * w].reshape(b * n, w)
+            np.copyto(o, bx.reshape(b * n, w))
+            counts[y0 : y0 + b] += (o @ inside_z[s : s + w]).reshape(b, n, -1)
     rows = (np.cumsum(starts) - 1) * per_node + hyps % per_node
     return np.moveaxis(counts, 0, -1).reshape(-1)[rows] / float(m)
 
 
-def _node_bound(grid: HypothesisGrid, fg: np.ndarray) -> np.ndarray:
+def _node_bound(grid: HypothesisGrid, fg: np.ndarray, inside_z: np.ndarray) -> np.ndarray:
     """Upper bound (xy nodes, z levels) on the coverage of any hypothesis there.
 
     Per (node, z level) it counts the points within r of the node in xy
-    and inside the z slab (`_inside_z`, the kernel's own z test). A point
-    the kernel counts inside a box of the node, at any yaw, lies within
-    hypot(l, w) / 2 of the node: its box-frame offset is at most
-    (l/2, w/2), and a rotation keeps lengths. The kernel compares rounded
-    rotations, and this distance is rounded too, so
-    r = hypot(l, w) / 2 * (1 + 1e-9) + 1e-6 m: the relative margin covers
-    the rounding of the squares and the absolute one that of the
-    rotations, which is below 1e-12 m at lidar ranges. Chunked over the
-    points like `_coverage`, with the same block cap.
+    and inside the z slab (`inside_z`, the kernel's own z test, as
+    `_inside_z(grid, fg)` builds it). A point the kernel counts inside a
+    box of the node, at any yaw, lies within hypot(l, w) / 2 of the node:
+    its box-frame offset is at most (l/2, w/2), and a rotation keeps
+    lengths. The kernel compares rounded rotations, and this distance is
+    rounded too, so r = hypot(l, w) / 2 * (1 + 1e-9) + 1e-6 m: the
+    relative margin covers the rounding of the squares and the absolute
+    one that of the rotations, which is below 1e-12 m at lidar ranges.
+    Chunked over the points like `_coverage`, with the same block cap, so
+    its float32 sums are exact for the same reason.
     """
     m = len(fg)
     nx, ny = len(grid.x_axis), len(grid.y_axis)
     r = math.hypot(grid.dims[0], grid.dims[1]) / 2.0 * (1.0 + 1e-9) + 1e-6
-    inside_z = _inside_z(grid, fg)
     chunk = max(1, _CHUNK_ELEMS // (nx * ny))
     w_max = min(chunk, m)
     dx2 = np.empty(nx * w_max)
     dy2 = np.empty(ny * w_max)
     block = np.empty(nx * ny * w_max)
+    flags32 = np.empty(len(block), dtype=np.float32)
     near = np.empty(len(block), dtype=bool)
     counts = np.zeros((nx * ny, len(grid.z_axis)))
     for s in range(0, m, chunk):
@@ -335,8 +354,9 @@ def _node_bound(grid: HypothesisGrid, fg: np.ndarray) -> np.ndarray:
         np.square(np.subtract(fg[None, s : s + w, 1], grid.y_axis[:, None], out=ddy), out=ddy)
         np.add(ddx[:, None, :], ddy[None, :, :], out=d)
         np.less_equal(d, r * r, out=b)
-        np.copyto(d, b)
-        counts += d.reshape(nx * ny, w) @ inside_z[s : s + w]
+        o = flags32[: nx * ny * w].reshape(nx * ny, w)
+        np.copyto(o, b.reshape(nx * ny, w))
+        counts += o @ inside_z[s : s + w]
     return counts / float(m)
 
 
@@ -350,39 +370,58 @@ def evaluate_hypotheses(
     largest, and their coverage and projected IoU. With no foreground
     point every coverage is 0 and every hypothesis is returned.
 
+    The grid's per-point work is done once: its z factor (`_inside_z`)
+    and the foreground turned into every yaw's box frame (`turn_xy`,
+    2 x yaws x points float64, held only during this call) go to both
+    `_coverage` calls and to `_node_bound`.
+
     The pruning is exact. `_node_bound` gives ub, a superset bound on the
     coverage of each (xy node, z level): cov <= ub for each of its
     hypotheses. IoU is at most 1 (the intersection never exceeds the
     union, and division rounds correctly), and float addition is
     monotone, so fl(cov + iou) <= fl(ub + iou) <= fl(ub + 1).
-    1. The grid's middle xy node, the init's on an enumerated grid, gets
-       exact coverage and IoU at all its z levels and yaws; their best
-       objective L (`bound`) is one that some hypothesis reaches.
-    2. IoU is computed for the hypotheses of the (node, z) pairs with
-       fl(ub + 1) >= L; every other one scores strictly below L.
+    1. The grid's middle xy node, the init's on an enumerated grid, the
+       seed, gets exact coverage and IoU at all its z levels and yaws;
+       their best objective L (`bound`) is one that some hypothesis
+       reaches. The seed is scored once: its hypotheses are left out of
+       the steps below and merged back, in flat order, at the end.
+    2. IoU is computed for the hypotheses of the other (node, z) pairs
+       with fl(ub + 1) >= L; every other one scores strictly below L.
     3. Coverage is counted only for the hypotheses with
        fl(ub + iou) >= L, its own IoU; every other one is strictly below
        L too.
-    What is left holds every hypothesis that reaches L, the seed's best
-    among them, so the grid's best objective and every hypothesis that
-    ties it. Any seed keeps this exact; the seed changes only how many
-    hypotheses survive, never the winner.
+    What is left, with the seed, holds every hypothesis that reaches L,
+    so the grid's best objective and every hypothesis that ties it. Any
+    seed keeps this exact; the seed changes only how many hypotheses
+    survive, never the winner.
     """
     fg = fp.foreground
     if len(fg) == 0 or len(grid) == 0:
         every = np.arange(len(grid))
         return every, np.zeros(len(grid)), projected_iou(grid, every, det, rig)
     nx, ny, nz, nyaw = grid.shape
-    seed = ((nx // 2) * ny + ny // 2) * nz * nyaw + np.arange(nz * nyaw)
-    bound = (_coverage(grid, fg, seed) + projected_iou(grid, seed, det, rig)).max()
+    inside_z = _inside_z(grid, fg)
+    turned = turn_xy(fg[:, 0], fg[:, 1], grid.yaw_axis)
+    seed_node = (nx // 2) * ny + ny // 2
+    seed = seed_node * nz * nyaw + np.arange(nz * nyaw)
+    seed_cov = _coverage(grid, turned, inside_z, seed)
+    seed_iou = projected_iou(grid, seed, det, rig)
+    bound = (seed_cov + seed_iou).max()
     # flat index // yaws is the (node, z level) pair, ub's flat index
-    ub = _node_bound(grid, fg).reshape(-1)
+    ub = _node_bound(grid, fg, inside_z).reshape(-1)
     pairs = np.flatnonzero(ub + 1.0 >= bound)
+    pairs = pairs[pairs // nz != seed_node]
     hyps = (pairs[:, None] * nyaw + np.arange(nyaw)).reshape(-1)
     iou = projected_iou(grid, hyps, det, rig)
     live = np.repeat(ub[pairs], nyaw) + iou >= bound
     hyps, iou = hyps[live], iou[live]
-    coverage = _coverage(grid, fg, hyps)
+    coverage = _coverage(grid, turned, inside_z, hyps)
+    # the seed's run of flat indices goes back where it belongs
+    at = np.searchsorted(hyps, seed[0])
+    hyps, coverage, iou = (
+        np.concatenate([rest[:at], own, rest[at:]])
+        for rest, own in ((hyps, seed), (coverage, seed_cov), (iou, seed_iou))
+    )
     objective = coverage + iou
     keep = objective >= objective.max()
     return hyps[keep], coverage[keep], iou[keep]

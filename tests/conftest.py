@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from cuboidlift.config import PipelineConfig, default_taxonomy
-from cuboidlift.geom import Box2D, Cuboid3D, cuboid_corners, rot_z, wrap_angle
+from cuboidlift.geom import Box2D, Cuboid3D, cuboid_corners, rot_z, turn_xy, wrap_angle
 from cuboidlift import search
 from cuboidlift.search import Hypothesis, HypothesisGrid, SearchConfig, projected_iou
 from cuboidlift.synth import random_scene_spec
@@ -320,11 +320,22 @@ def random_cuboid(rng, span=10.0, dim_range=(0.4, 5.0)) -> Cuboid3D:
     return Cuboid3D(center, dims, yaw)
 
 
+def grid_coverage(grid, fg, hyps) -> np.ndarray:
+    """`search._coverage` of hypotheses `hyps`, on point factors built as `evaluate_hypotheses` builds them."""
+    fg = np.asarray(fg, dtype=float).reshape(-1, 3)
+    turned = turn_xy(fg[:, 0], fg[:, 1], grid.yaw_axis)
+    return search._coverage(grid, turned, search._inside_z(grid, fg), hyps)
+
+
+def node_bound(grid, fg) -> np.ndarray:
+    """`search._node_bound` of `fg`, with the z factor built as `evaluate_hypotheses` builds it."""
+    return search._node_bound(grid, fg, search._inside_z(grid, fg))
+
+
 def kernel_coverage(points, c: Cuboid3D) -> float:
     """`search._coverage` of the one-entry grid holding `c`: the production coverage of one box."""
     grid = HypothesisGrid([c.center[0]], [c.center[1]], [c.center[2]], [c.yaw], dims=c.dims, init=c)
-    pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    return float(search._coverage(grid, pts, np.array([0]))[0])
+    return float(grid_coverage(grid, points, np.array([0]))[0])
 
 
 def random_box(rng, span=100.0) -> Box2D:

@@ -23,7 +23,7 @@ from cuboidlift.geom import (
     wrap_angle,
     yaw_diff,
 )
-from conftest import naive_iou_2d, naive_point_in_cuboid, random_cuboid
+from conftest import naive_iou_2d, naive_point_in_cuboid, random_cuboid, run_under_blas_kernels
 
 
 def make_intr(fx=100.0, fy=100.0, cx=50.0, cy=50.0, w=100, h=100):
@@ -356,6 +356,28 @@ class TestRigidTransform:
         batch = t.apply(pts)
         for i, p in enumerate(pts):
             assert np.allclose(batch[i], t.rotation @ p + t.translation)
+
+    def test_apply_keeps_the_bits_of_the_plain_product_on_every_blas_kernel(self):
+        # `apply` computes `p @ rotation.T + translation` in a cheaper form;
+        # every row count, on contiguous inputs and on the [:, :3] slices of
+        # an (N, 4) array, must give that expression's bits, under each kernel
+        snippet = (
+            "import numpy as np\n"
+            "from cuboidlift.geom import RigidTransform\n"
+            "rng = np.random.default_rng(53)\n"
+            "differ = 0\n"
+            "for n in (1, 2, 3, 8, 17, 40000):\n"
+            "    for _ in range(4):\n"
+            "        t = RigidTransform.from_quat(rng.normal(size=4), rng.uniform(-50.0, 50.0, 3))\n"
+            "        wide = rng.uniform(-80.0, 80.0, (n, 4))\n"
+            "        for p in (np.ascontiguousarray(wide[:, :3]), wide[:, :3]):\n"
+            "            want = p @ t.rotation.T + t.translation\n"
+            "            differ += t.apply(p).tobytes() != want.tobytes()\n"
+            "print(differ)\n"
+        )
+        exec(snippet.replace("print(differ)", "assert differ == 0, differ"), {})
+        outs = run_under_blas_kernels(snippet)
+        assert outs == {kernel: "0\n" for kernel in outs}
 
 
 class TestWrapAngle:

@@ -2,12 +2,14 @@
 
 The inputs come from the benchmark's own seeded generator
 (`perfbench/workloads.generate`), so they are the files the benchmark
-runs; the generated detections file is pinned too, so a change in how
-masks are built or encoded cannot move the benchmark's inputs. Each
-input is annotated at one thread and at two, with the same expected
-bytes. Every exact change to the search, the scoring, the
-threading or the writers must leave these digests as they are; one that
-changes output on purpose updates them and says why.
+runs; the whole generated input (`workloads.inputs_digest`) and its
+detections file are pinned too, so a change in how sweeps, masks or any
+other generated file are built or encoded cannot move the benchmark's
+inputs. Each input is annotated at one thread and at two, with the same
+expected bytes. Every exact change to the search, the scoring, the
+threading, the writers or the geometry the generator runs must leave
+these digests as they are; one that changes output on purpose updates
+them and says why.
 """
 
 import hashlib
@@ -47,9 +49,24 @@ DETECTIONS_SHA256 = {
 }
 
 
+# `workloads.inputs_digest` of the whole generated input for the same seeds:
+# sweeps, scene.json, detections, expert and gt
+INPUTS_SHA256 = {
+    ("dense_expert", 1): "9aceedee924677234ea76598db50aacd530bd8153bdfd52f8ac8c50e97bc9e46",
+    ("dense_expert", 2): "d538228bd5d811a96d8d24bd04921766de289fb64759b4a8fe56ef78e57f05e3",
+    ("dense_expert", 3): "0717ca88f4fad81423429f30371ae003e576c284a5230e0c734bfe3fa41f8a1a",
+    ("dense_expert", 4): "dc2448a5f246a21ec077062fb287da44129dd564d383f1e4241c424d42f390df",
+    ("sequence_mixed", 1): "32b4d08b332e81f453b02567bb80aad263babf816db88855cb354e1b212107f1",
+    ("sequence_mixed", 2): "8f7ff4c6d69a61bffaffcff8e75d05f1a34b01be7c1506496fc4f0a26f722c0c",
+    ("sequence_mixed", 3): "4abf1786d989e9e2e7814624fbcd3c66abf0fc5c4d2c8083c55b1266a5f4c7b2",
+    ("sequence_mixed", 4): "eb642949df07edc79612d9f46b7d480b619ca6e9a442f5225e65c08e123e8117",
+}
+
+
 @pytest.mark.parametrize("workload, seed", sorted(OUTPUT_SHA256))
 def test_annotate_output_is_pinned(tmp_path, workload, seed):
     workloads.generate(workload, seed, str(tmp_path))
+    assert workloads.inputs_digest(str(tmp_path)) == INPUTS_SHA256[workload, seed]
     det_bytes = (tmp_path / "detections.ndjson").read_bytes()
     assert hashlib.sha256(det_bytes).hexdigest() == DETECTIONS_SHA256[workload, seed]
     config = PipelineConfig()

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import os
 import subprocess
@@ -204,3 +205,27 @@ def test_annotate_does_not_import_numpy_ma(inputs, tmp_path):
     assert res.returncode == 0, res.stderr
     assert (tmp_path / "pred.ndjson").stat().st_size > 0
     assert res.stdout.strip().splitlines()[-1] == "False"
+
+
+def test_summary_counts_each_skip_reason(inputs):
+    # one skipped detection of each kind, built from an annotated one: its
+    # box moved wholly off the image, its box moved onto an image corner
+    # no point projects to, and its mask cleared
+    config = PipelineConfig()
+    scene = ingest.load_scene(inputs / "scene.json", stride=config.sweep_stride)
+    detections = ingest.load_detections(inputs / "detections.ndjson", config.taxonomy)
+    expert_index = prior.load_expert_records(inputs / "expert.ndjson")
+    det = detections[0]
+    intr = scene.rig.camera(det.camera_id).intrinsics
+    h, w = intr.height, intr.width
+    skipped = [
+        dataclasses.replace(det, box=geom.Box2D(w + 1e5, 0.0, w + 1e5 + 40.0, 40.0)),
+        dataclasses.replace(det, box=geom.Box2D(0.0, 0.0, 1.0, 1.0)),
+        dataclasses.replace(det, mask={"size": [h, w], "counts": [h * w]}),
+    ]
+    frames, summary = pipeline.annotate_scene(scene, [det], config, expert_index=expert_index)
+    assert (summary["annotations"], summary["skipped_detections"]) == (1, 0)
+    assert summary["skipped_by_reason"] == {"box_outside_image": 0, "empty_frustum": 0, "mask_removed_all": 0}
+    frames, summary = pipeline.annotate_scene(scene, [det, *skipped], config, expert_index=expert_index)
+    assert (summary["annotations"], summary["skipped_detections"]) == (1, 3)
+    assert summary["skipped_by_reason"] == {"box_outside_image": 1, "empty_frustum": 1, "mask_removed_all": 1}

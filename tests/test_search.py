@@ -42,11 +42,13 @@ from cuboidlift.synth import (
     sample_visible_surface,
 )
 from conftest import (
+    grid_coverage,
     grid_poses,
     kernel_coverage,
     naive_coverage,
     naive_evaluate_coverage,
     naive_select_best,
+    node_bound,
     random_cuboid,
     run_under_blas_kernels,
 )
@@ -154,7 +156,7 @@ class TestCoverageRatio:
             box = grid.cuboid(h)
             pts = self.boundary_points(rng, box)
             inside = inside_local(cuboid_local(pts, box), box.dims)
-            disagree += inside.sum() / len(pts) != search._coverage(grid, pts, np.arange(len(grid)))[h]
+            disagree += inside.sum() / len(pts) != grid_coverage(grid, pts, np.arange(len(grid)))[h]
             some_outside += inside.sum() != len(pts)
         assert disagree == 0
         assert some_outside > 30
@@ -191,7 +193,8 @@ class TestCoverageRatio:
             "import numpy as np\n"
             "from cuboidlift.geom import Cuboid3D, cuboid_local, inside_local\n"
             "from cuboidlift.score import occupancy_rate\n"
-            "from cuboidlift.search import HypothesisGrid, _coverage\n"
+            "from cuboidlift.geom import turn_xy\n"
+            "from cuboidlift.search import HypothesisGrid, _coverage, _inside_z\n"
             f"cases = np.load({str(cases)!r})\n"
             "h = {k: hashlib.sha256() for k in ('cuboid_local', 'inside_local', 'coverage', 'occupancy')}\n"
             "for pts, (x, y, z, l, w, ht, yaw) in zip(cases['pts'], cases['box']):\n"
@@ -200,7 +203,8 @@ class TestCoverageRatio:
             "    h['cuboid_local'].update(local.tobytes())\n"
             "    h['inside_local'].update(inside_local(local, c.dims).tobytes())\n"
             "    grid = HypothesisGrid([x], [y], [z], [c.yaw], dims=c.dims, init=c)\n"
-            "    h['coverage'].update(_coverage(grid, pts, np.array([0])).tobytes())\n"
+            "    turned = turn_xy(pts[:, 0], pts[:, 1], grid.yaw_axis)\n"
+            "    h['coverage'].update(_coverage(grid, turned, _inside_z(grid, pts), np.array([0])).tobytes())\n"
             "    h['occupancy'].update(np.float64(occupancy_rate(c, pts, 7)).tobytes())\n"
             "for k, d in h.items():\n"
             "    print(k, d.hexdigest())\n"
@@ -431,7 +435,7 @@ def assert_coverage_matches_oracle(grid, fp, rig, det=KERNEL_DET):
     """The all-node kernel on the whole grid, then the coverages the pruned
     path hands back at its candidates, each against the naive oracle."""
     want = naive_evaluate_coverage(grid, fp.foreground)
-    cov = search._coverage(grid, fp.foreground, np.arange(len(grid)))
+    cov = grid_coverage(grid, fp.foreground, np.arange(len(grid)))
     assert cov.dtype == np.float64
     assert np.array_equal(cov, want)
     candidates, cand_cov, _ = evaluate_hypotheses(grid, fp, det, rig)
@@ -455,7 +459,7 @@ class TestCoverageKernel:
         init = Cuboid3D((10.0, 2.0, -0.5), (4.0, 2.0, 1.5), 0.0)
         grid = enumerate_hypotheses(init, prior(dims=init.dims, orientation=0.0), cfg)
         pts = init.center + np.array([[2.0, 0, 0], [0, -1.0, 0], [0, 0, 0.75]])
-        cov = search._coverage(grid, pts, np.arange(len(grid)))
+        cov = grid_coverage(grid, pts, np.arange(len(grid)))
         centers, yaws = grid_poses(grid)
         at_init = (centers == init.center).all(axis=1) & (yaws == 0.0)
         assert cov[at_init].tolist() == [1.0]
@@ -464,7 +468,7 @@ class TestCoverageKernel:
     def test_empty_foreground_is_zero(self, rig):
         grid, fp = random_kernel_case(np.random.default_rng(3), SearchConfig(), True)
         empty = fp_from(fp.points, np.zeros(len(fp.points), dtype=bool))
-        assert np.array_equal(search._coverage(grid, empty.foreground, np.arange(len(grid))), np.zeros(len(grid)))
+        assert np.array_equal(grid_coverage(grid, empty.foreground, np.arange(len(grid))), np.zeros(len(grid)))
         candidates, cov, _ = evaluate_hypotheses(grid, empty, KERNEL_DET, rig)
         assert np.array_equal(candidates, np.arange(len(grid)))
         assert cov.dtype == np.float64
@@ -480,7 +484,7 @@ class TestCoverageKernel:
             assert len(grid) == 0 and grid_poses(grid)[0].shape == (0, 3)
             candidates, cov, iou = evaluate_hypotheses(grid, fp, KERNEL_DET, rig)
             assert candidates.shape == cov.shape == iou.shape == (0,)
-            assert search._coverage(grid, fp.foreground, np.arange(len(grid))).shape == (0,)
+            assert grid_coverage(grid, fp.foreground, np.arange(len(grid))).shape == (0,)
 
     @staticmethod
     def signed_zero_case(rng):
@@ -534,13 +538,13 @@ class TestCoverageKernel:
         # so a row's value must not depend on which other rows are counted
         rng = np.random.default_rng([43, elems or 0])
         cases = [random_kernel_case(rng, SearchConfig(), full_circle) for full_circle in (False, True, True)]
-        full = [search._coverage(grid, fp.foreground, np.arange(len(grid))) for grid, fp in cases]
+        full = [grid_coverage(grid, fp.foreground, np.arange(len(grid))) for grid, fp in cases]
         if elems is not None:
             monkeypatch.setattr(search, "_CHUNK_ELEMS", elems)
         for (grid, fp), want in zip(cases, full):
             for size in (0, 1, 3, 40, len(grid) // 2, len(grid)):
                 idx = np.sort(rng.choice(len(grid), size=size, replace=False))
-                assert np.array_equal(search._coverage(grid, fp.foreground, idx), want[idx])
+                assert np.array_equal(grid_coverage(grid, fp.foreground, idx), want[idx])
 
 
 class TestProjectedIou:
@@ -725,7 +729,7 @@ def record_calls(monkeypatch, name):
 
 def counted_nodes(args):
     """The xy nodes of the hypotheses of one recorded `_coverage` call."""
-    grid, _, hyps = args
+    grid, _, _, hyps = args
     return np.unique(hyps // (len(grid.z_axis) * len(grid.yaw_axis)))
 
 
@@ -761,8 +765,8 @@ class TestNodeBound:
         for node, iz in ((0, 0), (40, 2), (71, 4)):
             for yaw in grid.yaw_axis:
                 for p in self.box_points(grid, node, iz, yaw):
-                    kernel = search._coverage(grid, p[None], hyps).reshape(shape)
-                    bound = search._node_bound(grid, p[None])
+                    kernel = grid_coverage(grid, p[None], hyps).reshape(shape)
+                    bound = node_bound(grid, p[None])
                     assert bound.shape == shape[:2]
                     # at every (node, z level) and every yaw
                     assert np.all(bound[:, :, None] >= kernel)
@@ -774,10 +778,10 @@ class TestNodeBound:
     def test_chunking_leaves_the_bound_unchanged(self, monkeypatch, elems):
         rng = np.random.default_rng([29, elems])
         cases = [random_kernel_case(rng, SearchConfig(), True) for _ in range(6)]
-        want = [search._node_bound(grid, fp.foreground) for grid, fp in cases]
+        want = [node_bound(grid, fp.foreground) for grid, fp in cases]
         monkeypatch.setattr(search, "_CHUNK_ELEMS", elems)
         for (grid, fp), ub in zip(cases, want):
-            assert np.array_equal(search._node_bound(grid, fp.foreground), ub)
+            assert np.array_equal(node_bound(grid, fp.foreground), ub)
 
     @pytest.mark.parametrize("elems", [None, 7, 500])
     def test_random_full_circle_grids_match_naive(self, rig, monkeypatch, elems):
@@ -802,15 +806,16 @@ class TestNodeBound:
     def test_every_node_survives(self, rig, monkeypatch):
         # truck-sized dims around a tight cluster: every node's disc holds
         # every point, so the bound is 1.0 at every (node, z level) and
-        # every hypothesis gets an IoU; the IoU rule then leaves coverage
-        # to count at the seed, the grid's centre node, alone
+        # every hypothesis gets an IoU, the seed's in its own call; the IoU
+        # rule then leaves coverage to count at the seed, the grid's centre
+        # node, alone, and nothing for the main call
         dims = (6.9, 2.5, 2.8)
         center = np.array([15.0, 1.0, -0.4])
         pts = center + np.random.default_rng(31).uniform(-0.3, 0.3, size=(60, 3))
         p = prior(dims=dims, orientation=None, sector=math.pi)
         fp = fp_from(pts)
         grid = enumerate_hypotheses(Cuboid3D(center, dims, 0.0), p, SearchConfig())
-        assert np.array_equal(search._node_bound(grid, pts), np.ones((81, 5)))
+        assert np.array_equal(node_bound(grid, pts), np.ones((81, 5)))
         # the detection of a truck at the cluster, yaw 0.3
         truck = Cuboid3D(center, dims, 0.3)
         proj = project_cuboid_to_box(truck, rig.camera_from_lidar("cam_0"), rig.camera("cam_0").intrinsics)
@@ -819,8 +824,8 @@ class TestNodeBound:
         ious = record_calls(monkeypatch, "projected_iou")
         counted = record_calls(monkeypatch, "_coverage")
         assert_same_hypothesis(select_best(grid, fp, det, rig), want)
-        assert [len(args[1]) for args in ious] == [100, len(grid)]
-        assert [counted_nodes(args).tolist() for args in counted] == [[40], [40]]
+        assert [len(args[1]) for args in ious] == [100, len(grid) - 100]
+        assert [counted_nodes(args).tolist() for args in counted] == [[40], []]
 
     def test_winner_reaching_its_node_bound_survives(self, rig, monkeypatch):
         # points near the corners of one box, and a detection box equal to
@@ -835,13 +840,14 @@ class TestNodeBound:
         at_box = int(np.flatnonzero((centers == box.center).all(axis=1) & (yaws == box.yaw))[0])
         proj = project_cuboid_to_box(box, rig.camera_from_lidar("cam_0"), rig.camera("cam_0").intrinsics)
         det = Detection2D("f", "cam_0", "car", proj, 0.9)
-        ub = search._node_bound(grid, pts)
+        ub = node_bound(grid, pts)
         assert ub.reshape(-1)[at_box // len(grid.yaw_axis)] == 1.0 and (ub == 1.0).sum() == 1
         counted = record_calls(monkeypatch, "_coverage")
         candidates, _, _ = evaluate_hypotheses(grid, fp_from(pts), det, rig)
         assert at_box in candidates
         node = at_box // (len(grid.z_axis) * len(grid.yaw_axis))
-        assert [counted_nodes(args).tolist() for args in counted] == [[node], [node]]
+        # the winner's node is the seed, scored in the first call alone
+        assert [counted_nodes(args).tolist() for args in counted] == [[node], []]
         best = select_best(grid, fp_from(pts), det, rig)
         assert best.objective == 2.0
         assert_same_hypothesis(best, naive_select_best(grid, fp_from(pts), det, rig))
@@ -862,17 +868,17 @@ class TestNodeBound:
         pts = np.concatenate([obj_pts, ring])
         cov = naive_evaluate_coverage(grid, pts)
         iou = projected_iou(grid, np.arange(len(grid)), det, rig)
-        ub = np.repeat(search._node_bound(grid, pts).reshape(-1), len(grid.yaw_axis))
+        ub = np.repeat(node_bound(grid, pts).reshape(-1), len(grid.yaw_axis))
         ious = record_calls(monkeypatch, "projected_iou")
         counted = record_calls(monkeypatch, "_coverage")
         candidates, _, _ = evaluate_hypotheses(grid, fp_from(pts), det, rig)
         seed = init_node_hypotheses(grid)
-        assert np.array_equal(counted[0][2], seed) and np.array_equal(ious[0][1], seed)
+        assert np.array_equal(counted[0][3], seed) and np.array_equal(ious[0][1], seed)
         bound = (cov + iou)[seed].max()
         assert bound < 0.5 * (cov + iou).max()
-        assert [len(args[1]) for args in ious] == [len(grid) // 81, len(grid)]
+        assert [len(args[1]) for args in ious] == [len(grid) // 81, len(grid) - len(grid) // 81]
         want = np.flatnonzero((ub + 1.0 >= bound) & (ub + iou >= bound))
-        assert np.array_equal(counted[1][2], want)
+        assert np.array_equal(counted[1][3], np.setdiff1d(want, seed))
         assert len(counted_nodes(counted[1])) < 81 // 2
         assert np.array_equal(candidates, np.flatnonzero(cov + iou == (cov + iou).max()))
 
@@ -979,7 +985,27 @@ class TestIouBound:
             at_init = init_node_hypotheses(grid)
             assert len(at_init) == len(grid.z_axis) * len(grid.yaw_axis)
             assert len(ious) == len(counted) == 2
-            assert np.array_equal(ious[0][1], at_init) and np.array_equal(counted[0][2], at_init)
+            assert np.array_equal(ious[0][1], at_init) and np.array_equal(counted[0][3], at_init)
+
+    @pytest.mark.parametrize("full_circle", [False, True], ids=["sector", "full_circle"])
+    @pytest.mark.parametrize("name", sorted(KERNEL_CONFIGS))
+    def test_no_hypothesis_is_scored_twice(self, rig, monkeypatch, name, full_circle):
+        # the seed's hypotheses are scored in their own calls and left out
+        # of the main ones: per grid, no flat index reaches either kernel twice
+        ious = record_calls(monkeypatch, "projected_iou")
+        counted = record_calls(monkeypatch, "_coverage")
+        rng = np.random.default_rng([59, len(name), int(full_circle)])
+        seeded = 0
+        for _ in range(10):
+            grid, fp = random_kernel_case(rng, KERNEL_CONFIGS[name], full_circle)
+            del ious[:], counted[:]
+            evaluate_hypotheses(grid, fp, KERNEL_DET, rig)
+            seeded += len(counted) == 2
+            # the rows of a call: projected_iou's second argument, _coverage's last
+            for rows in ([args[1] for args in ious], [args[-1] for args in counted]):
+                flat = np.concatenate(rows) if rows else np.zeros(0, dtype=np.intp)
+                assert len(np.unique(flat)) == len(flat)
+        assert seeded > 0
 
     def test_iou_memory_is_bounded(self, rig):
         # every row of a full-circle grid at once: the rows go through
@@ -1020,7 +1046,7 @@ class TestSelectBest:
         best = select_best(grid, fp, det, rig)
         centers, yaws = grid_poses(grid)
         init_idx = int(np.nonzero((centers == init.center).all(axis=1) & (yaws == wrap_angle(init.yaw)))[0][0])
-        cov = search._coverage(grid, fp.foreground, np.arange(len(grid)))
+        cov = grid_coverage(grid, fp.foreground, np.arange(len(grid)))
         iou = projected_iou(grid, np.arange(len(grid)), det, rig)
         assert best.objective >= cov[init_idx] + iou[init_idx]
 
@@ -1054,7 +1080,7 @@ class TestSelectBest:
         p = prior(dims=cub.dims, orientation=cub.yaw)
         fp = fp_from(pts)
         grid = enumerate_hypotheses(init_hypothesis(fp, p), p, SearchConfig())
-        cov = search._coverage(grid, fp.foreground, np.arange(len(grid)))
+        cov = grid_coverage(grid, fp.foreground, np.arange(len(grid)))
         iou = projected_iou(grid, np.arange(len(grid)), det, rig)
         assert np.all((cov >= 0) & (cov <= 1))
         assert np.all((iou >= 0) & (iou <= 1))
