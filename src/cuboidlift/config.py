@@ -6,7 +6,7 @@ import json
 import math
 from dataclasses import dataclass, field, fields, is_dataclass
 
-from .ingest import ClassSpec, Taxonomy, read_int, read_number, read_numbers
+from .ingest import SWEEP_STRIDE, SWEEP_STRIDES, ClassSpec, Taxonomy, read_int, read_number, read_numbers
 from .score import ScoringConfig
 from .search import SearchConfig
 
@@ -50,10 +50,10 @@ class PipelineConfig:
     scoring: ScoringConfig = field(default_factory=ScoringConfig)
     routing_threshold: float = 0.3
     sector_half_width: float = math.pi / 6.0
-    sweep_stride: int = 5  # binary record stride, 4 or 5 floats
+    sweep_stride: int = SWEEP_STRIDE  # binary record stride, floats per record
 
     def __post_init__(self):
-        if self.sweep_stride not in (4, 5):
+        if self.sweep_stride not in SWEEP_STRIDES:
             raise ValueError("sweep_stride must be 4 or 5")
         if not (0.0 <= self.routing_threshold <= 1.0):
             raise ValueError("routing_threshold must be in [0, 1]")

@@ -305,13 +305,17 @@ def _rle_from_json(value) -> dict:
 # ---------------------------------------------------------------------------
 # Sweeps
 
+# floats per sweep record: the accepted strides and the default one
+SWEEP_STRIDES = (4, 5)
+SWEEP_STRIDE = 5
 
-def load_sweep_points(path, stride: int = 5) -> np.ndarray:
+
+def load_sweep_points(path, stride: int = SWEEP_STRIDE) -> np.ndarray:
     """Read raw float32 records; returns (N, 4) x/y/z/intensity.
 
     stride 5 carries a trailing ring index per record, which is dropped.
     """
-    if stride not in (4, 5):
+    if stride not in SWEEP_STRIDES:
         raise ValueError("stride must be 4 or 5")
     with open(path, "rb") as f:
         # fromfile drops a trailing partial float, so check the byte length
@@ -326,8 +330,8 @@ def load_sweep_points(path, stride: int = 5) -> np.ndarray:
     return np.ascontiguousarray(pts)
 
 
-def write_sweep_points(points: np.ndarray, path, stride: int = 5) -> None:
-    if stride not in (4, 5):
+def write_sweep_points(points: np.ndarray, path, stride: int = SWEEP_STRIDE) -> None:
+    if stride not in SWEEP_STRIDES:
         raise ValueError("stride must be 4 or 5")
     pts = np.asarray(points, dtype="<f4").reshape(-1, 4)
     if stride == 5:
@@ -349,7 +353,7 @@ def _pose_to_json(t: RigidTransform) -> dict:
     }
 
 
-def load_scene(manifest_path, stride: int = 5) -> Scene:
+def load_scene(manifest_path, stride: int = SWEEP_STRIDE) -> Scene:
     """Parse a scene manifest and every sweep file it references.
 
     Raises OSError, or FormatError naming the manifest (or the sweep file

@@ -14,6 +14,7 @@ reduction is order-free.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -21,10 +22,10 @@ from typing import Callable, Optional, Union
 
 from .aggregate import aggregate_sweeps
 from .config import PipelineConfig
-from .frustum import CameraView, FrustumPoints, extract_frustum, filter_foreground, project_view
-from .geom import transform_cuboid
-from .ingest import Detection2D, Scene, ScoredAnnotation, SensorRig, Taxonomy
-from .prior import SemanticPrior, expert_key, route
+from .frustum import CameraView, extract_frustum, filter_foreground, project_view
+from .geom import Box2D, transform_cuboid
+from .ingest import Detection2D, Scene, ScoredAnnotation, Taxonomy
+from .prior import PRIOR_SOURCES, SemanticPrior, expert_key, route
 from .refine import apply_velocities, assign_track_ids, associate, refine_scores
 from .score import fuse_score, occupancy_rate
 from .search import EmptyFrustumError, enumerate_hypotheses, init_hypothesis, select_best
@@ -46,19 +47,6 @@ def track_and_refine(frames: list, timestamps: list, taxonomy: Taxonomy):
 SKIP_REASONS = ("box_outside_image", "empty_frustum", "mask_removed_all")
 
 
-def _skip_reason(det: Detection2D, fp: FrustumPoints, rig: SensorRig) -> str:
-    """Why no foreground point anchors the search of `det`, one of SKIP_REASONS.
-
-    A box with no positive-area overlap with its camera's image is
-    `box_outside_image`, whatever points its frustum holds; otherwise the
-    frustum held no point at all, or the mask removed every one.
-    """
-    box, intr = det.box, rig.camera(det.camera_id).intrinsics
-    if min(box.x2, intr.width) <= max(box.x1, 0.0) or min(box.y2, intr.height) <= max(box.y1, 0.0):
-        return "box_outside_image"
-    return "empty_frustum" if len(fp.points) == 0 else "mask_removed_all"
-
-
 def _process_detection(
     det: Detection2D,
     sweep_idx: int,
@@ -73,7 +61,7 @@ def _process_detection(
     try:
         init = init_hypothesis(fp, prior)
     except EmptyFrustumError:
-        return _skip_reason(det, fp, scene.rig)
+        return "empty_frustum" if len(fp.points) == 0 else "mask_removed_all"
     grid = enumerate_hypotheses(init, prior, config.search)
     best = select_best(grid, fp, det, scene.rig)
     s3d = occupancy_rate(best.cuboid, fp.foreground, config.scoring.grid_k)
@@ -99,8 +87,11 @@ def annotate_scene(
 ):
     """Run the full pipeline; returns (per-frame annotation lists, summary).
 
-    The summary counts the detections skipped for want of a foreground
-    point, in total and by reason (`SKIP_REASONS`, see `_skip_reason`).
+    Each box is cut to its camera's image on entry (README step 2): one
+    with no positive-area overlap is skipped as `box_outside_image`, and
+    the others search with their in-image part but route as written. The
+    summary counts the skipped detections, in total and by reason
+    (`SKIP_REASONS`), and the routed ones by prior source (`PRIOR_SOURCES`).
 
     `prior_provider` overrides the routing stage entirely (used by the
     synthetic round-trip); otherwise detections route through the expert
@@ -110,10 +101,13 @@ def annotate_scene(
     """
     t_start = time.perf_counter()
 
-    # one pass checks every detection and groups it by (sweep index,
-    # (past, future)) window, then by camera, in first-seen order
+    # one pass checks every detection, cuts its box to its image and groups
+    # it by (sweep index, (past, future)) window, then by camera, in
+    # first-seen order; per detection index: the detection later stages
+    # see, its annotation or skip reason, and its prior's source
     frame_index = {sw.frame_id: i for i, sw in enumerate(scene.sweeps)}
-    groups = {}
+    groups, cut = {}, list(detections)
+    annotations, sources = [None] * len(detections), [None] * len(detections)
     for i, det in enumerate(detections):
         if det.frame_id not in frame_index:
             raise ValueError(f"detection references unknown frame {det.frame_id!r}")
@@ -126,6 +120,13 @@ def annotate_scene(
                 f"{det.camera_id} image size {[intr.height, intr.width]}"
             )
         key = (frame_index[det.frame_id], config.taxonomy.get(det.class_label).aggregation)
+        b = det.box
+        x1, y1, x2, y2 = max(b.x1, 0.0), max(b.y1, 0.0), min(b.x2, intr.width), min(b.y2, intr.height)
+        if x2 <= x1 or y2 <= y1:
+            annotations[i] = "box_outside_image"
+            continue
+        if (x1, y1, x2, y2) != (b.x1, b.y1, b.x2, b.y2):
+            cut[i] = dataclasses.replace(det, box=Box2D(x1, y1, float(x2), float(y2)))
         groups.setdefault(key, {}).setdefault(det.camera_id, []).append(i)
 
     def prior_for(det: Detection2D) -> SemanticPrior:
@@ -141,9 +142,6 @@ def annotate_scene(
             sector_half_width=config.sector_half_width,
         )
 
-    # per detection index, its annotation or the reason it was skipped
-    annotations = [None] * len(detections)
-
     def run(group) -> None:
         # project the window once per camera, keeping only what some box of
         # that camera can select, and drop it before any detection runs;
@@ -151,14 +149,15 @@ def annotate_scene(
         (si, aggregation), cameras = group
         window = aggregate_sweeps(scene.sweeps, si, aggregation)
         views = [
-            (project_view(window, scene.rig, camera_id, [detections[i].box for i in members]), members)
+            (project_view(window, scene.rig, camera_id, [cut[i].box for i in members]), members)
             for camera_id, members in cameras.items()
         ]
         del window
         for view, members in views:
             for i in members:
-                det = detections[i]
-                annotations[i] = _process_detection(det, si, view, scene, config, prior_for(det))
+                prior = prior_for(detections[i])
+                sources[i] = prior.source
+                annotations[i] = _process_detection(cut[i], si, view, scene, config, prior)
 
     if threads > 1 and len(groups) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -185,6 +184,7 @@ def annotate_scene(
         "annotations": sum(len(f) for f in frames),
         "skipped_detections": sum(skipped.values()),
         "skipped_by_reason": {reason: skipped[reason] for reason in SKIP_REASONS},
+        "prior_sources": {source: sources.count(source) for source in PRIOR_SOURCES},
         "tracks": len(tracks),
         "wall_time_s": time.perf_counter() - t_start,
     }

@@ -21,6 +21,9 @@ from .ingest import Detection2D, FormatError, SensorRig, Taxonomy, read_ndjson, 
 
 FULL_SECTOR = math.pi
 
+# where a prior's dims and heading come from: an expert record or the class average
+PRIOR_SOURCES = ("per_instance", "class_average")
+
 # canonical face order also breaks circular-mean ties at exact opposition
 FACES = ("front", "back", "left", "right")
 
@@ -43,9 +46,11 @@ class SemanticPrior:
     dims: tuple  # (l, w, h)
     orientation: Optional[float]  # yaw in current lidar frame, None if unknown
     sector_half_width: float
-    source: str  # "per_instance" | "class_average"
+    source: str  # one of PRIOR_SOURCES
 
     def __post_init__(self):
+        if self.source not in PRIOR_SOURCES:
+            raise ValueError(f"expected source in {PRIOR_SOURCES}, got {self.source!r}")
         if any(d <= 0 for d in self.dims):
             raise ValueError("prior dims must be positive")
         if not (0.0 < self.sector_half_width <= math.pi):

@@ -7,28 +7,10 @@ detection, and returns the argmax under a total, deterministic tie-break.
 The grid is its x, y, z and yaw axes (`HypothesisGrid`, flat order x
 outer to yaw inner). Both kernels take ascending flat hypothesis indices:
 coverage is counted per yaw for the (x, y) nodes they name and every z
-level at once, as one matmul of an xy and a z containment factor (see
-`_coverage`), and projected IoU row by row (see `projected_iou`). Each
-runs only on the hypotheses that can still win (see
-`evaluate_hypotheses`). The factors are 0/1 float32, and no sum counts
-more than _CHUNK_ELEMS = 65,536 < 2^24 ones, so every count is exact in
-any summation order. A grid builds its z factor and its foreground
-turned into every yaw's box frame (2 x yaws x points float64) once, for
-all its kernel calls, and holds them only while it is evaluated.
-
-The init's xy node, the grid's middle one, the seed, is evaluated in
-full first, once: its best objective L is one that some hypothesis
-reaches, and its hypotheses are left out of the pruned calls that follow
-and merged back before the ties are taken. Each grid then
-bounds the coverage of every (x, y node, z level) pair over all its yaws
-(see `_node_bound`). The bound is a superset test: a point inside a box
-of dims (l, w, h) centred on a node lies within hypot(l, w) / 2 of the
-node in xy whatever the box's yaw, so counting the points within that
-radius (plus a margin for the rounding of the rotations) and inside the
-box's z slab never undercounts any hypothesis of the pair. IoU goes only
-to the pairs whose bound + 1 reaches L, and coverage only to the
-hypotheses whose bound + their own IoU reaches L. Every hypothesis pruned
-on the way scores strictly below L, so none could win or tie.
+level at once, as one matmul of an xy and a z containment factor, exact
+in any summation order (see `_coverage`), and projected IoU row by row
+(see `projected_iou`). Each runs only on the hypotheses that can still
+win; the pruning and why it is exact are in `evaluate_hypotheses`.
 
 Offsets are exact integer multiples of the step, so the initial pose is
 always on the grid and halving the steps yields a superset grid.
@@ -56,9 +38,8 @@ from .prior import SemanticPrior
 
 # cap on the elements of one (xy node x point) containment block; the
 # points axis is chunked so a block's float64 temporaries (512 KB each)
-# stay cache-sized however many points a frustum holds, and so that no
-# float32 sum of a block's 0/1 products reaches 2^24, where float32 stops
-# counting exactly
+# stay cache-sized however many points a frustum holds, and so that the
+# float32 counts stay exact (see `_coverage`)
 _CHUNK_ELEMS = 65_536
 
 # cap on the hypotheses of one `projected_iou` block, so that its corner

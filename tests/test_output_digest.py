@@ -73,6 +73,11 @@ def test_annotate_output_is_pinned(tmp_path, workload, seed):
     scene = ingest.load_scene(tmp_path / "scene.json", stride=config.sweep_stride)
     detections = ingest.load_detections(tmp_path / "detections.ndjson", config.taxonomy)
     expert = prior.load_expert_records(tmp_path / "expert.ndjson")
+    # every generated box lies inside its image with positive area, so the
+    # cut to the image on entry leaves each detection as it is and skips none
+    for det in detections:
+        b, intr = det.box, scene.rig.camera(det.camera_id).intrinsics
+        assert 0.0 <= b.x1 < b.x2 <= intr.width and 0.0 <= b.y1 < b.y2 <= intr.height, det
     for threads in (1, 2):
         frames, _ = pipeline.annotate_scene(scene, detections, config, expert_index=expert, threads=threads)
         out = tmp_path / f"pred-{threads}.ndjson"

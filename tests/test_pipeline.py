@@ -1,15 +1,20 @@
 import dataclasses
 import importlib.util
+import math
 import os
 import subprocess
 import sys
 import tracemalloc
 import weakref
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from conftest import naive_frustum_mask
 from cuboidlift import frustum, geom, ingest, pipeline, prior
+from cuboidlift.aggregate import aggregate_sweeps
 from cuboidlift.config import PipelineConfig
 from cuboidlift.search import SearchConfig
 from cuboidlift.synth import generate_scene, random_scene_spec
@@ -229,3 +234,91 @@ def test_summary_counts_each_skip_reason(inputs):
     frames, summary = pipeline.annotate_scene(scene, [det, *skipped], config, expert_index=expert_index)
     assert (summary["annotations"], summary["skipped_detections"]) == (1, 3)
     assert summary["skipped_by_reason"] == {"box_outside_image": 1, "empty_frustum": 1, "mask_removed_all": 1}
+
+
+def test_boxes_are_cut_to_their_image(inputs, tmp_path, monkeypatch):
+    # an adult the generator cut at the left image edge, given back the box
+    # that reaches past that edge, and a box wholly beyond the edge, without
+    # its mask; points project into both off-image parts
+    config = PipelineConfig()
+    scene = ingest.load_scene(inputs / "scene.json", stride=config.sweep_stride)
+    detections = ingest.load_detections(inputs / "detections.ndjson", config.taxonomy)
+    expert_index = prior.load_expert_records(inputs / "expert.ndjson")
+    det = next(d for d in detections if d.box.x1 == 0.0)
+    b = det.box
+    past = dataclasses.replace(det, box=geom.Box2D(-400.0, b.y1, b.x2, b.y2))
+    by_hand = dataclasses.replace(past, box=geom.Box2D(0.0, b.y1, b.x2, b.y2))
+    beyond = dataclasses.replace(det, box=geom.Box2D(-400.0, b.y1, -1.0, b.y2), mask=None)
+    si = [sw.frame_id for sw in scene.sweeps].index(det.frame_id)
+    window = aggregate_sweeps(scene.sweeps, si, config.taxonomy.get(det.class_label).aggregation)
+    assert naive_frustum_mask(window, beyond, scene.rig).any()
+    in_image = naive_frustum_mask(window, by_hand, scene.rig)
+    assert (naive_frustum_mask(window, past, scene.rig) & ~in_image).any()
+
+    extracted, routed = [], []
+    extract, route = pipeline.extract_frustum, pipeline.route
+
+    def recording_extract(view, d):
+        extracted.append(extract(view, d))
+        return extracted[-1]
+
+    def recording_route(d, *args, **kwargs):
+        routed.append(d)
+        return route(d, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "extract_frustum", recording_extract)
+    monkeypatch.setattr(pipeline, "route", recording_route)
+
+    frames, summary = pipeline.annotate_scene(scene, [beyond], config, expert_index=expert_index)
+    assert (summary["annotations"], summary["skipped_by_reason"]["box_outside_image"]) == (0, 1)
+    assert extracted == [] and routed == []
+
+    # the sidecar joins on the box as written: give both boxes the record
+    record = expert_index[prior.expert_key(det)]
+    index = {prior.expert_key(past): record, prior.expert_key(by_hand): record}
+    outputs = []
+    for d in (past, by_hand):
+        extracted.clear()
+        routed.clear()
+        frames, summary = pipeline.annotate_scene(scene, [d], config, expert_index=index)
+        assert summary["annotations"] == 1
+        assert routed == [d]
+        assert np.array_equal(extracted[0].points, window[in_image, :3])
+        out = tmp_path / f"{len(outputs)}.ndjson"
+        ingest.write_annotations([a for frame in frames for a in frame], out)
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def test_summary_counts_prior_sources(inputs):
+    # every routed detection counts once under its prior's source, at any
+    # thread count; a box wholly off its image is not routed
+    config = PipelineConfig()
+    scene = ingest.load_scene(inputs / "scene.json", stride=config.sweep_stride)
+    detections = ingest.load_detections(inputs / "detections.ndjson", config.taxonomy)
+    expert_index = prior.load_expert_records(inputs / "expert.ndjson")
+    unsure = dataclasses.replace(detections[0], score=config.routing_threshold / 2.0)
+    off = dataclasses.replace(detections[0], box=geom.Box2D(-50.0, 0.0, -10.0, 40.0))
+    routed = [*detections, unsure]
+    expected = Counter(
+        prior.route(
+            d, expert_index.get(prior.expert_key(d)), config.taxonomy, scene.rig,
+            threshold=config.routing_threshold, sector_half_width=config.sector_half_width,
+        ).source
+        for d in routed
+    )
+    assert set(expected) == set(prior.PRIOR_SOURCES)
+    for threads in (1, 2):
+        _, summary = pipeline.annotate_scene(
+            scene, [*routed, off], config, expert_index=expert_index, threads=threads
+        )
+        assert summary["skipped_by_reason"]["box_outside_image"] == 1
+        assert summary["prior_sources"] == {s: expected[s] for s in prior.PRIOR_SOURCES}
+        assert sum(summary["prior_sources"].values()) == summary["detections"] - 1
+
+    # a provider's priors count under the source they report
+    flat = prior.SemanticPrior(
+        dims=(1.0, 1.0, 1.0), orientation=None, sector_half_width=math.pi, source="class_average"
+    )
+    _, summary = pipeline.annotate_scene(scene, [*routed, off], config, prior_provider=lambda d: flat)
+    assert summary["prior_sources"] == {"per_instance": 0, "class_average": len(routed)}

@@ -8,6 +8,7 @@ from cuboidlift.geom import Box2D, RigidTransform, rot_z, wrap_angle, yaw_diff
 from cuboidlift.ingest import Detection2D, SensorRig
 from cuboidlift.config import PipelineConfig
 from cuboidlift.prior import (
+    PRIOR_SOURCES,
     ExpertRecord,
     SemanticPrior,
     derive_orientation,
@@ -206,3 +207,9 @@ class TestSemanticPriorType:
             SemanticPrior(dims=(1, 1, 1), orientation=None, sector_half_width=0.0, source="class_average")
         with pytest.raises(ValueError):
             SemanticPrior(dims=(1, 1, 1), orientation=None, sector_half_width=4.0, source="class_average")
+
+    def test_unknown_source_is_rejected(self):
+        for source in PRIOR_SOURCES:
+            SemanticPrior(dims=(1, 1, 1), orientation=None, sector_half_width=1.0, source=source)
+        with pytest.raises(ValueError, match="expected source in"):
+            SemanticPrior(dims=(1, 1, 1), orientation=None, sector_half_width=1.0, source="expert")
