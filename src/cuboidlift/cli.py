@@ -108,7 +108,7 @@ def annotate(scene_path, det_path, expert_path, config_path, out_path, threads):
     with _atomic_output(out_path) as tmp:
         config = _load_config_arg(config_path)
         scene = _load(ingest.load_scene, scene_path, stride=config.sweep_stride)
-        detections = _load(ingest.load_detections, det_path, config.taxonomy)
+        detections = _load(ingest.load_detections, det_path, config.taxonomy, scene)
         expert_index = _load(load_expert_records, expert_path) if expert_path else None
         try:
             frames, summary = annotate_scene(
@@ -118,12 +118,6 @@ def annotate(scene_path, det_path, expert_path, config_path, out_path, threads):
             _fail(str(e), kind="pipeline_error")
         ingest.write_annotations([a for frame in frames for a in frame], tmp)
     click.echo(json.dumps(summary))
-
-
-def _require_frames(anns: list, frame_ids) -> None:
-    missing = list(dict.fromkeys(a.frame_id for a in anns if a.frame_id not in frame_ids))
-    if missing:
-        _fail(f"annotations reference frames missing from the scene: {missing}")
 
 
 @main.command("eval")
@@ -142,13 +136,12 @@ def eval_cmd(pred_path, gt_path, config_path, stratify, scene_path, pred2d_path,
     if (pred2d_path is None) != (gt2d_path is None):
         raise click.UsageError("--pred-2d and --gt-2d go together")
     config = _load_config_arg(config_path)
-    preds = _load(ingest.load_annotations, pred_path)
-    gts = _load(ingest.load_annotations, gt_path)
-    origins = None
+    scene = origins = None
     if scene_path is not None:
         scene = _load(ingest.load_scene, scene_path, stride=config.sweep_stride)
         origins = {sw.frame_id: sw.lidar_to_world().translation[:2] for sw in scene.sweeps}
-        _require_frames(preds + gts, origins)
+    preds = _load(ingest.load_annotations, pred_path, scene)
+    gts = _load(ingest.load_annotations, gt_path, scene)
     report = evaluate_detections(preds, gts, stratify=stratify, origins=origins)
     if pred2d_path is not None:
         pred2d = _load(ingest.load_detections, pred2d_path, config.taxonomy)
@@ -261,9 +254,6 @@ def aggregate_only(scene_path, frame_id, class_label, past, future, config_path,
     with _atomic_output(out_path) as tmp:
         config = _load_config_arg(config_path)
         scene = _load(ingest.load_scene, scene_path, stride=config.sweep_stride)
-        index = {sw.frame_id: i for i, sw in enumerate(scene.sweeps)}
-        if frame_id not in index:
-            _fail(f"unknown frame {frame_id!r}")
         if class_label is None:
             window = (past or 0, future or 0)
         elif class_label in config.taxonomy:
@@ -271,7 +261,8 @@ def aggregate_only(scene_path, frame_id, class_label, past, future, config_path,
         else:
             _fail(f"unknown class {class_label!r}")
         try:
-            pts = aggregate_sweeps(scene.sweeps, index[frame_id], window)
+            scene.check_frame(frame_id)
+            pts = aggregate_sweeps(scene.sweeps, scene.frame_index[frame_id], window)
         except ValueError as e:
             _fail(str(e))
         full = np.zeros((len(pts), 4), dtype=np.float32)
@@ -295,19 +286,9 @@ def track_only(pred_path, scene_path, config_path, out_path):
     """
     with _atomic_output(out_path) as tmp:
         config = _load_config_arg(config_path)
-        anns = _load(ingest.load_annotations, pred_path)
         scene = _load(ingest.load_scene, scene_path, stride=config.sweep_stride)
-
-        _require_frames(anns, {sw.frame_id for sw in scene.sweeps})
-        unknown = list(dict.fromkeys(a.class_label for a in anns if a.class_label not in config.taxonomy))
-        if unknown:
-            _fail(f"annotations use classes missing from the taxonomy: {unknown}")
-        by_frame = {}
-        for a in anns:
-            by_frame.setdefault(a.frame_id, []).append(a)
-        frames = [by_frame.get(sw.frame_id, []) for sw in scene.sweeps]
-        timestamps = [sw.timestamp for sw in scene.sweeps]
-        frames, tracks = track_and_refine(frames, timestamps, config.taxonomy)
+        anns = _load(ingest.load_annotations, pred_path, scene, config.taxonomy)
+        frames, tracks = track_and_refine(scene, anns, config.taxonomy)
         flat = [a for frame in frames for a in frame]
         ingest.write_annotations(flat, tmp)
     click.echo(json.dumps({"annotations": len(flat), "tracks": len(tracks)}))

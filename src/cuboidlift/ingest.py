@@ -166,6 +166,17 @@ class Scene:
     rig: SensorRig
     sweeps: list  # ordered SweepFrame list
 
+    def __post_init__(self):
+        frame_index = {}  # frame_id -> index into sweeps
+        for i, sw in enumerate(self.sweeps):
+            if frame_index.setdefault(sw.frame_id, i) != i:
+                raise ValueError(f"duplicate sweep frame_id {sw.frame_id!r}")
+        object.__setattr__(self, "frame_index", frame_index)
+
+    def check_frame(self, frame_id: str) -> None:
+        if frame_id not in self.frame_index:
+            raise ValueError(f"unknown frame {frame_id!r}")
+
 
 # ---------------------------------------------------------------------------
 # JSON values: every number a loader reads goes through one of these
@@ -393,13 +404,9 @@ def _scene_from_json(doc: dict, base: str, stride: int) -> Scene:
     rig = SensorRig(cameras=cameras, lidar_extrinsics=_pose_from_json(doc["lidar"]))
 
     sweeps = []
-    frame_ids = set()
     last_ts = None
     for entry in doc["sweeps"]:
         frame_id = str(entry["frame_id"])
-        if frame_id in frame_ids:
-            raise ValueError(f"duplicate sweep frame_id {frame_id!r}")
-        frame_ids.add(frame_id)
         ts = read_int(entry["timestamp"])
         if last_ts is not None and ts <= last_ts:
             raise ValueError("sweep timestamps not strictly increasing")
@@ -462,9 +469,26 @@ def write_scene(scene: Scene, out_dir) -> str:
 # Detections
 
 
-def load_detections(path, taxonomy: Taxonomy) -> list:
-    """Parse NDJSON detections; errors cite the 1-based line number."""
-    return [det for _, det in read_ndjson(path, lambda rec: _detection_from_json(rec, taxonomy))]
+def load_detections(path, taxonomy: Taxonomy, scene: Optional[Scene] = None) -> list:
+    """Parse NDJSON detections; errors cite the 1-based line number.
+
+    Given the scene, each record's frame and camera must be in it, and a
+    mask's size must be its camera's [height, width].
+    """
+
+    def parse(rec: dict) -> Detection2D:
+        det = _detection_from_json(rec, taxonomy)
+        if scene is not None:
+            scene.check_frame(det.frame_id)
+            cam = scene.rig.cameras.get(det.camera_id)
+            if cam is None:
+                raise ValueError(f"unknown camera id {det.camera_id!r}")
+            size = [cam.intrinsics.height, cam.intrinsics.width]
+            if det.mask is not None and det.mask["size"] != size:
+                raise ValueError(f"mask size {det.mask['size']} is not camera {det.camera_id}'s image size {size}")
+        return det
+
+    return [det for _, det in read_ndjson(path, parse)]
 
 
 def _detection_from_json(rec: dict, taxonomy: Taxonomy) -> Detection2D:
@@ -540,6 +564,19 @@ def write_annotations(items: list, path) -> None:
     write_ndjson(map(annotation_to_json, items), path)
 
 
-def load_annotations(path) -> list:
-    """Parse NDJSON annotations; errors cite the 1-based line number."""
-    return [a for _, a in read_ndjson(path, annotation_from_json)]
+def load_annotations(path, scene: Optional[Scene] = None, taxonomy: Optional[Taxonomy] = None) -> list:
+    """Parse NDJSON annotations; errors cite the 1-based line number.
+
+    Given the scene, each record's frame must be in it; given the
+    taxonomy, its class must be in that.
+    """
+
+    def parse(rec: dict) -> ScoredAnnotation:
+        a = annotation_from_json(rec)
+        if scene is not None:
+            scene.check_frame(a.frame_id)
+        if taxonomy is not None and a.class_label not in taxonomy:
+            raise ValueError(f"unknown class {a.class_label!r}")
+        return a
+
+    return [a for _, a in read_ndjson(path, parse)]

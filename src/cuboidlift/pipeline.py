@@ -31,15 +31,20 @@ from .score import fuse_score, occupancy_rate
 from .search import EmptyFrustumError, enumerate_hypotheses, init_hypothesis, select_best
 
 
-def track_and_refine(frames: list, timestamps: list, taxonomy: Taxonomy):
-    """Associate time-ordered per-frame annotations into tracks and refine them.
+def track_and_refine(scene: Scene, annotations: list, taxonomy: Taxonomy):
+    """Associate a scene's annotations into tracks and refine them.
 
-    Members of a track share their mean score, gain a finite-difference
-    velocity and carry the track id. Returns (refined frames, tracks).
+    Each sweep is a frame, in scene order; a sweep without annotations
+    ends every track that would cross it. Members of a track share their
+    mean score, gain a finite-difference velocity and carry the track id.
+    Returns (refined per-sweep annotation lists, tracks).
     """
+    frames = [[] for _ in scene.sweeps]
+    for a in annotations:
+        frames[scene.frame_index[a.frame_id]].append(a)
     tracks = associate(frames, taxonomy)
     frames = refine_scores(tracks, frames)
-    frames = apply_velocities(tracks, frames, timestamps)
+    frames = apply_velocities(tracks, frames, [sw.timestamp for sw in scene.sweeps])
     return assign_track_ids(tracks, frames), tracks
 
 
@@ -87,6 +92,7 @@ def annotate_scene(
 ):
     """Run the full pipeline; returns (per-frame annotation lists, summary).
 
+    Each detection must resolve in the scene, as `load_detections` checks.
     Each box is cut to its camera's image on entry (README step 2): one
     with no positive-area overlap is skipped as `box_outside_image`, and
     the others search with their in-image part but route as written. The
@@ -101,25 +107,15 @@ def annotate_scene(
     """
     t_start = time.perf_counter()
 
-    # one pass checks every detection, cuts its box to its image and groups
-    # it by (sweep index, (past, future)) window, then by camera, in
-    # first-seen order; per detection index: the detection later stages
-    # see, its annotation or skip reason, and its prior's source
-    frame_index = {sw.frame_id: i for i, sw in enumerate(scene.sweeps)}
+    # one pass cuts every box to its image and groups the detection by
+    # (sweep index, (past, future)) window, then by camera, in first-seen
+    # order; per detection index: the detection later stages see, its
+    # annotation or skip reason, and its prior's source
     groups, cut = {}, list(detections)
     annotations, sources = [None] * len(detections), [None] * len(detections)
     for i, det in enumerate(detections):
-        if det.frame_id not in frame_index:
-            raise ValueError(f"detection references unknown frame {det.frame_id!r}")
-        if det.camera_id not in scene.rig.cameras:
-            raise ValueError(f"detection references unknown camera id {det.camera_id!r}")
         intr = scene.rig.cameras[det.camera_id].intrinsics
-        if det.mask is not None and det.mask["size"] != [intr.height, intr.width]:
-            raise ValueError(
-                f"mask size {det.mask['size']} does not match camera "
-                f"{det.camera_id} image size {[intr.height, intr.width]}"
-            )
-        key = (frame_index[det.frame_id], config.taxonomy.get(det.class_label).aggregation)
+        key = (scene.frame_index[det.frame_id], config.taxonomy.get(det.class_label).aggregation)
         b = det.box
         x1, y1, x2, y2 = max(b.x1, 0.0), max(b.y1, 0.0), min(b.x2, intr.width), min(b.y2, intr.height)
         if x2 <= x1 or y2 <= y1:
@@ -166,17 +162,9 @@ def annotate_scene(
         for group in groups.items():
             run(group)
 
-    frames = [[] for _ in scene.sweeps]
-    skipped = Counter()
-    for det, annotation in zip(detections, annotations):
-        if isinstance(annotation, str):
-            skipped[annotation] += 1
-        else:
-            frames[frame_index[det.frame_id]].append(annotation)
-
-    frames, tracks = track_and_refine(
-        frames, [sw.timestamp for sw in scene.sweeps], config.taxonomy
-    )
+    skipped = Counter(a for a in annotations if isinstance(a, str))
+    lifted = [a for a in annotations if not isinstance(a, str)]
+    frames, tracks = track_and_refine(scene, lifted, config.taxonomy)
 
     summary = {
         "frames": len(scene.sweeps),

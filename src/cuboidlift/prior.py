@@ -146,8 +146,6 @@ def derive_orientation(
     the circle; an exactly opposed pair degenerates, in which case the face
     listed first in the canonical front<back<left<right order wins.
     """
-    if not rec.visible_faces:
-        raise ValueError("empty face set")
     azimuth = camera_axis_azimuth(camera_extr, lidar_extr)
     headings = [azimuth + _FACE_HEADING_OFFSET[f] for f in rec.visible_faces]
     sin_sum = sum(math.sin(h) for h in headings)

@@ -559,13 +559,12 @@ def oracle_prior_provider(synth_scene: SyntheticScene, config: PipelineConfig) -
     of the detection's sweep.
     """
     det_to_obj = {id(d): oi for d, oi in zip(synth_scene.detections, synth_scene.det_object_ids)}
-    frame_index = {sw.frame_id: i for i, sw in enumerate(synth_scene.scene.sweeps)}
-    t0 = synth_scene.scene.sweeps[0].timestamp
+    scene = synth_scene.scene
+    t0 = scene.sweeps[0].timestamp
 
     def provider(det: Detection2D) -> SemanticPrior:
         oi = det_to_obj[id(det)]
-        si = frame_index[det.frame_id]
-        sweep = synth_scene.scene.sweeps[si]
+        sweep = scene.sweeps[scene.frame_index[det.frame_id]]
         obj = synth_scene.spec.objects[oi]
         cub = obj.cuboid_at((sweep.timestamp - t0) / 1e6)
         heading = sweep.lidar_to_world().heading()
@@ -613,19 +612,15 @@ def verify_roundtrip(spec: SceneSpec, config, priors: str = "oracle") -> Recover
     gts = synth.gt_flat
 
     objects = []
-    for fi, frame_gt in enumerate(synth.gt_frames):
-        frame_id = synth.scene.sweeps[fi].frame_id
-        frame_preds = [p for p in preds if p.frame_id == frame_id]
+    for sweep, frame_preds, frame_gt in zip(synth.scene.sweeps, frames, synth.gt_frames):
+        frame_id = sweep.frame_id
         for g in frame_gt:
-            best = None
-            best_d = math.inf
-            for p in frame_preds:
-                if p.class_label != g.class_label:
-                    continue
-                d = np.linalg.norm(p.cuboid.center[:2] - g.cuboid.center[:2])
-                if d < best_d:
-                    best_d = d
-                    best = p
+            # the nearest same-class prediction in BEV, the first of equals
+            best = min(
+                (p for p in frame_preds if p.class_label == g.class_label),
+                key=lambda p: np.linalg.norm(p.cuboid.center[:2] - g.cuboid.center[:2]),
+                default=None,
+            )
             if best is None:
                 objects.append(ObjectRecovery(frame_id, g.class_label, math.inf, math.inf))
             else:

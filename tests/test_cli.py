@@ -262,19 +262,6 @@ class TestAnnotateVerb:
         assert "mask" in err["error"]["message"]
         assert not out.exists()
 
-    def test_unknown_camera_is_plain_pipeline_error(self, runner, scene_dir, tmp_path):
-        from cuboidlift.ingest import load_detections, write_detections
-        from cuboidlift.config import default_taxonomy
-
-        dets = load_detections(scene_dir / "detections.ndjson", default_taxonomy())
-        bad_path = tmp_path / "bad_dets.ndjson"
-        write_detections(dets[:-1] + [replace(dets[-1], camera_id="cam_9")], bad_path)
-        out = tmp_path / "pred.ndjson"
-        args = ["annotate", "--scene", str(scene_dir / "scene.json"), "--detections", str(bad_path), "--out", str(out)]
-        err = last_error(runner.invoke(main, args))
-        assert err == {"kind": "pipeline_error", "message": "detection references unknown camera id 'cam_9'"}
-        assert not out.exists()
-
     def test_repeated_detection_line_gives_one_more_annotation(self, runner, scene_dir, tmp_path):
         # repeated lines are kept: each yields its own annotation, and the
         # copies share one expert record (2D eval scores the copy as an FP)
@@ -573,7 +560,46 @@ class TestTrackOnlyVerb:
         assert "--scene" in res.output
 
 
+# a reference that does not resolve in the scene: the verb, the file it is
+# in, the edit to that file's second record, and the message after path:line
+REFERENCE_FAULTS = {
+    "annotate-frame": ("annotate", "detections", {"frame_id": "zzz"}, "unknown frame 'zzz'"),
+    "annotate-camera": ("annotate", "detections", {"camera_id": "cam_9"}, "unknown camera id 'cam_9'"),
+    "annotate-mask-size": (
+        "annotate", "detections", {"mask_rle": {"size": [2, 2], "counts": [4]}},
+        "mask size [2, 2] is not camera cam_2's image size [450, 800]",
+    ),
+    "eval-pred-frame": ("eval", "pred", {"frame_id": "zzz"}, "unknown frame 'zzz'"),
+    "eval-gt-frame": ("eval", "gt", {"frame_id": "zzz"}, "unknown frame 'zzz'"),
+    "track-only-frame": ("track-only", "pred", {"frame_id": "zzz"}, "unknown frame 'zzz'"),
+    "track-only-class": ("track-only", "pred", {"class": "alien"}, "unknown class 'alien'"),
+}
+
+
+@pytest.fixture(scope="module")
+def small_scene_dir(tmp_path_factory, runner):
+    return synth_scene(runner, tmp_path_factory.mktemp("small"), n_sweeps=2, seed=3, n_objects=3)
+
+
 class TestLoadErrors:
+    @pytest.mark.parametrize("fault", sorted(REFERENCE_FAULTS))
+    def test_unresolved_reference_is_located_input_error(self, runner, small_scene_dir, tmp_path, fault):
+        verb, role, edit, message = REFERENCE_FAULTS[fault]
+        source = small_scene_dir / ("detections.ndjson" if role == "detections" else "gt.ndjson")
+        lines = source.read_text().splitlines(True)
+        bad = tmp_path / f"{role}.ndjson"
+        bad.write_text("".join([lines[0], json.dumps({**json.loads(lines[1]), **edit}) + "\n"] + lines[2:]))
+        scene, gt, out = small_scene_dir / "scene.json", small_scene_dir / "gt.ndjson", tmp_path / "out.ndjson"
+        args = {
+            "annotate": ["annotate", "--scene", scene, "--detections", bad, "--out", out],
+            "eval": ["eval", "--pred", bad if role == "pred" else gt, "--gt", bad if role == "gt" else gt,
+                     "--stratify", "--scene", scene],
+            "track-only": ["track-only", "--pred", bad, "--scene", scene, "--out", out],
+        }[verb]
+        err = last_error(runner.invoke(main, [str(a) for a in args]))
+        assert err == {"kind": "input_error", "message": f"{bad}:2: {message}"}
+        assert not out.exists()
+
     @pytest.mark.parametrize("verb", ["annotate", "track-only"])
     @pytest.mark.parametrize("breakage", sorted(BROKEN_MANIFESTS))
     def test_broken_manifest_is_input_error(self, runner, scene_dir, tmp_path, verb, breakage):

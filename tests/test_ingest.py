@@ -351,6 +351,77 @@ class TestAnnotationsIO:
             load_annotations(p)
 
 
+class TestReferencesInScene:
+    """Given the scene, a record whose reference does not resolve in it is a
+    FormatError at its line; without the scene, the record loads as written."""
+
+    @pytest.fixture
+    def scene(self):
+        from cuboidlift.synth import default_cameras, DEFAULT_LIDAR_EXTRINSICS
+        from cuboidlift.ingest import Scene, SensorRig, SweepFrame
+
+        rig = SensorRig(
+            cameras={c.camera_id: c for c in default_cameras(n_cameras=2)},
+            lidar_extrinsics=DEFAULT_LIDAR_EXTRINSICS,
+        )
+        sweeps = [
+            SweepFrame(
+                frame_id=f"{i:06d}", timestamp=100 * (i + 1), points=np.zeros((0, 4), np.float32),
+                ego_pose=RigidTransform.identity(), sensor_pose=rig.lidar_extrinsics,
+            )
+            for i in range(2)
+        ]
+        return Scene(rig=rig, sweeps=sweeps)
+
+    DETECTION = {
+        "frame_id": "000001", "camera_id": "cam_1", "class": "car", "box": [10, 20, 110, 90],
+        "score": 0.5, "mask_rle": {"size": [450, 800], "counts": [360000]},
+    }
+
+    @pytest.mark.parametrize(
+        "edit, why",
+        [
+            ({"frame_id": "zzz"}, "unknown frame 'zzz'"),
+            ({"camera_id": "cam_9"}, "unknown camera id 'cam_9'"),
+            (
+                {"mask_rle": {"size": [2, 2], "counts": [4]}},
+                r"mask size \[2, 2\] is not camera cam_1's image size \[450, 800\]",
+            ),
+        ],
+    )
+    def test_detection_reference_faults(self, tmp_path, tiny_taxonomy, scene, edit, why):
+        recs = [self.DETECTION, self.DETECTION, {**self.DETECTION, **edit}]
+        p = tmp_path / "dets.ndjson"
+        p.write_text("".join(json.dumps(r) + "\n" for r in recs))
+        with pytest.raises(FormatError, match=rf"dets\.ndjson:3: {why}$") as err:
+            load_detections(p, tiny_taxonomy, scene)
+        assert "missing field" not in str(err.value)
+        back = load_detections(p, tiny_taxonomy)
+        assert [ingest._detection_to_json(d) for d in back] == recs
+
+    def test_detections_that_resolve_load_the_same_with_the_scene(self, tmp_path, tiny_taxonomy, scene):
+        p = tmp_path / "dets.ndjson"
+        p.write_text(json.dumps(self.DETECTION) + "\n" + json.dumps({**self.DETECTION, "frame_id": "000000"}) + "\n")
+        assert load_detections(p, tiny_taxonomy, scene) == load_detections(p, tiny_taxonomy)
+
+    @pytest.mark.parametrize(
+        "edit, why", [({"frame_id": "zzz"}, "unknown frame 'zzz'"), ({"class": "alien"}, "unknown class 'alien'")]
+    )
+    def test_annotation_reference_faults(self, tmp_path, tiny_taxonomy, scene, edit, why):
+        rng = np.random.default_rng(5)
+        recs = [ingest.annotation_to_json(random_annotation(rng, frame=f)) for f in ("000000", "000001")]
+        recs.append({**recs[0], **edit})
+        p = tmp_path / "ann.ndjson"
+        p.write_text("".join(json.dumps(r) + "\n" for r in recs))
+        with pytest.raises(FormatError, match=rf"ann\.ndjson:3: {why}$"):
+            load_annotations(p, scene, tiny_taxonomy)
+        assert [ingest.annotation_to_json(a) for a in load_annotations(p)] == recs
+        good = tmp_path / "good.ndjson"
+        good.write_text("".join(json.dumps(r) + "\n" for r in recs[:2]))
+        back = load_annotations(good, scene, tiny_taxonomy)
+        assert [ingest.annotation_to_json(a) for a in back] == recs[:2]
+
+
 class TestSceneIO:
     def test_manifest_roundtrip(self, tmp_path):
         from cuboidlift.synth import default_cameras, DEFAULT_LIDAR_EXTRINSICS
