@@ -11,29 +11,32 @@ from __future__ import annotations
 
 import numpy as np
 
+from .ingest import Scene
 
-def aggregate_sweeps(seq: list, idx: int, window: tuple) -> np.ndarray:
-    """Merge seq[idx-past : idx+future] into seq[idx]'s lidar frame.
+
+def aggregate_sweeps(scene: Scene, idx: int, window: tuple) -> np.ndarray:
+    """Merge the scene's sweeps idx-past .. idx+future into sweep idx's lidar frame.
 
     `window` is (past, future), the sweep counts of a class's
-    `ClassSpec.aggregation`. Returns an (N, 3) float array. Each sweep j
-    is moved by (world<-lidar at idx)^-1 @ (world<-lidar at j).
+    `ClassSpec.aggregation`. Returns an (N, 3) float64 array. Each sweep j
+    is moved by scene.lidar_to_world[idx]^-1 @ scene.lidar_to_world[j].
     """
     past, future = window
     if past < 0 or future < 0:
         raise ValueError("past/future sweep counts must be >= 0")
+    seq, poses = scene.sweeps, scene.lidar_to_world
     if not seq:
         raise ValueError("empty sweep sequence")
     if not (0 <= idx < len(seq)):
         raise IndexError(f"sweep index {idx} out of range")
     lo = max(0, idx - past)
     hi = min(len(seq) - 1, idx + future)
-    current = seq[idx].lidar_to_world()
+    current = poses[idx]
     to_current = current.inverse()
     chunks = []
     for j in range(lo, hi + 1):
-        pts = np.asarray(seq[j].points, dtype=float)[:, :3]
-        pose = seq[j].lidar_to_world()
+        pts = np.asarray(seq[j].points, dtype=float)
+        pose = poses[j]
         same_pose = np.array_equal(pose.rotation, current.rotation) and np.array_equal(
             pose.translation, current.translation
         )

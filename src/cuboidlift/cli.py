@@ -16,7 +16,6 @@ import sys
 import tempfile
 
 import click
-import numpy as np
 
 from . import ingest
 from .aggregate import aggregate_sweeps
@@ -139,7 +138,7 @@ def eval_cmd(pred_path, gt_path, config_path, stratify, scene_path, pred2d_path,
     scene = origins = None
     if scene_path is not None:
         scene = _load(ingest.load_scene, scene_path, stride=config.sweep_stride)
-        origins = {sw.frame_id: sw.lidar_to_world().translation[:2] for sw in scene.sweeps}
+        origins = {sw.frame_id: t.translation[:2] for sw, t in zip(scene.sweeps, scene.lidar_to_world)}
     preds = _load(ingest.load_annotations, pred_path, scene)
     gts = _load(ingest.load_annotations, gt_path, scene)
     report = evaluate_detections(preds, gts, stratify=stratify, origins=origins)
@@ -262,13 +261,10 @@ def aggregate_only(scene_path, frame_id, class_label, past, future, config_path,
             _fail(f"unknown class {class_label!r}")
         try:
             scene.check_frame(frame_id)
-            pts = aggregate_sweeps(scene.sweeps, scene.frame_index[frame_id], window)
+            pts = aggregate_sweeps(scene, scene.frame_index[frame_id], window)
         except ValueError as e:
             _fail(str(e))
-        full = np.zeros((len(pts), 4), dtype=np.float32)
-        full[:, :3] = pts
-        full[:, 3] = 0.5
-        ingest.write_sweep_points(full, tmp, stride=config.sweep_stride)
+        ingest.write_sweep_points(pts, tmp, stride=config.sweep_stride)
     click.echo(json.dumps({"points": int(len(pts)), "past": window[0], "future": window[1]}))
 
 

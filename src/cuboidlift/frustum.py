@@ -65,7 +65,7 @@ def _in_box(u: np.ndarray, v: np.ndarray, box: Box2D) -> np.ndarray:
 def project_view(points: np.ndarray, rig: SensorRig, camera_id: str, boxes: list) -> CameraView:
     """Project a window into one camera, keeping what any of `boxes` can select.
 
-    `points` is the (N, >=3) aggregated set in the current lidar frame.
+    `points` is the (N, 3) aggregated set in the current lidar frame.
     The view keeps the points with depth > 0 whose projection lies inside
     the bounding box of all `boxes`, so `extract_frustum` on the view
     selects exactly what projecting all points for each box would.
@@ -79,7 +79,7 @@ def project_view(points: np.ndarray, rig: SensorRig, camera_id: str, boxes: list
         max(b.y2 for b in boxes),
     )
     cam = rig.camera(camera_id)
-    xyz = np.asarray(points, dtype=float)[:, :3]
+    xyz = np.asarray(points, dtype=float)
     u, v, front = project_points(rig.camera_from_lidar(camera_id).apply(xyz), cam.intrinsics)
     idx = np.nonzero(front & _in_box(u, v, bounds))[0]
     return CameraView(camera_id=camera_id, bounds=bounds, points=xyz[idx], u=u[idx], v=v[idx])

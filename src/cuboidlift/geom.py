@@ -260,7 +260,9 @@ def project_points(points: np.ndarray, intr: CameraIntrinsics):
     p = np.asarray(points, dtype=float).reshape(-1, 3)
     valid = p[:, 2] > 0.0
     z = np.where(valid, p[:, 2], 1.0)
-    return intr.fx * p[:, 0] / z + intr.cx, intr.fy * p[:, 1] / z + intr.cy, valid
+    # a huge focal length or a denormal depth overflows to ±inf, a pixel past every image
+    with np.errstate(over="ignore"):
+        return intr.fx * p[:, 0] / z + intr.cx, intr.fy * p[:, 1] / z + intr.cy, valid
 
 
 def round_half_away(x: np.ndarray) -> np.ndarray:

@@ -4,8 +4,9 @@ File formats (all distances meters, all angles radians, timestamps integer
 microseconds):
 
 * sweeps: raw little-endian float32 records, stride 4 (x, y, z, intensity)
-  or 5 (x, y, z, intensity, ring; ring discarded). The stride comes from
-  config and is never auto-sniffed.
+  or 5 (x, y, z, intensity, ring). The stride comes from config and is
+  never auto-sniffed. Only x, y, z are read; intensity and ring are
+  written as 0.5 and 0. This module is the only one that knows the layout.
 * scene manifest: one JSON document with cameras (id, intrinsics,
   extrinsics ego<-camera), lidar extrinsics ego<-lidar, and an ordered
   sweep list (frame_id, timestamp, ego_pose as quaternion wxyz +
@@ -42,21 +43,12 @@ class FormatError(ValueError):
 
 @dataclass(frozen=True)
 class SweepFrame:
-    """One timestamped LiDAR sweep with its poses."""
+    """One timestamped LiDAR sweep: its manifest entry and its file's points."""
 
     frame_id: str
     timestamp: int  # microseconds
-    points: np.ndarray  # (N, 4) float32: x, y, z, intensity
+    points: np.ndarray  # (N, 3) float32 x, y, z, lidar frame
     ego_pose: RigidTransform  # world <- ego
-    sensor_pose: RigidTransform  # ego <- lidar
-
-    def lidar_to_world(self) -> RigidTransform:
-        """world <- lidar, composed on first use and kept: the poses are frozen."""
-        t = self.__dict__.get("_lidar_to_world")
-        if t is None:
-            t = self.ego_pose @ self.sensor_pose
-            object.__setattr__(self, "_lidar_to_world", t)
-        return t
 
 
 @dataclass(frozen=True)
@@ -85,8 +77,10 @@ class ScoredAnnotation:
     s3d: Optional[float] = None
 
     def __post_init__(self):
-        if not (0.0 <= self.score <= 1.0):
-            raise ValueError(f"score {self.score} outside [0, 1]")
+        for name in ("score", "s2d", "s3d"):
+            v = getattr(self, name)
+            if v is not None and not (0.0 <= v <= 1.0):
+                raise ValueError(f"{name} {v} outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -172,6 +166,9 @@ class Scene:
             if frame_index.setdefault(sw.frame_id, i) != i:
                 raise ValueError(f"duplicate sweep frame_id {sw.frame_id!r}")
         object.__setattr__(self, "frame_index", frame_index)
+        # world <- lidar per sweep: its ego pose after the rig's one mount
+        lidar = self.rig.lidar_extrinsics
+        object.__setattr__(self, "lidar_to_world", [sw.ego_pose @ lidar for sw in self.sweeps])
 
     def check_frame(self, frame_id: str) -> None:
         if frame_id not in self.frame_index:
@@ -322,9 +319,9 @@ SWEEP_STRIDE = 5
 
 
 def load_sweep_points(path, stride: int = SWEEP_STRIDE) -> np.ndarray:
-    """Read raw float32 records; returns (N, 4) x/y/z/intensity.
+    """Read raw float32 records; returns their (N, 3) float32 x, y, z.
 
-    stride 5 carries a trailing ring index per record, which is dropped.
+    Intensity, and the ring index of stride 5, are read past.
     """
     if stride not in SWEEP_STRIDES:
         raise ValueError("stride must be 4 or 5")
@@ -335,21 +332,22 @@ def load_sweep_points(path, stride: int = SWEEP_STRIDE) -> np.ndarray:
                 f"{path}: byte length not divisible by record stride {stride}"
             )
         raw = np.fromfile(f, dtype="<f4")
-    pts = raw.reshape(-1, stride)[:, :4]
-    if pts.size and not np.isfinite(pts[:, :3]).all():
+    pts = raw.reshape(-1, stride)[:, :3]
+    if pts.size and not np.isfinite(pts).all():
         raise FormatError(f"{path}: non-finite coordinates")
     return np.ascontiguousarray(pts)
 
 
 def write_sweep_points(points: np.ndarray, path, stride: int = SWEEP_STRIDE) -> None:
+    """Write (N, 3) x, y, z as float32 records with intensity 0.5 and ring 0."""
     if stride not in SWEEP_STRIDES:
         raise ValueError("stride must be 4 or 5")
-    pts = np.asarray(points, dtype="<f4").reshape(-1, 4)
-    if stride == 5:
-        out = np.zeros((pts.shape[0], 5), dtype="<f4")
-        out[:, :4] = pts
-    else:
-        out = pts
+    pts = np.asarray(points)
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise ValueError(f"sweep points must be (N, 3), got shape {pts.shape}")
+    out = np.zeros((len(pts), stride), dtype="<f4")
+    out[:, :3] = pts
+    out[:, 3] = 0.5
     out.tofile(path)
 
 
@@ -418,7 +416,6 @@ def _scene_from_json(doc: dict, base: str, stride: int) -> Scene:
                 timestamp=ts,
                 points=pts,
                 ego_pose=_pose_from_json(entry["ego_pose"]),
-                sensor_pose=rig.lidar_extrinsics,
             )
         )
     return Scene(rig=rig, sweeps=sweeps)

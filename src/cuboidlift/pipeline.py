@@ -71,7 +71,7 @@ def _process_detection(
     best = select_best(grid, fp, det, scene.rig)
     s3d = occupancy_rate(best.cuboid, fp.foreground, config.scoring.grid_k)
     fused = fuse_score(det.score, s3d, config.scoring.alpha)
-    world = transform_cuboid(scene.sweeps[sweep_idx].lidar_to_world(), best.cuboid)
+    world = transform_cuboid(scene.lidar_to_world[sweep_idx], best.cuboid)
     return ScoredAnnotation(
         frame_id=det.frame_id,
         cuboid=world,
@@ -143,7 +143,7 @@ def annotate_scene(
         # that camera can select, and drop it before any detection runs;
         # the group's views go when it returns
         (si, aggregation), cameras = group
-        window = aggregate_sweeps(scene.sweeps, si, aggregation)
+        window = aggregate_sweeps(scene, si, aggregation)
         views = [
             (project_view(window, scene.rig, camera_id, [cut[i].box for i in members]), members)
             for camera_id, members in cameras.items()

@@ -8,7 +8,7 @@ bit-reproducible for a fixed seed.
 
 Face visibility uses the outward-normal test (enough for isolated convex
 boxes); occluders are modeled explicitly as wall fixtures rather than by
-ray casting. Point intensity is a constant 0.5.
+ray casting.
 """
 
 from __future__ import annotations
@@ -274,19 +274,8 @@ def generate_scene(spec: SceneSpec) -> SyntheticScene:
             world_pts.append(sample_wall(wall, rng))
 
         allw = np.concatenate(world_pts, axis=0) if world_pts else np.zeros((0, 3))
-        lidar_pts = lidar_from_world.apply(allw)
-        stored = np.zeros((len(lidar_pts), 4), dtype=np.float32)
-        stored[:, :3] = lidar_pts.astype(np.float32)
-        stored[:, 3] = 0.5
-        sweeps.append(
-            SweepFrame(
-                frame_id=frame_id,
-                timestamp=ts,
-                points=stored,
-                ego_pose=ego,
-                sensor_pose=spec.lidar_extrinsics,
-            )
-        )
+        points = lidar_from_world.apply(allw).astype(np.float32)
+        sweeps.append(SweepFrame(frame_id=frame_id, timestamp=ts, points=points, ego_pose=ego))
 
         frame_gt = []
         for oi, obj in enumerate(spec.objects):
@@ -564,10 +553,10 @@ def oracle_prior_provider(synth_scene: SyntheticScene, config: PipelineConfig) -
 
     def provider(det: Detection2D) -> SemanticPrior:
         oi = det_to_obj[id(det)]
-        sweep = scene.sweeps[scene.frame_index[det.frame_id]]
+        si = scene.frame_index[det.frame_id]
         obj = synth_scene.spec.objects[oi]
-        cub = obj.cuboid_at((sweep.timestamp - t0) / 1e6)
-        heading = sweep.lidar_to_world().heading()
+        cub = obj.cuboid_at((scene.sweeps[si].timestamp - t0) / 1e6)
+        heading = scene.lidar_to_world[si].heading()
         return SemanticPrior(
             dims=cub.dims,
             orientation=wrap_angle(cub.yaw - heading),

@@ -262,6 +262,21 @@ class TestAnnotateVerb:
         assert "mask" in err["error"]["message"]
         assert not out.exists()
 
+    def test_overflowing_focal_length_is_an_empty_frustum(self, runner, small_scene_dir, tmp_path):
+        # fx = 1e308 projects cam_3's points to u = ±inf, past every box: its
+        # detections are skipped as empty, with nothing written to stderr
+        shutil.copytree(small_scene_dir / "sweeps", tmp_path / "sweeps")
+        doc = json.loads((small_scene_dir / "scene.json").read_text())
+        next(c for c in doc["cameras"] if c["id"] == "cam_3")["intrinsics"]["fx"] = 1e308
+        (tmp_path / "scene.json").write_text(json.dumps(doc))
+        out = tmp_path / "out.ndjson"
+        args = ["annotate", "--scene", tmp_path / "scene.json", "--detections", small_scene_dir / "detections.ndjson",
+                "--out", out]
+        res = runner.invoke(main, [str(a) for a in args])
+        assert res.exit_code == 0 and res.stderr == "", res.output
+        summary = json.loads(res.stdout)
+        assert summary["skipped_by_reason"] == {"box_outside_image": 0, "empty_frustum": 2, "mask_removed_all": 0}
+
     def test_repeated_detection_line_gives_one_more_annotation(self, runner, scene_dir, tmp_path):
         # repeated lines are kept: each yields its own annotation, and the
         # copies share one expert record (2D eval scores the copy as an FP)
@@ -331,8 +346,8 @@ class TestEvalVerb:
         assert world == evaluate_detections(gts[::2], gts, stratify=True).stratified
         assert ego != world
 
-        sweeps = ingest.load_scene(scene / "scene.json").sweeps
-        lidar = {sw.frame_id: (sw.ego_pose @ sw.sensor_pose).translation for sw in sweeps}
+        loaded = ingest.load_scene(scene / "scene.json")
+        lidar = {sw.frame_id: t.translation for sw, t in zip(loaded.sweeps, loaded.lidar_to_world)}
 
         def ego_dist(a):
             o = lidar[a.frame_id]
@@ -617,6 +632,17 @@ class TestLoadErrors:
         assert err["kind"] == "input_error"
         assert str(manifest) in err["message"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("verb", ["eval", "tune-alpha"])
+    @pytest.mark.parametrize("field", ["s2d", "s3d"])
+    def test_out_of_range_fusion_input_is_located_input_error(self, runner, small_scene_dir, tmp_path, verb, field):
+        gt = small_scene_dir / "gt.ndjson"
+        recs = [{**json.loads(line), "s2d": 0.5, "s3d": 0.5} for line in gt.read_text().splitlines()]
+        recs[1][field] = 5.0
+        pred = tmp_path / "pred.ndjson"
+        pred.write_text("".join(json.dumps(r) + "\n" for r in recs))
+        err = last_error(runner.invoke(main, [verb, "--pred", str(pred), "--gt", str(gt)]))
+        assert err == {"kind": "input_error", "message": f"{pred}:2: {field} 5.0 outside [0, 1]"}
 
     def test_binary_pred_is_input_error(self, runner, scene_dir, tmp_path):
         pred = tmp_path / "pred.ndjson"

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -43,6 +44,14 @@ class TestProjectPoint:
         intr = make_intr(fx=500, fy=500, cx=320, cy=240, w=640, h=480)
         u, v, valid = project_points((2, 1, 4), intr)
         assert valid[0] and np.allclose([u[0], v[0]], [570, 365])
+
+    @pytest.mark.parametrize("fx, point", [(500.0, (1.0, -1.0, 1e-310)), (1e308, (2.0, -2.0, 1.0))])
+    def test_overflow_is_an_infinite_pixel_without_a_warning(self, fx, point):
+        # a denormal depth or a huge focal length: the pixel lies past every image
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u, v, valid = project_points(point, make_intr(fx=fx, fy=fx))
+        assert valid[0] and u[0] == np.inf and v[0] == -np.inf
 
 
 class TestCuboidCorners:

@@ -40,24 +40,43 @@ class TestSweepIO:
         p = tmp_path / "empty.bin"
         p.write_bytes(b"")
         pts = load_sweep_points(p, stride=5)
-        assert pts.shape == (0, 4)
+        assert pts.shape == (0, 3)
 
     def test_single_record_stride4(self, tmp_path):
         p = tmp_path / "one.bin"
         np.array([1.0, 2.0, 3.0, 0.5], dtype="<f4").tofile(p)
         pts = load_sweep_points(p, stride=4)
-        assert pts.shape == (1, 4)
-        assert np.array_equal(pts[0], np.array([1, 2, 3, 0.5], dtype=np.float32))
+        assert pts.shape == (1, 3)
+        assert np.array_equal(pts[0], np.array([1, 2, 3], dtype=np.float32))
 
     @pytest.mark.parametrize("stride", [4, 5])
     def test_roundtrip_bitwise(self, tmp_path, stride):
         rng = np.random.default_rng(7)
-        pts = rng.normal(size=(10_000, 4)).astype(np.float32)
+        pts = rng.normal(size=(10_000, 3)).astype(np.float32)
         p = tmp_path / "pts.bin"
         write_sweep_points(pts, p, stride=stride)
         back = load_sweep_points(p, stride=stride)
-        assert back.dtype == np.float32
+        assert back.dtype == np.float32 and back.shape == (10_000, 3)
+        assert back.flags.c_contiguous
         assert np.array_equal(back, pts)
+
+    @pytest.mark.parametrize("stride", [4, 5])
+    def test_write_fills_intensity_and_ring(self, tmp_path, stride):
+        pts = np.arange(12, dtype=np.float64).reshape(4, 3)
+        p = tmp_path / "pts.bin"
+        write_sweep_points(pts, p, stride=stride)
+        raw = np.fromfile(p, dtype="<f4").reshape(-1, stride)
+        assert np.array_equal(raw[:, :3], pts)
+        assert (raw[:, 3] == np.float32(0.5)).all()
+        assert (raw[:, 4:] == 0).all()
+
+    @pytest.mark.parametrize("shape", [(5, 4), (5, 2), (3,), (2, 3, 3)])
+    def test_write_rejects_other_shapes(self, tmp_path, shape):
+        # an (N, 4) array is not reshaped into rows of three: that would scramble it
+        p = tmp_path / "pts.bin"
+        with pytest.raises(ValueError, match=r"must be \(N, 3\)"):
+            write_sweep_points(np.zeros(shape, np.float32), p)
+        assert not p.exists()
 
     def test_bad_length_names_file(self, tmp_path):
         p = tmp_path / "ragged.bin"
@@ -80,12 +99,19 @@ class TestSweepIO:
         with pytest.raises(FormatError):
             load_sweep_points(p, stride=4)
 
+    @pytest.mark.parametrize("stride", [4, 5])
+    def test_nonfinite_intensity_and_ring_load(self, tmp_path, stride):
+        # only x, y, z are read, so only they must be finite
+        p = tmp_path / "nan.bin"
+        np.array([[1, 2, 3, np.nan, np.inf][:stride]], dtype="<f4").tofile(p)
+        assert np.array_equal(load_sweep_points(p, stride=stride), [[1, 2, 3]])
+
     def test_stride5_drops_ring(self, tmp_path):
         p = tmp_path / "ring.bin"
         np.array([1, 2, 3, 0.5, 17], dtype="<f4").tofile(p)
         pts = load_sweep_points(p, stride=5)
-        assert pts.shape == (1, 4)
-        assert pts[0, 3] == np.float32(0.5)
+        assert pts.shape == (1, 3)
+        assert np.array_equal(pts[0], np.array([1, 2, 3], dtype=np.float32))
 
 
 def random_rle(seed) -> dict:
@@ -366,8 +392,8 @@ class TestReferencesInScene:
         )
         sweeps = [
             SweepFrame(
-                frame_id=f"{i:06d}", timestamp=100 * (i + 1), points=np.zeros((0, 4), np.float32),
-                ego_pose=RigidTransform.identity(), sensor_pose=rig.lidar_extrinsics,
+                frame_id=f"{i:06d}", timestamp=100 * (i + 1), points=np.zeros((0, 3), np.float32),
+                ego_pose=RigidTransform.identity(),
             )
             for i in range(2)
         ]
@@ -432,7 +458,7 @@ class TestSceneIO:
         rig = SensorRig(cameras={c.camera_id: c for c in cams}, lidar_extrinsics=DEFAULT_LIDAR_EXTRINSICS)
         sweeps = []
         for i in range(3):
-            pts = rng.normal(size=(50, 4)).astype(np.float32)
+            pts = rng.normal(size=(50, 3)).astype(np.float32)
             ego = RigidTransform(rot_z(0.1 * i), np.array([2.0 * i, 0.0, 0.0]))
             sweeps.append(
                 SweepFrame(
@@ -440,7 +466,6 @@ class TestSceneIO:
                     timestamp=1_000_000 + i * 500_000,
                     points=pts,
                     ego_pose=ego,
-                    sensor_pose=rig.lidar_extrinsics,
                 )
             )
         scene = Scene(rig=rig, sweeps=sweeps)
@@ -456,6 +481,17 @@ class TestSceneIO:
         assert cam.intrinsics == cams[0].intrinsics
         assert np.allclose(cam.extrinsics.rotation, cams[0].extrinsics.rotation, atol=1e-12)
 
+    def test_lidar_to_world_is_each_ego_pose_after_the_rig_mount(self):
+        from cuboidlift.ingest import Scene, SensorRig, SweepFrame
+
+        rig = SensorRig(cameras={}, lidar_extrinsics=RigidTransform(rot_z(0.3), np.array([0.5, -0.2, 1.8])))
+        egos = [RigidTransform(rot_z(0.1 * i), np.array([2.0 * i, 1.0, 0.0])) for i in range(3)]
+        scene = Scene(rig=rig, sweeps=[SweepFrame(str(i), i, np.zeros((0, 3), np.float32), e) for i, e in enumerate(egos)])
+        assert len(scene.lidar_to_world) == 3
+        for ego, t in zip(egos, scene.lidar_to_world):
+            want = ego @ rig.lidar_extrinsics
+            assert np.array_equal(t.rotation, want.rotation) and np.array_equal(t.translation, want.translation)
+
     def test_nonmonotonic_timestamps_rejected(self, tmp_path):
         from cuboidlift.synth import default_cameras, DEFAULT_LIDAR_EXTRINSICS
         from cuboidlift.ingest import Scene, SensorRig, SweepFrame
@@ -463,8 +499,8 @@ class TestSceneIO:
         cams = default_cameras()
         rig = SensorRig(cameras={c.camera_id: c for c in cams}, lidar_extrinsics=DEFAULT_LIDAR_EXTRINSICS)
         mk = lambda i, ts: SweepFrame(
-            frame_id=str(i), timestamp=ts, points=np.zeros((0, 4), np.float32),
-            ego_pose=RigidTransform.identity(), sensor_pose=rig.lidar_extrinsics,
+            frame_id=str(i), timestamp=ts, points=np.zeros((0, 3), np.float32),
+            ego_pose=RigidTransform.identity(),
         )
         scene = Scene(rig=rig, sweeps=[mk(0, 200), mk(1, 100)])
         manifest = ingest.write_scene(scene, tmp_path)
@@ -482,8 +518,8 @@ class TestSceneIO:
         )
         sweeps = [
             SweepFrame(
-                frame_id=f"{i:06d}", timestamp=100 * (i + 1), points=np.zeros((0, 4), np.float32),
-                ego_pose=RigidTransform.identity(), sensor_pose=rig.lidar_extrinsics,
+                frame_id=f"{i:06d}", timestamp=100 * (i + 1), points=np.zeros((0, 3), np.float32),
+                ego_pose=RigidTransform.identity(),
             )
             for i in range(2)
         ]

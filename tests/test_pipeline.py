@@ -250,7 +250,7 @@ def test_boxes_are_cut_to_their_image(inputs, tmp_path, monkeypatch):
     by_hand = dataclasses.replace(past, box=geom.Box2D(0.0, b.y1, b.x2, b.y2))
     beyond = dataclasses.replace(det, box=geom.Box2D(-400.0, b.y1, -1.0, b.y2), mask=None)
     si = [sw.frame_id for sw in scene.sweeps].index(det.frame_id)
-    window = aggregate_sweeps(scene.sweeps, si, config.taxonomy.get(det.class_label).aggregation)
+    window = aggregate_sweeps(scene, si, config.taxonomy.get(det.class_label).aggregation)
     assert naive_frustum_mask(window, beyond, scene.rig).any()
     in_image = naive_frustum_mask(window, by_hand, scene.rig)
     assert (naive_frustum_mask(window, past, scene.rig) & ~in_image).any()

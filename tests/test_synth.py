@@ -64,8 +64,8 @@ class TestSurfaceSampling:
         # exactly representable cube: float32 storage keeps points on faces
         obj = cube_at(10.0, 0.0)
         built = generate_scene(simple_spec([obj]))
-        pts = np.asarray(built.scene.sweeps[0].points[:, :3], dtype=float)
-        world = pts @ built.scene.sweeps[0].lidar_to_world().rotation.T + DEFAULT_LIDAR_EXTRINSICS.translation
+        pts = np.asarray(built.scene.sweeps[0].points, dtype=float)
+        world = pts @ built.scene.lidar_to_world[0].rotation.T + DEFAULT_LIDAR_EXTRINSICS.translation
         c = obj.cuboid
         assert inside_local(cuboid_local(world, c), c.dims).all()
         for p in world:
@@ -136,9 +136,9 @@ class TestOracleBoxes:
     def test_boxes_contain_in_image_projections(self, taxonomy):
         built = generate_scene(criterion_scene_spec(5, taxonomy, 0.0, (100, 150), 0.0))
         sweep = built.scene.sweeps[0]
-        world_from_lidar = sweep.lidar_to_world()
+        world_from_lidar = built.scene.lidar_to_world[0]
         pts_world = (
-            np.asarray(sweep.points[:, :3], dtype=float) @ world_from_lidar.rotation.T
+            np.asarray(sweep.points, dtype=float) @ world_from_lidar.rotation.T
             + world_from_lidar.translation
         )
         # group points back to objects via containment
