@@ -178,15 +178,12 @@ class RigidTransform:
         out += self.translation
         return out
 
-    def compose(self, other: "RigidTransform") -> "RigidTransform":
+    def __matmul__(self, other: "RigidTransform") -> "RigidTransform":
         """self after other: (self @ other).apply(p) == self.apply(other.apply(p))."""
         return RigidTransform(
             self.rotation @ other.rotation,
             self.rotation @ other.translation + self.translation,
         )
-
-    def __matmul__(self, other: "RigidTransform") -> "RigidTransform":
-        return self.compose(other)
 
     def inverse(self) -> "RigidTransform":
         rt = self.rotation.T

@@ -98,7 +98,7 @@ def _record_from_json(rec: dict) -> ExpertRecord:
         box=read_numbers(rec["box"], 4),
         dims=read_numbers(rec["dims"], 3),
         visible_faces=tuple(faces),
-        image_region=rec.get("image_region", "center"),
+        image_region=rec.get("image_region", ExpertRecord.image_region),
     )
 
 

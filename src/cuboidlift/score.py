@@ -61,14 +61,14 @@ def fuse_score(s2d: float, s3d: float, alpha: float) -> float:
     return alpha * s2d + (1.0 - alpha) * s3d
 
 
-def default_alpha_grid() -> list:
-    return [i * 0.05 for i in range(21)]
+# the fusion weights `tune_alpha` tries by default: 0, 0.05, ..., 1
+ALPHA_GRID = tuple(i * 0.05 for i in range(21))
 
 
 def tune_alpha(
     val_predictions: list,
     val_ground_truth: list,
-    candidates=None,
+    candidates=ALPHA_GRID,
 ) -> float:
     """Pick the fusion weight maximizing validation mAP3D; ties favor smaller.
 
@@ -80,8 +80,6 @@ def tune_alpha(
 
     from .metrics import map3d
 
-    if candidates is None:
-        candidates = default_alpha_grid()
     candidates = list(candidates)
     if not candidates:
         raise ValueError("no candidate alphas")

@@ -72,16 +72,15 @@ class Hypothesis:
     cuboid: Cuboid3D
     coverage: float
     proj_iou: float
-    objective: float
 
-    def __post_init__(self):
-        if self.objective != self.coverage + self.proj_iou:
-            raise ValueError("objective must equal coverage + proj_iou")
+    @property
+    def objective(self) -> float:
+        return self.coverage + self.proj_iou
 
 
 @dataclass(frozen=True)
 class HypothesisGrid:
-    """Cartesian pose grid: x, y and z center axes, a yaw axis, shared dims.
+    """Cartesian pose grid: x, y and z center axes, a yaw axis, the init's dims.
 
     Flat index i is the pose at axis indices np.unravel_index(i, shape):
     x outer, y, z, yaw inner; `pose` maps flat indices to poses.
@@ -91,7 +90,6 @@ class HypothesisGrid:
     y_axis: np.ndarray
     z_axis: np.ndarray
     yaw_axis: np.ndarray
-    dims: tuple
     init: Cuboid3D
 
     def __post_init__(self):
@@ -101,6 +99,10 @@ class HypothesisGrid:
                 raise ValueError(f"{name} must be 1-D")
             axis.setflags(write=False)
             object.__setattr__(self, name, axis)
+
+    @property
+    def dims(self) -> tuple:
+        return self.init.dims
 
     @property
     def shape(self) -> tuple:
@@ -184,7 +186,7 @@ def enumerate_hypotheses(
     zo = _symmetric_offsets(cfg.z_range, cfg.trans_step)
     yawo = _yaw_offsets(prior.sector_half_width, cfg.rot_step)
     c, yaws = init.center, wrap_angle(init.yaw + yawo)
-    return HypothesisGrid(c[0] + xyo, c[1] + xyo, c[2] + zo, yaws, dims=init.dims, init=init)
+    return HypothesisGrid(c[0] + xyo, c[1] + xyo, c[2] + zo, yaws, init=init)
 
 
 def projected_iou(
@@ -433,5 +435,4 @@ def select_best(
         cuboid=grid.cuboid(int(candidates[k])),
         coverage=float(coverage[k]),
         proj_iou=float(iou[k]),
-        objective=float(coverage[k]) + float(iou[k]),
     )

@@ -1,10 +1,10 @@
-"""Synthetic scene generator and ground-truth oracle.
+"""Synthetic scene generator with known ground truth.
 
 Builds scenes with known cuboids, samples LiDAR-like points on the faces
-visible from the sensor, derives oracle 2D detections and masks, and
-round-trips them through the full pipeline to measure recovery quality.
-Everything is driven by one integer-seeded PCG64 stream, so outputs are
-bit-reproducible for a fixed seed.
+visible from the sensor, and derives oracle 2D detections and masks,
+expert records and ground-truth annotations. Everything is driven by one
+integer-seeded PCG64 stream, so outputs are bit-reproducible for a fixed
+seed.
 
 Face visibility uses the outward-normal test (enough for isolated convex
 boxes); occluders are modeled explicitly as wall fixtures rather than by
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -41,10 +41,7 @@ from .ingest import (
     Taxonomy,
     mask_to_rle,
 )
-from .prior import FACES, ExpertRecord, SemanticPrior
-
-if TYPE_CHECKING:
-    from .config import PipelineConfig
+from .prior import FACES, ExpertRecord
 
 MASK_DILATION_PX = 2
 
@@ -513,127 +510,3 @@ def _grow_rect(rect: np.ndarray, margin: float) -> np.ndarray:
         out[i] = corner if n == 0 else corner + d / n * margin
     return out
 
-
-# ---------------------------------------------------------------------------
-# Round-trip verification
-
-
-@dataclass
-class ObjectRecovery:
-    frame_id: str
-    class_label: str
-    center_error: float
-    yaw_error: float
-
-
-@dataclass
-class RecoveryReport:
-    objects: list  # ObjectRecovery, one per GT object per frame (inf if missed)
-    recall: dict  # threshold -> recall
-    n_gt: int
-    n_pred: int
-
-    def max_center_error(self) -> float:
-        return max((o.center_error for o in self.objects), default=0.0)
-
-    def max_yaw_error(self) -> float:
-        return max((o.yaw_error for o in self.objects), default=0.0)
-
-
-def oracle_prior_provider(synth_scene: SyntheticScene, config: PipelineConfig) -> Callable:
-    """Per-instance priors from synthetic ground truth (true dims + yaw).
-
-    The returned provider keys detections by identity within the synthetic
-    scene's detection list; orientations are converted into the lidar frame
-    of the detection's sweep.
-    """
-    det_to_obj = {id(d): oi for d, oi in zip(synth_scene.detections, synth_scene.det_object_ids)}
-    scene = synth_scene.scene
-    t0 = scene.sweeps[0].timestamp
-
-    def provider(det: Detection2D) -> SemanticPrior:
-        oi = det_to_obj[id(det)]
-        si = scene.frame_index[det.frame_id]
-        obj = synth_scene.spec.objects[oi]
-        cub = obj.cuboid_at((scene.sweeps[si].timestamp - t0) / 1e6)
-        heading = scene.lidar_to_world[si].heading()
-        return SemanticPrior(
-            dims=cub.dims,
-            orientation=wrap_angle(cub.yaw - heading),
-            sector_half_width=config.sector_half_width,
-            source="per_instance",
-        )
-
-    return provider
-
-
-def verify_roundtrip(spec: SceneSpec, config, priors: str = "oracle") -> RecoveryReport:
-    """Generate the scene, run the pipeline on it, and score the recovery.
-
-    priors="oracle" feeds per-instance priors with the true dimensions and
-    orientation; "class_average" exercises the fallback full-sector path;
-    "expert_file" routes through the generated record sidecar.
-    """
-    from .geom import yaw_diff
-    from .metrics import DIST_THRESHOLDS, gt_classes, match_predictions
-    from .pipeline import annotate_scene
-
-    synth = generate_scene(spec)
-    provider = None
-    expert_index = None
-    if priors == "oracle":
-        provider = oracle_prior_provider(synth, config)
-    elif priors == "expert_file":
-        from .prior import expert_key
-
-        expert_index = {expert_key(rec_det): rec for rec_det, rec in zip(synth.detections, synth.expert_records)}
-    elif priors != "class_average":
-        raise ValueError(f"unknown prior mode {priors!r}")
-
-    frames, _ = annotate_scene(
-        synth.scene,
-        synth.detections,
-        config,
-        expert_index=expert_index,
-        prior_provider=provider,
-    )
-    preds = [a for frame in frames for a in frame]
-    gts = synth.gt_flat
-
-    objects = []
-    for sweep, frame_preds, frame_gt in zip(synth.scene.sweeps, frames, synth.gt_frames):
-        frame_id = sweep.frame_id
-        for g in frame_gt:
-            # the nearest same-class prediction in BEV, the first of equals
-            best = min(
-                (p for p in frame_preds if p.class_label == g.class_label),
-                key=lambda p: np.linalg.norm(p.cuboid.center[:2] - g.cuboid.center[:2]),
-                default=None,
-            )
-            if best is None:
-                objects.append(ObjectRecovery(frame_id, g.class_label, math.inf, math.inf))
-            else:
-                objects.append(
-                    ObjectRecovery(
-                        frame_id,
-                        g.class_label,
-                        float(np.linalg.norm(best.cuboid.center - g.cuboid.center)),
-                        yaw_diff(best.cuboid.yaw, g.cuboid.yaw),
-                    )
-                )
-
-    recall = {}
-    classes = gt_classes(gts)
-    for t in DIST_THRESHOLDS:
-        tp = 0
-        for cls in classes:
-            m = match_predictions(preds, gts, cls, t)
-            tp += sum(1 for r in m.rows if r[1])
-        recall[t] = tp / len(gts) if gts else 0.0
-
-    return RecoveryReport(
-        objects=objects,
-        recall=recall,
-        n_gt=len(gts),
-        n_pred=len(preds),
-    )

@@ -1,4 +1,5 @@
-"""Shared builders and independent naive reference implementations.
+"""Shared builders, independent naive reference implementations and the
+synthetic round-trip oracle.
 
 The naive oracles deliberately avoid the library's vectorized code paths:
 containment uses face half-space tests on corner geometry, binning and
@@ -9,16 +10,20 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cuboidlift.config import PipelineConfig, default_taxonomy
-from cuboidlift.geom import Box2D, Cuboid3D, cuboid_corners, rot_z, turn_xy, wrap_angle
+from cuboidlift.geom import Box2D, Cuboid3D, cuboid_corners, rot_z, turn_xy, wrap_angle, yaw_diff
+from cuboidlift.metrics import DIST_THRESHOLDS, gt_classes, match_predictions
+from cuboidlift.pipeline import annotate_scene
+from cuboidlift.prior import SemanticPrior, expert_key
 from cuboidlift import search
 from cuboidlift.search import Hypothesis, HypothesisGrid, SearchConfig, projected_iou
-from cuboidlift.synth import random_scene_spec
+from cuboidlift.synth import generate_scene, random_scene_spec
 
 CRITERION_CLASSES = [
     "car",
@@ -195,7 +200,6 @@ def naive_select_best(grid, fp, det, rig):
         cuboid=grid.cuboid(best),
         coverage=float(coverage[best]),
         proj_iou=float(iou[best]),
-        objective=float(coverage[best]) + float(iou[best]),
     )
 
 
@@ -313,6 +317,125 @@ def naive_map2d(pred_dets, gt_dets, iou_threshold=0.5) -> float:
     return float(np.mean(aps)) if aps else 0.0
 
 
+# ---------------------------------------------------------------------------
+# Round-trip oracle: generate a scene, annotate it, score the recovery
+
+
+@dataclass
+class ObjectRecovery:
+    frame_id: str
+    class_label: str
+    center_error: float
+    yaw_error: float
+
+
+@dataclass
+class RecoveryReport:
+    objects: list  # ObjectRecovery, one per GT object per frame (inf if missed)
+    recall: dict  # threshold -> recall
+    n_gt: int
+    n_pred: int
+
+    def max_center_error(self) -> float:
+        return max((o.center_error for o in self.objects), default=0.0)
+
+    def max_yaw_error(self) -> float:
+        return max((o.yaw_error for o in self.objects), default=0.0)
+
+
+def oracle_prior_provider(synth_scene, config):
+    """Per-instance priors from synthetic ground truth (true dims + yaw).
+
+    The returned provider keys detections by identity within the synthetic
+    scene's detection list; orientations are converted into the lidar frame
+    of the detection's sweep.
+    """
+    det_to_obj = {id(d): oi for d, oi in zip(synth_scene.detections, synth_scene.det_object_ids)}
+    scene = synth_scene.scene
+    t0 = scene.sweeps[0].timestamp
+
+    def provider(det):
+        oi = det_to_obj[id(det)]
+        si = scene.frame_index[det.frame_id]
+        obj = synth_scene.spec.objects[oi]
+        cub = obj.cuboid_at((scene.sweeps[si].timestamp - t0) / 1e6)
+        heading = scene.lidar_to_world[si].heading()
+        return SemanticPrior(
+            dims=cub.dims,
+            orientation=wrap_angle(cub.yaw - heading),
+            sector_half_width=config.sector_half_width,
+            source="per_instance",
+        )
+
+    return provider
+
+
+def verify_roundtrip(spec, config, priors: str = "oracle") -> RecoveryReport:
+    """Generate the scene, run the pipeline on it, and score the recovery.
+
+    priors="oracle" feeds per-instance priors with the true dimensions and
+    orientation; "class_average" exercises the fallback full-sector path;
+    "expert_file" routes through the generated record sidecar.
+    """
+    synth = generate_scene(spec)
+    provider = None
+    expert_index = None
+    if priors == "oracle":
+        provider = oracle_prior_provider(synth, config)
+    elif priors == "expert_file":
+        expert_index = {expert_key(rec_det): rec for rec_det, rec in zip(synth.detections, synth.expert_records)}
+    elif priors != "class_average":
+        raise ValueError(f"unknown prior mode {priors!r}")
+
+    frames, _ = annotate_scene(
+        synth.scene,
+        synth.detections,
+        config,
+        expert_index=expert_index,
+        prior_provider=provider,
+    )
+    preds = [a for frame in frames for a in frame]
+    gts = synth.gt_flat
+
+    objects = []
+    for sweep, frame_preds, frame_gt in zip(synth.scene.sweeps, frames, synth.gt_frames):
+        frame_id = sweep.frame_id
+        for g in frame_gt:
+            # the nearest same-class prediction in BEV, the first of equals
+            best = min(
+                (p for p in frame_preds if p.class_label == g.class_label),
+                key=lambda p: np.linalg.norm(p.cuboid.center[:2] - g.cuboid.center[:2]),
+                default=None,
+            )
+            if best is None:
+                objects.append(ObjectRecovery(frame_id, g.class_label, math.inf, math.inf))
+            else:
+                objects.append(
+                    ObjectRecovery(
+                        frame_id,
+                        g.class_label,
+                        float(np.linalg.norm(best.cuboid.center - g.cuboid.center)),
+                        yaw_diff(best.cuboid.yaw, g.cuboid.yaw),
+                    )
+                )
+
+    recall = {}
+    classes = gt_classes(gts)
+    for t in DIST_THRESHOLDS:
+        tp = 0
+        for cls in classes:
+            m = match_predictions(preds, gts, cls, t)
+            tp += sum(1 for r in m.rows if r[1])
+        recall[t] = tp / len(gts) if gts else 0.0
+
+    return RecoveryReport(
+        objects=objects,
+        recall=recall,
+        n_gt=len(gts),
+        n_pred=len(preds),
+    )
+
+
 def random_cuboid(rng, span=10.0, dim_range=(0.4, 5.0)) -> Cuboid3D:
     center = rng.uniform(-span, span, size=3)
     dims = tuple(rng.uniform(*dim_range, size=3))
@@ -334,7 +457,7 @@ def node_bound(grid, fg) -> np.ndarray:
 
 def kernel_coverage(points, c: Cuboid3D) -> float:
     """`search._coverage` of the one-entry grid holding `c`: the production coverage of one box."""
-    grid = HypothesisGrid([c.center[0]], [c.center[1]], [c.center[2]], [c.yaw], dims=c.dims, init=c)
+    grid = HypothesisGrid([c.center[0]], [c.center[1]], [c.center[2]], [c.yaw], init=c)
     return float(grid_coverage(grid, points, np.array([0]))[0])
 
 

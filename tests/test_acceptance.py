@@ -36,11 +36,9 @@ from cuboidlift.synth import (
     Wall,
     default_cameras,
     generate_scene,
-    oracle_prior_provider,
     random_scene_spec,
     sample_visible_surface,
     straight_ego_trajectory,
-    verify_roundtrip,
 )
 from conftest import (
     criterion_scene_spec,
@@ -49,7 +47,9 @@ from conftest import (
     naive_frustum_mask,
     naive_match,
     naive_occupancy,
+    oracle_prior_provider,
     random_cuboid,
+    verify_roundtrip,
 )
 
 TRANS_TOL = 0.5  # meters, one default translation step

@@ -11,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 from cuboidlift.cli import main
-from cuboidlift.config import PipelineConfig, config_from_dict, load_config
+from cuboidlift.config import PipelineConfig, config_from_dict, default_taxonomy, load_config
 from conftest import BROKEN_MANIFESTS
 
 
@@ -676,6 +676,19 @@ def test_readme_option_table_matches_cli():
         elif rows:
             break
     assert rows == {name: {o for p in cmd.params for o in p.opts} for name, cmd in main.commands.items()}
+
+
+def test_readme_config_example_matches_defaults():
+    # the JSON block under "Configuration" shows the defaults, and its one
+    # class is the built-in car
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text().split("\n## Configuration\n", 1)[1]
+    block = text.split("```json\n", 1)[1].split("```", 1)[0]
+    cfg, default = config_from_dict(json.loads(block)), PipelineConfig()
+    for name in ("search", "scoring", "routing_threshold", "sector_half_width", "sweep_stride"):
+        assert getattr(cfg, name) == getattr(default, name), name
+    assert cfg.taxonomy.names == ["car"]
+    assert cfg.taxonomy.get("car") == default_taxonomy().get("car")
 
 
 def _car_class(**entry) -> dict:

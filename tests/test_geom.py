@@ -287,7 +287,7 @@ class TestRigidTransform:
         for _ in range(50):
             q = rng.normal(size=4)
             t = RigidTransform.from_quat(q, rng.uniform(-10, 10, 3))
-            ident = t.compose(t.inverse())
+            ident = t @ t.inverse()
             assert np.allclose(ident.rotation, np.eye(3), atol=1e-9)
             assert np.allclose(ident.translation, 0.0, atol=1e-9)
 

@@ -150,7 +150,7 @@ class TestCoverageRatio:
             yaws = wrap_angle(c.yaw + np.arange(-2, 3) * rng.uniform(0.05, 0.6))
             grid = HypothesisGrid(
                 c.center[0] + offsets, c.center[1] + offsets, c.center[2] + offsets[3:6], yaws,
-                dims=c.dims, init=c,
+                init=c,
             )
             h = int(rng.integers(len(grid)))
             box = grid.cuboid(h)
@@ -202,7 +202,7 @@ class TestCoverageRatio:
             "    local = cuboid_local(pts, c)\n"
             "    h['cuboid_local'].update(local.tobytes())\n"
             "    h['inside_local'].update(inside_local(local, c.dims).tobytes())\n"
-            "    grid = HypothesisGrid([x], [y], [z], [c.yaw], dims=c.dims, init=c)\n"
+            "    grid = HypothesisGrid([x], [y], [z], [c.yaw], init=c)\n"
             "    turned = turn_xy(pts[:, 0], pts[:, 1], grid.yaw_axis)\n"
             "    h['coverage'].update(_coverage(grid, turned, _inside_z(grid, pts), np.array([0])).tobytes())\n"
             "    h['occupancy'].update(np.float64(occupancy_rate(c, pts, 7)).tobytes())\n"
@@ -343,7 +343,7 @@ class TestHypothesisGrid:
 
     def test_flat_order_is_x_outer_yaw_inner(self):
         xs, ys, zs, yaws = [1.0, 2.0], [3.0, 4.0, 5.0], [6.0], [0.1, -0.2]
-        grid = HypothesisGrid(xs, ys, zs, yaws, dims=self.INIT.dims, init=self.INIT)
+        grid = HypothesisGrid(xs, ys, zs, yaws, init=self.INIT)
         want = [(x, y, z, yaw) for x in xs for y in ys for z in zs for yaw in yaws]
         assert len(grid) == len(want) == 12
         centers, yaws = grid_poses(grid)
@@ -355,7 +355,7 @@ class TestHypothesisGrid:
 
     def test_axes_and_views_are_read_only(self):
         xs = np.array([1.0, 2.0])
-        grid = HypothesisGrid(xs, [0.0], [0.0], [0.0], dims=self.INIT.dims, init=self.INIT)
+        grid = HypothesisGrid(xs, [0.0], [0.0], [0.0], init=self.INIT)
         xs[0] = 9.0  # the grid keeps its own copy
         assert grid.x_axis.tolist() == [1.0, 2.0]
         for a in (grid.x_axis, grid.y_axis, grid.z_axis, grid.yaw_axis, grid.corner_table):
@@ -365,9 +365,9 @@ class TestHypothesisGrid:
     def test_non_axis_rejected(self):
         # a flat list of centers is not an axis: the grid is Cartesian by type
         with pytest.raises(ValueError, match="1-D"):
-            HypothesisGrid(np.zeros((4, 3)), [0.0], [0.0], [0.0], dims=self.INIT.dims, init=self.INIT)
+            HypothesisGrid(np.zeros((4, 3)), [0.0], [0.0], [0.0], init=self.INIT)
         with pytest.raises(ValueError, match="1-D"):
-            HypothesisGrid([0.0], [0.0], [0.0], 0.0, dims=self.INIT.dims, init=self.INIT)
+            HypothesisGrid([0.0], [0.0], [0.0], 0.0, init=self.INIT)
 
 
 def synthetic_detection(rig, seed=3, dims=(4.0, 2.0, 1.6), dist=12.0, n=400):
@@ -397,7 +397,7 @@ KERNEL_CONFIGS = {
 def permuted_axes(grid, rng):
     """The same hypotheses in another flat order: each axis permuted on its own."""
     axes = (grid.x_axis, grid.y_axis, grid.z_axis, grid.yaw_axis)
-    return HypothesisGrid(*(rng.permutation(a) for a in axes), dims=grid.dims, init=grid.init)
+    return HypothesisGrid(*(rng.permutation(a) for a in axes), init=grid.init)
 
 
 def random_kernel_case(rng, cfg, full_circle):
@@ -480,7 +480,7 @@ class TestCoverageKernel:
         for empty in range(4):
             axes = [[10.0, 10.5], [0.0], [0.0, -0.5], [0.0, 0.3]]
             axes[empty] = []
-            grid = HypothesisGrid(*axes, dims=init.dims, init=init)
+            grid = HypothesisGrid(*axes, init=init)
             assert len(grid) == 0 and grid_poses(grid)[0].shape == (0, 3)
             candidates, cov, iou = evaluate_hypotheses(grid, fp, KERNEL_DET, rig)
             assert candidates.shape == cov.shape == iou.shape == (0,)
@@ -501,7 +501,7 @@ class TestCoverageKernel:
         coords = [-0.5, -0.0, 0.0, 0.5]
         yaws = axis([-0.0, 0.0, math.pi / 2, -math.pi / 2, 0.3])
         init = Cuboid3D(np.zeros(3), (1.0, 1.0, 1.0), 0.0)
-        grid = HypothesisGrid(axis(coords), axis(coords), axis(coords), yaws, dims=init.dims, init=init)
+        grid = HypothesisGrid(axis(coords), axis(coords), axis(coords), yaws, init=init)
         pts = rng.choice([-1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0], size=(int(rng.integers(1, 40)), 3))
         return grid, fp_from(pts)
 
@@ -512,7 +512,7 @@ class TestCoverageKernel:
         axes = []
         for a in (grid.x_axis, grid.y_axis, grid.z_axis, grid.yaw_axis):
             axes.append(a[rng.permutation(np.concatenate([np.arange(len(a)), rng.integers(0, len(a), 2)]))])
-        return HypothesisGrid(*axes, dims=grid.dims, init=grid.init), fp
+        return HypothesisGrid(*axes, init=grid.init), fp
 
     @pytest.mark.parametrize("elems", [None, 1, 7, 500])
     @pytest.mark.parametrize("case", ["signed_zero_case", "duplicated_case"])
@@ -647,7 +647,7 @@ class TestPrunedArgmax:
         p = prior(dims=cube.dims, orientation=None, sector=math.pi)
         grid = enumerate_hypotheses(cube, p, SearchConfig())
         yaw_twice = np.concatenate([grid.yaw_axis, grid.yaw_axis])
-        doubled = HypothesisGrid(grid.x_axis, grid.y_axis, grid.z_axis, yaw_twice, dims=grid.dims, init=grid.init)
+        doubled = HypothesisGrid(grid.x_axis, grid.y_axis, grid.z_axis, yaw_twice, init=grid.init)
         assert len(doubled) == 2 * len(grid)
         shuffled = permuted_axes(doubled, np.random.default_rng(6))
         for g in (grid, doubled, shuffled):
@@ -911,7 +911,7 @@ def with_twins(grid, rng):
     """
     x = np.concatenate([grid.x_axis, grid.x_axis])[rng.permutation(2 * len(grid.x_axis))]
     yaw = np.concatenate([grid.yaw_axis, grid.yaw_axis])[rng.permutation(2 * len(grid.yaw_axis))]
-    return HypothesisGrid(x, grid.y_axis, grid.z_axis, yaw, dims=grid.dims, init=grid.init)
+    return HypothesisGrid(x, grid.y_axis, grid.z_axis, yaw, init=grid.init)
 
 
 def iou_bound_case(kind, rng, rig):
@@ -1115,7 +1115,10 @@ class TestSelectBest:
 class TestHypothesisType:
     def test_objective_must_be_sum(self):
         c = Cuboid3D((0, 0, 0), (1, 1, 1), 0.0)
-        with pytest.raises(ValueError):
+        h = Hypothesis(cuboid=c, coverage=0.1, proj_iou=0.2)
+        assert h.objective == h.coverage + h.proj_iou
+        # the objective is derived, so an inconsistent one cannot be given
+        with pytest.raises(TypeError):
             Hypothesis(cuboid=c, coverage=0.5, proj_iou=0.25, objective=0.8)
 
 

@@ -16,9 +16,8 @@ from cuboidlift.synth import (
     rects_overlap,
     sample_visible_surface,
     straight_ego_trajectory,
-    verify_roundtrip,
 )
-from conftest import criterion_scene_spec, naive_rle_decode
+from conftest import criterion_scene_spec, naive_rle_decode, verify_roundtrip
 
 
 def simple_spec(objects, seed=0, n_sweeps=1, noise=0.0, walls=(), ego_speed=0.0, inset=0.0):
